@@ -79,12 +79,13 @@ def build_a(t):
 def build_r_ts(t, s):
     """Classical r-matrix s + a + r_st; requires s to solve the s-system.
 
-    The unitarity normalization r + r^21 = P is asserted on the result.
+    The unitarity normalization r + r^21 = P is checked on the result.
     """
     if not s_in_solution_space(t, s):
         raise ValueError("s does not solve the defining linear system")
     r = s_as_tensor(s) + build_a(t) + build_rst(t.n)
-    assert (r + r.flip21()) == Tensor2.perm(t.n), "r + r^21 = P violated"
+    if (r + r.flip21()) != Tensor2.perm(t.n):
+        raise RuntimeError("r + r^21 = P violated")
     return r
 
 

@@ -293,27 +293,15 @@ def _structure_reports(structure, t, suites, base_prov):
             )
         if "cross-formula" in suites:
             R_general = builders.build_R_ggs_general(structure.triple, s0)
-            same = R_general == R_assoc
             reports.append(
-                verify.VerifyReport(
-                    "cross-formula-ggs", "symbolic",
-                    "pass" if same else "fail",
-                    witness=None if same else verify._witness(R_general - R_assoc),
-                    provenance=prov,
-                )
+                verify.report_from_residual("cross-formula-ggs", R_general - R_assoc, prov)
             )
     if suites & {"aybe", "unitarity", "lift", "central", "cross-formula"}:
         r_quantum = builders.build_r_uv(structure, s0, formula="quantum")
         if "cross-formula" in suites:
             r_kernel = builders.build_r_uv(structure, s0, formula="kernel")
-            same = r_quantum == r_kernel
             reports.append(
-                verify.VerifyReport(
-                    "cross-formula-ruv", "symbolic",
-                    "pass" if same else "fail",
-                    witness=None if same else verify._witness(r_quantum - r_kernel),
-                    provenance=prov,
-                )
+                verify.report_from_residual("cross-formula-ruv", r_quantum - r_kernel, prov)
             )
         if "aybe" in suites:
             reports.append(
@@ -328,14 +316,7 @@ def _structure_reports(structure, t, suites, base_prov):
         if "central" in suites:
             lhs = r_quantum.scale(builders.q_minus_qinv(structure.n))
             rhs = builders.baxterize(builders.build_R_ggs_assoc(structure, s0))
-            same = lhs == rhs
-            reports.append(
-                verify.VerifyReport(
-                    "central", "symbolic", "pass" if same else "fail",
-                    witness=None if same else verify._witness(lhs - rhs),
-                    provenance=prov,
-                )
-            )
+            reports.append(verify.report_from_residual("central", lhs - rhs, prov))
     return reports
 
 

@@ -41,11 +41,6 @@ class USeries:
     def has_pole(self):
         return bool(self.coeffs[0])
 
-    def truncate(self, order):
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return USeries(order, self.coeffs[: order + 2])
-
     def __eq__(self, other):
         if not isinstance(other, USeries):
             return NotImplemented
@@ -54,20 +49,6 @@ class USeries:
         )
 
     __hash__ = None
-
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        return USeries(
-            order,
-            [self.coeff(k) + other.coeff(k) for k in range(-1, order + 1)],
-        )
-
-    def __sub__(self, other):
-        order = min(self.order, other.order)
-        return USeries(
-            order,
-            [self.coeff(k) - other.coeff(k) for k in range(-1, order + 1)],
-        )
 
     def __mul__(self, other):
         p1, p2 = self.has_pole(), other.has_pole()

@@ -149,9 +149,6 @@ class Tensor2:
         """Entrywise numeric evaluation; scalars become complex."""
         return self.map_scalars(lambda v: _to_complex(v, logs))
 
-    def transpose_legs(self):
-        return self.flip21()
-
     def lex_witness(self):
         """Lexicographically least nonzero coefficient (index, value)."""
         if not self.coeffs:
@@ -273,26 +270,6 @@ def _to_complex(v, logs):
     if isinstance(v, (int, float, complex, Fraction)):
         return complex(v)
     return v.evaluate(logs)
-
-
-def embed(t, legs):
-    return t.embed(legs)
-
-
-def mul2(a, b):
-    return a.mul(b)
-
-
-def mul3(a, b):
-    return a.mul(b)
-
-
-def flip21(t):
-    return t.flip21()
-
-
-def project_traceless(t, legs):
-    return t.project_traceless(legs)
 
 
 def weight_contract(t, w1, w2):

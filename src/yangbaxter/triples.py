@@ -15,7 +15,6 @@ the segment with simple summands a = i..j-1.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -735,7 +734,3 @@ def triple_flags(t):
         "associative": bool(perms),
         "compatible_permutations": len(perms),
     }
-
-
-def canonical_json(doc):
-    return json.dumps(doc, sort_keys=True, indent=2)

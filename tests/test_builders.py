@@ -82,6 +82,17 @@ def test_r_ts_rejects_bad_s():
         build_r_ts(t, SWedge(3, {(1, 2): Fraction(7)}))
 
 
+def test_r_ts_normalization_check_raises(monkeypatch):
+    # a symmetric correction breaks r + r^21 = P; the check must raise,
+    # not assert, so that it survives python -O
+    from yangbaxter import builders
+
+    sym = Tensor2(3, {(1, 2, 2, 1): Fraction(1), (2, 1, 1, 2): Fraction(1)})
+    monkeypatch.setattr(builders, "build_a", lambda t: sym)
+    with pytest.raises(RuntimeError, match="r \\+ r\\^21 = P"):
+        build_r_ts(BDTriple.make(3, {}), SWedge(3))
+
+
 def test_r_ts_nu_for_all_enumerated():
     for n in (2, 3, 4):
         P = Tensor2.perm(n)

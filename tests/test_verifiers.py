@@ -392,6 +392,86 @@ def test_numeric_engine_matches_dense_oracle():
     assert res_bad.max_abs() > 1e-3
 
 
+def _perturbed(t):
+    """t with 1 added to its lexicographically least coefficient."""
+    coeffs = dict(t.coeffs)
+    key = min(coeffs)
+    coeffs[key] = coeffs[key] + 1
+    return Tensor2(t.n, coeffs)
+
+
+def test_numeric_formulas_match_symbolic():
+    """Every numeric identity, on a perturbed input, equals its symbolic
+    residual evaluated at the same point, entry by entry."""
+    from yangbaxter.builders import build_R_ggs_assoc
+    from yangbaxter.scalars import log_point
+
+    n = 2
+    point = (0.31 + 0.52j, -0.44 + 0.27j, 0.62 - 0.35j, -0.53 + 0.41j)
+    st = trivial_structures(n)[0]
+    s0 = s0_from_structure(st)
+    r_uv = _perturbed(build_r_uv(st, s0, formula="kernel"))
+    R = _perturbed(build_R_ggs_assoc(st, s0))
+    RB = _perturbed(baxterize(build_R_ggs_assoc(st, s0)))
+    r_v = _perturbed(hat_r(build_r_ts(st.triple, s0)))
+
+    def unitarity(r):
+        # written out here, independently of the slot table
+        return r.map_scalars(rf) + r.flip21().substitute({"X1": X1**-1, "Y1": Y1**-1})
+
+    cases = {
+        "aybe": ({"r": r_uv}, verify.aybe_residual),
+        "unitarity_assoc": ({"r": r_uv}, unitarity),
+        "qybe": ({"R": R}, verify.qybe_residual),
+        "hecke": ({"R": R}, verify.hecke_residual),
+        "qybe_spectral": ({"R": RB}, verify.qybe_spectral_residual),
+        "cybe_spectral": ({"r": r_v}, verify.cybe_spectral_residual),
+    }
+    assert set(cases) == set(verify.NUMERIC_IDENTITIES)
+    logs = log_point(*point, n)
+    for identity, (tensors, symbolic) in cases.items():
+        numeric, _ = verify._numeric_tensors(identity, tensors, n, point)
+        assert numeric.max_abs() > 1e-3, identity
+        (t,) = tensors.values()
+        exact = symbolic(t).map_scalars(
+            lambda c: c.evaluate(logs) if hasattr(c, "evaluate") else complex(c)
+        )
+        for key in set(numeric.coeffs) | set(exact.coeffs):
+            lhs = numeric.coeffs.get(key, 0j)
+            rhs = exact.coeffs.get(key, 0j)
+            assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs)), (identity, key, lhs, rhs)
+    with pytest.raises(ValueError):
+        verify._numeric_tensors("cybe", {"r": r_v}, n, point)
+
+
+def test_numeric_scale_is_per_sample(monkeypatch):
+    """A large-scale sample must not excuse a bad small-scale one."""
+    outcomes = iter([
+        (Tensor2(1, {(1, 1, 1, 1): 1e-6}), 1.0),
+        (Tensor2(1), 1e6),
+    ])
+    monkeypatch.setattr(verify, "_numeric_tensors", lambda *args: next(outcomes))
+    rep = verify.numeric_residual("aybe", {"r": None}, 1, 2, 1e-9, 0)
+    assert rep.result == "fail"
+    assert rep.max_abs_residual == 1e-6
+
+
+def test_numeric_resampling_is_capped(monkeypatch):
+    draws = []
+
+    def reject(values):
+        draws.append(values)
+        if len(draws) > verify.MAX_REJECTIONS:
+            raise AssertionError("resampling went past its cap")
+        return False
+
+    monkeypatch.setattr(verify, "_clear_of_poles", reject)
+    r = build_r_uv(trivial_structures(2)[0], formula="kernel")
+    with pytest.raises(RuntimeError, match="GUARD_DISTANCE"):
+        verify.numeric_residual("aybe", {"r": r}, 2, 3, 1e-9, 0)
+    assert len(draws) == verify.MAX_REJECTIONS
+
+
 def test_numeric_determinism():
     st = cg_structure(3)
     r = build_r_uv(st, formula="kernel")
