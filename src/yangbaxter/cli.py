@@ -43,10 +43,28 @@ def _emit(doc, path):
         out_dir = os.environ.get("YANGBAXTER_OUTPUT_DIR")
         if out_dir and not os.path.isabs(path):
             path = os.path.join(out_dir, path)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_atomically(path, text)
     else:
         sys.stdout.write(text)
+
+
+def _write_atomically(path, text):
+    """Write through a fresh file in the target directory, then rename it over path.
+
+    A reader sees the old file or the new one, never a partial write, and
+    a failed write leaves the old file and no temporary file behind.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    # mode "x" gives the permissions a new file gets from open(path, "w")
+    handle = open(tmp, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _structure_provenance(structure, s=None, extra=None):
@@ -428,9 +446,10 @@ def main(argv=None):
         if args.command == "build":
             return cmd_build(args)
         if args.command == "verify":
-            suites = set(SUITES) if args.suite == "all" else {
-                s.strip() for s in args.suite.split(",")
-            }
+            if args.suite == "all":
+                suites = set(NUMERIC_SUITES if args.mode == "numeric" else SUITES)
+            else:
+                suites = {s.strip() for s in args.suite.split(",")}
             unknown = suites - set(SUITES)
             if unknown:
                 raise CliError(f"unknown suites: {sorted(unknown)}")

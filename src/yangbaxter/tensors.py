@@ -11,6 +11,11 @@ symbolic spectral matrices, complex for numeric sampling.  Any type with
 +, -, *, / by int and truthiness for exact zero works; zero coefficients
 are never stored.
 
+Products of factors placed on legs of the 3-fold product, X_ab Y_cd and
+T Y_cd, are contracted directly (``mul`` with ``legs``) instead of
+materialising the n-fold embeddings, and sum every coefficient in the
+same order as the embedded product, so results agree to the bit.
+
 Tensors are immutable after construction; all operations are pure, so
 instances can be shared freely between parallel workers.
 """
@@ -18,12 +23,98 @@ instances can be shared freely between parallel workers.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from .scalars import monomial_rf, rf
 
 
 def _prune(d):
     return {k: v for k, v in d.items() if v}
+
+
+def _adopt(cls, n, coeffs):
+    """A tensor around a dict the engine has just built, copied only to drop zeros."""
+    t = object.__new__(cls)
+    t.n = n
+    t.coeffs = coeffs if all(coeffs.values()) else _prune(coeffs)
+    return t
+
+
+def _added(a, b):
+    out = dict(a)
+    get = out.get
+    for k, v in b.items():
+        cur = get(k)
+        out[k] = v if cur is None else cur + v
+    return out
+
+
+def _subtracted(a, b):
+    out = dict(a)
+    get = out.get
+    for k, v in b.items():
+        cur = get(k)
+        out[k] = -v if cur is None else cur - v
+    return out
+
+
+def _contract(left, right, left_cols, right_rows, pick, sort_by=None):
+    """Sum of the products ca * cb over the entry pairs that meet.
+
+    Entry (lk, ca) of left meets entry (rk, cb) of right when
+    left_cols(lk) == right_rows(rk); the product lands at pick(lk + rk).
+    Every coefficient is summed in a fixed order: left's entries in dict
+    order, and for each of them the matching right entries in right's
+    dict order, first sorted stably by sort_by(rk) when it is given.
+    Float sums and the non-canonical form of RatFunc depend on this order.
+    """
+    items = right.items()
+    if sort_by is not None:
+        items = sorted(items, key=lambda item: sort_by(item[0]))
+    buckets = {}
+    for rk, cb in items:
+        buckets.setdefault(right_rows(rk), []).append((rk, cb))
+    out = {}
+    get = out.get
+    for lk, ca in left.items():
+        for rk, cb in buckets.get(left_cols(lk), ()):
+            key = pick(lk + rk)
+            cur = get(key)
+            prod = ca * cb
+            out[key] = prod if cur is None else cur + prod
+    return out
+
+
+# Product tables for _contract.  The column and row getters index one
+# factor's own key; the result key indexes the concatenation of both keys,
+# (i, j, k, l, x, y, z, w) for two 2-leg factors, (i, j, k, l, p, q, x, y,
+# z, w) for a 3-leg factor times a 2-leg one.
+_MUL2 = (itemgetter(1, 3), itemgetter(0, 2), itemgetter(0, 5, 2, 7))
+_MUL3 = (itemgetter(1, 3, 5), itemgetter(0, 2, 4), itemgetter(0, 7, 2, 9, 4, 11))
+
+# X_ab Y_cd for two 2-leg factors placed on legs of the 3-fold product.
+# X's column on the shared leg meets Y's row there; on its other leg Y
+# meets the identity that embedding X puts there, and that identity index
+# equals Y's row on that leg.  embed().mul() runs the identity index in
+# ascending order, so Y's entries are sorted stably by that row.
+# Value: (X column, Y row on the shared leg, result key, Y row on its
+# other leg).
+_LEG_PAIRS = {
+    (12, 13): (itemgetter(1), itemgetter(0), itemgetter(0, 5, 2, 3, 6, 7), itemgetter(2)),
+    (13, 12): (itemgetter(1), itemgetter(0), itemgetter(0, 5, 6, 7, 2, 3), itemgetter(2)),
+    (12, 23): (itemgetter(3), itemgetter(0), itemgetter(0, 1, 2, 5, 6, 7), itemgetter(2)),
+    (23, 12): (itemgetter(1), itemgetter(2), itemgetter(4, 5, 0, 7, 2, 3), itemgetter(0)),
+    (13, 23): (itemgetter(3), itemgetter(2), itemgetter(0, 1, 4, 5, 2, 7), itemgetter(0)),
+    (23, 13): (itemgetter(3), itemgetter(2), itemgetter(4, 5, 0, 1, 2, 7), itemgetter(0)),
+}
+
+# T Y_cd for a 3-leg T and a 2-leg Y placed on legs c, d: T's columns on
+# those legs meet Y's rows.  Value: (T columns, Y rows, result key).
+_T_LEGS = {
+    12: (itemgetter(1, 3), itemgetter(0, 2), itemgetter(0, 7, 2, 9, 4, 5)),
+    13: (itemgetter(1, 5), itemgetter(0, 2), itemgetter(0, 7, 2, 3, 4, 9)),
+    23: (itemgetter(3, 5), itemgetter(0, 2), itemgetter(0, 1, 2, 7, 4, 9)),
+}
 
 
 class Tensor2:
@@ -61,44 +152,45 @@ class Tensor2:
     __hash__ = None
 
     def __neg__(self):
-        return Tensor2(self.n, {k: -v for k, v in self.coeffs.items()})
+        return _adopt(Tensor2, self.n, {k: -v for k, v in self.coeffs.items()})
 
     def __add__(self, other):
         if not isinstance(other, Tensor2) or self.n != other.n:
             return NotImplemented
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            cur = out.get(k)
-            out[k] = v if cur is None else cur + v
-        return Tensor2(self.n, out)
+        return _adopt(Tensor2, self.n, _added(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, Tensor2) or self.n != other.n:
+            return NotImplemented
+        return _adopt(Tensor2, self.n, _subtracted(self.coeffs, other.coeffs))
 
     def scale(self, c):
         if not c:
             return Tensor2(self.n)
-        return Tensor2(self.n, {k: c * v for k, v in self.coeffs.items()})
+        return _adopt(Tensor2, self.n, {k: c * v for k, v in self.coeffs.items()})
 
-    def mul(self, other):
-        """Componentwise matrix product, e_ij e_kl = delta_jk e_il per leg."""
+    def mul(self, other, legs=None):
+        """Componentwise matrix product, e_ij e_kl = delta_jk e_il per leg.
+
+        With legs=(ab, cd), one of the six ordered pairs of distinct legs
+        among 12, 13, 23, returns the Tensor3 self_ab other_cd, equal
+        coefficient for coefficient (float bits included) to
+        self.embed(ab).mul(other.embed(cd)) but without the embeddings.
+        """
+        if not isinstance(other, Tensor2):
+            raise TypeError("Tensor2.mul needs a Tensor2 factor")
         if self.n != other.n:
             raise ValueError("tensor size mismatch")
-        by_rows = {}
-        for (a, b, c, d), cb in other.coeffs.items():
-            by_rows.setdefault((a, c), []).append((b, d, cb))
-        out = {}
-        for (i, j, k, l), ca in self.coeffs.items():
-            for b, d, cb in by_rows.get((j, l), ()):
-                key = (i, b, k, d)
-                cur = out.get(key)
-                prod = ca * cb
-                out[key] = prod if cur is None else cur + prod
-        return Tensor2(self.n, out)
+        if legs is None:
+            return _adopt(Tensor2, self.n, _contract(self.coeffs, other.coeffs, *_MUL2))
+        if legs not in _LEG_PAIRS:
+            raise ValueError(f"legs must be an ordered pair of distinct legs, got {legs!r}")
+        return _adopt(Tensor3, self.n, _contract(self.coeffs, other.coeffs, *_LEG_PAIRS[legs]))
 
     def flip21(self):
         """Swap the two legs: coefficient of e_ij (x) e_kl moves to e_kl (x) e_ij."""
-        return Tensor2(self.n, {(k, l, i, j): v for (i, j, k, l), v in self.coeffs.items()})
+        flipped = {(k, l, i, j): v for (i, j, k, l), v in self.coeffs.items()}
+        return _adopt(Tensor2, self.n, flipped)
 
     def embed(self, legs):
         """Place the tensor on the named legs of a 3-fold product (12, 13, 23)."""
@@ -118,7 +210,7 @@ class Tensor2:
                     out[(m, m, i, j, k, l)] = v
         else:
             raise ValueError("legs must be one of 12, 13, 23")
-        return Tensor3(n, out)
+        return _adopt(Tensor3, n, out)
 
     def project_traceless(self, legs):
         """Apply M -> M - (tr M / n) 1 on each selected leg (1 and/or 2)."""
@@ -135,11 +227,11 @@ class Tensor2:
                     nk = (m, m) + key[2:] if leg == 1 else key[:2] + (m, m)
                     cur = acc.get(nk)
                     acc[nk] = -frac if cur is None else cur - frac
-            out = Tensor2(self.n, acc)
+            out = _adopt(Tensor2, self.n, acc)
         return out
 
     def map_scalars(self, fn):
-        return Tensor2(self.n, {k: fn(v) for k, v in self.coeffs.items()})
+        return _adopt(Tensor2, self.n, {k: fn(v) for k, v in self.coeffs.items()})
 
     def substitute(self, assignment):
         """Entrywise exact substitution for symbolic tensors."""
@@ -158,7 +250,7 @@ class Tensor2:
 
     def max_abs(self):
         """Largest coefficient magnitude (numeric tensors)."""
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
+        return max(map(abs, self.coeffs.values()), default=0.0)
 
     def pretty(self):
         lines = []
@@ -190,39 +282,40 @@ class Tensor3:
     __hash__ = None
 
     def __neg__(self):
-        return Tensor3(self.n, {k: -v for k, v in self.coeffs.items()})
+        return _adopt(Tensor3, self.n, {k: -v for k, v in self.coeffs.items()})
 
     def __add__(self, other):
         if not isinstance(other, Tensor3) or self.n != other.n:
             return NotImplemented
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            cur = out.get(k)
-            out[k] = v if cur is None else cur + v
-        return Tensor3(self.n, out)
+        return _adopt(Tensor3, self.n, _added(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, Tensor3) or self.n != other.n:
+            return NotImplemented
+        return _adopt(Tensor3, self.n, _subtracted(self.coeffs, other.coeffs))
 
     def scale(self, c):
         if not c:
             return Tensor3(self.n)
-        return Tensor3(self.n, {k: c * v for k, v in self.coeffs.items()})
+        return _adopt(Tensor3, self.n, {k: c * v for k, v in self.coeffs.items()})
 
-    def mul(self, other):
+    def mul(self, other, legs=None):
+        """Componentwise matrix product of two 3-leg tensors.
+
+        With legs = 12, 13 or 23, other is a Tensor2 and the result is
+        self other_legs, equal coefficient for coefficient (float bits
+        included) to self.mul(other.embed(legs)) but without the embedding.
+        """
+        factor = Tensor3 if legs is None else Tensor2
+        if not isinstance(other, factor):
+            raise TypeError(f"Tensor3.mul with legs={legs!r} needs a {factor.__name__} factor")
         if self.n != other.n:
             raise ValueError("tensor size mismatch")
-        by_rows = {}
-        for (a, b, c, d, e, f), cb in other.coeffs.items():
-            by_rows.setdefault((a, c, e), []).append((b, d, f, cb))
-        out = {}
-        for (i, j, k, l, m, p), ca in self.coeffs.items():
-            for b, d, f, cb in by_rows.get((j, l, p), ()):
-                key = (i, b, k, d, m, f)
-                cur = out.get(key)
-                prod = ca * cb
-                out[key] = prod if cur is None else cur + prod
-        return Tensor3(self.n, out)
+        if legs is None:
+            return _adopt(Tensor3, self.n, _contract(self.coeffs, other.coeffs, *_MUL3))
+        if legs not in _T_LEGS:
+            raise ValueError("legs must be one of 12, 13, 23")
+        return _adopt(Tensor3, self.n, _contract(self.coeffs, other.coeffs, *_T_LEGS[legs]))
 
     def project_traceless(self, legs):
         """Apply M -> M - (tr M / n) 1 on each selected leg (subset of 1,2,3)."""
@@ -239,11 +332,11 @@ class Tensor3:
                     nk = key[:base] + (m, m) + key[base + 2:]
                     cur = acc.get(nk)
                     acc[nk] = -frac if cur is None else cur - frac
-            out = Tensor3(self.n, acc)
+            out = _adopt(Tensor3, self.n, acc)
         return out
 
     def map_scalars(self, fn):
-        return Tensor3(self.n, {k: fn(v) for k, v in self.coeffs.items()})
+        return _adopt(Tensor3, self.n, {k: fn(v) for k, v in self.coeffs.items()})
 
     def lex_witness(self):
         if not self.coeffs:
@@ -253,7 +346,7 @@ class Tensor3:
 
     def max_abs(self):
         """Largest coefficient magnitude (numeric tensors)."""
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
+        return max(map(abs, self.coeffs.values()), default=0.0)
 
     def pretty(self):
         lines = []
@@ -299,7 +392,7 @@ def gauge_conjugate(t, phi, n):
         if rate:
             v = monomial_rf(x1=2 * n * rate) * rf(v)
         out[(i, j, k, l)] = v
-    return Tensor2(t.n, out)
+    return _adopt(Tensor2, t.n, out)
 
 
 def weight_zero_ok(t):

@@ -103,24 +103,29 @@ def report_from_residual(identity, residual, provenance=None):
 
 def _cybe(a, b, c):
     """[a12, b13] + [a12, c23] + [b13, c23]."""
-    a, b, c = a.embed(12), b.embed(13), c.embed(23)
-    parts = (a.mul(b), b.mul(a), a.mul(c), c.mul(a), b.mul(c), c.mul(b))
+    parts = (
+        a.mul(b, legs=(12, 13)), b.mul(a, legs=(13, 12)),
+        a.mul(c, legs=(12, 23)), c.mul(a, legs=(23, 12)),
+        b.mul(c, legs=(13, 23)), c.mul(b, legs=(23, 13)),
+    )
     return (parts[0] - parts[1]) + (parts[2] - parts[3]) + (parts[4] - parts[5]), parts
 
 
 def _qybe(a, b, c):
     """a12 b13 c23 - c23 b13 a12."""
-    a, b, c = a.embed(12), b.embed(13), c.embed(23)
-    parts = (a.mul(b).mul(c), c.mul(b).mul(a))
+    parts = (
+        a.mul(b, legs=(12, 13)).mul(c, legs=23),
+        c.mul(b, legs=(23, 13)).mul(a, legs=12),
+    )
     return parts[0] - parts[1], parts
 
 
 def _assoc(a, b, c, d, e, f):
     """a12 b13 - c23 d12 + e13 f23."""
     parts = (
-        a.embed(12).mul(b.embed(13)),
-        c.embed(23).mul(d.embed(12)),
-        e.embed(13).mul(f.embed(23)),
+        a.mul(b, legs=(12, 13)),
+        c.mul(d, legs=(23, 12)),
+        e.mul(f, legs=(13, 23)),
     )
     return parts[0] - parts[1] + parts[2], parts
 
@@ -148,8 +153,9 @@ def _symbolic_slots(t, labels):
     return out
 
 
-def _commutator(a, b):
-    return a.mul(b) - b.mul(a)
+def _commutator(a, b, legs):
+    """[a_legs[0], b_legs[1]]."""
+    return a.mul(b, legs=legs) - b.mul(a, legs=legs[::-1])
 
 
 def cybe_residual(r):
@@ -204,9 +210,9 @@ def aybe_reversed_residual(r):
     """The same three products with the factor order reversed."""
     a, b, c, d, e, f = _symbolic_slots(r, AYBE_SLOTS)
     return (
-        b.embed(13).mul(a.embed(12))
-        - d.embed(12).mul(c.embed(23))
-        + f.embed(23).mul(e.embed(13))
+        b.mul(a, legs=(13, 12))
+        - d.mul(c, legs=(12, 23))
+        + f.mul(e, legs=(23, 13))
     )
 
 
@@ -218,9 +224,9 @@ def aybe_commutator_sum(r):
     """
     a, b, c, d, e, f = _symbolic_slots(r, AYBE_SLOTS)
     return (
-        _commutator(a.embed(12), b.embed(13))
-        + _commutator(d.embed(12), c.embed(23))
-        + _commutator(e.embed(13), f.embed(23))
+        _commutator(a, b, (12, 13))
+        + _commutator(d, c, (12, 23))
+        + _commutator(e, f, (13, 23))
     )
 
 
@@ -234,12 +240,19 @@ def lift_obstruction(r):
 
 def tensor_u_coefficient(r, n, power, order=0):
     """Tensor of u^power coefficients of an entrywise u-expansion."""
-    out = {}
+    return _u_coefficients(r, n, (power,), order)[0]
+
+
+def _u_coefficients(r, n, powers, order=0):
+    """Tensors of the u^p coefficients, p in powers, expanding each entry once."""
+    outs = [{} for _ in powers]
     for key, value in r.coeffs.items():
-        c = expand_in_u(rf(value), n, order).coeff(power)
-        if c:
-            out[key] = c
-    return Tensor2(r.n, out)
+        series = expand_in_u(rf(value), n, order)
+        for out, power in zip(outs, powers):
+            c = series.coeff(power)
+            if c:
+                out[key] = c
+    return [Tensor2(r.n, out) for out in outs]
 
 
 def check_lift(r, t, s, provenance=None):
@@ -249,8 +262,7 @@ def check_lift(r, t, s, provenance=None):
     equals the spectral lift of the classical matrix for (t, s).
     """
     n = t.n
-    pole = tensor_u_coefficient(r, n, -1)
-    const = tensor_u_coefficient(r, n, 0)
+    pole, const = _u_coefficients(r, n, (-1, 0))
     diff_pole = pole - Tensor2.identity(n).map_scalars(rf)
     diff_const = const - hat_r(build_r_ts(t, s))
     if not diff_pole.is_zero():
@@ -281,10 +293,9 @@ def pr_limit_check(r, n, provenance=None):
     from .scalars import PoleOrderError
 
     projected = r.map_scalars(rf).project_traceless((1, 2))
-    pole = tensor_u_coefficient(projected, n, -1)
+    pole, rbar = _u_coefficients(projected, n, (-1, 0))
     if not pole.is_zero():
         raise PoleOrderError("pole survives the traceless projection")
-    rbar = tensor_u_coefficient(projected, n, 0)
     residual = cybe_spectral_residual(rbar)
     unit = unitarity_check(rbar, "classical")
     ok = residual.is_zero() and unit.passed

@@ -126,6 +126,21 @@ def test_verify_numeric_beyond_enumeration_bound(capsys):
     assert doc["summary"]["passed"] == 5
 
 
+def test_verify_numeric_suite_all_means_numeric_suites(capsys):
+    code, doc = run_cli(
+        capsys, "verify", "--n", "3", "--mode", "numeric", "--samples", "2", "--seed", "1",
+    )
+    assert code == 0
+    assert doc["config"]["suites"] == sorted(cli.NUMERIC_SUITES)
+    assert {r["identity"] for r in doc["reports"]} == {
+        "aybe", "unitarity_assoc", "qybe", "hecke", "cybe_spectral",
+    }
+    # an explicit suite outside numeric mode is still a usage error
+    code = cli.main(["verify", "--n", "3", "--mode", "numeric", "--suite", "aybe,lift"])
+    assert code == 2
+    assert "suites not available in numeric mode: ['lift']" in capsys.readouterr().err
+
+
 def test_verify_obstruction_include_nonassociative_exit1(capsys):
     code, doc = run_cli(
         capsys, "verify", "--n", "5", "--suite", "obstruction",
@@ -167,3 +182,23 @@ def test_output_file_and_env_dir(tmp_path, capsys, monkeypatch):
     assert code == 0
     doc = json.loads((tmp_path / "out.json").read_text())
     assert doc["count"] == 1
+
+
+def test_output_file_is_replaced_atomically(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "out.json"
+    target.write_text("old\n")
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    code = cli.main(["enumerate", "--n", "2", "--output", str(target)])
+    assert code == 2
+    assert "rename failed" in capsys.readouterr().err
+    # the old file is untouched and no temporary file is left behind
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]
+    monkeypatch.undo()
+    assert cli.main(["enumerate", "--n", "2", "--output", str(target)]) == 0
+    assert json.loads(target.read_text())["count"] == 1
+    assert list(tmp_path.iterdir()) == [target]

@@ -2,9 +2,12 @@
 
 from fractions import Fraction
 
-from yangbaxter.scalars import X1, rf
+import pytest
+
+from yangbaxter.scalars import X1, Y1, rf
 from yangbaxter.tensors import (
     Tensor2,
+    Tensor3,
     gauge_conjugate,
     weight_contract,
     weight_zero_ok,
@@ -105,6 +108,88 @@ def test_mul3_against_dense_oracle(rng):
             dense3_mul(dense3_embed(a, 12, n), dense3_embed(b, 13, n), n), n
         )
         assert got == want
+
+
+# --- fused leg products against the materialised embeddings -------------
+
+LEG_PAIRS = [(12, 13), (13, 12), (12, 23), (23, 12), (13, 23), (23, 13)]
+
+
+def _coefficient(kind, rng):
+    if kind == "fraction":
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    if kind == "complex":
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    # rational functions with unequal denominators: sums cross-multiply, so
+    # their printed form depends on the order of summation
+    num = rf(Fraction(rng.randint(1, 3))) * Y1 ** rng.randint(-1, 1)
+    return num / (1 - Y1 ** rng.randint(1, 2))
+
+
+def _random_coeffs(n, legs, kind, rng, nnz):
+    return {
+        tuple(rng.randint(1, n) for _ in range(2 * legs)): _coefficient(kind, rng)
+        for _ in range(nnz)
+    }
+
+
+def _exact(t):
+    """Entries in dict order with each value's repr: equal iff bits and order agree."""
+    return [(key, repr(value)) for key, value in t.coeffs.items()]
+
+
+KINDS = [("fraction", 3, 20), ("complex", 3, 20), ("ratfunc", 2, 6)]
+
+
+@pytest.mark.parametrize("kind, n, nnz", KINDS)
+@pytest.mark.parametrize("legs", LEG_PAIRS)
+def test_fused_leg_product_matches_embedding(rng, legs, kind, n, nnz):
+    for _ in range(4):
+        a = Tensor2(n, _random_coeffs(n, 2, kind, rng, nnz))
+        b = Tensor2(n, _random_coeffs(n, 2, kind, rng, nnz))
+        got = a.mul(b, legs=legs)
+        want = a.embed(legs[0]).mul(b.embed(legs[1]))
+        assert isinstance(got, Tensor3)
+        assert got.coeffs == want.coeffs
+        assert _exact(got) == _exact(want)
+
+
+@pytest.mark.parametrize("kind, n, nnz", KINDS)
+@pytest.mark.parametrize("legs", [12, 13, 23])
+def test_fused_three_leg_product_matches_embedding(rng, legs, kind, n, nnz):
+    for _ in range(4):
+        t = Tensor3(n, _random_coeffs(n, 3, kind, rng, 3 * nnz))
+        b = Tensor2(n, _random_coeffs(n, 2, kind, rng, nnz))
+        got = t.mul(b, legs=legs)
+        want = t.mul(b.embed(legs))
+        assert got.coeffs == want.coeffs
+        assert _exact(got) == _exact(want)
+
+
+def test_products_reject_unknown_legs_and_wrong_factors():
+    a = Tensor2.perm(2)
+    t = a.embed(12)
+    with pytest.raises(ValueError):
+        a.mul(a, legs=(12, 12))
+    with pytest.raises(ValueError):
+        t.mul(a, legs=(12, 13))
+    # a factor with the wrong number of legs would otherwise contract silently
+    for bad in (lambda: a.mul(t), lambda: a.mul(t, legs=(12, 13)),
+                lambda: t.mul(a), lambda: t.mul(t, legs=23)):
+        with pytest.raises(TypeError):
+            bad()
+
+
+@pytest.mark.parametrize("kind, n, nnz", KINDS)
+def test_sub_equals_adding_the_negation(rng, kind, n, nnz):
+    for _ in range(4):
+        a = Tensor2(n, _random_coeffs(n, 2, kind, rng, nnz))
+        shared = dict(list(a.coeffs.items())[:3])  # entries that cancel exactly in a - b
+        b = Tensor2(n, {**_random_coeffs(n, 2, kind, rng, nnz), **shared})
+        assert _exact(a - b) == _exact(a + (-b))
+        x, y = a.embed(13), b.embed(12)
+        assert _exact(x - y) == _exact(x + (-y))
+        assert all((a - b).coeffs.values())
 
 
 def test_flip21_examples():

@@ -262,6 +262,26 @@ def test_check_lift_detects_extra_pole():
     assert rep.witness is not None
 
 
+def test_check_lift_expands_each_entry_once(monkeypatch):
+    # the u^-1 and u^0 coefficients come from one expansion per entry
+    calls = []
+    expand = verify.expand_in_u
+
+    def counted(f, n, order):
+        calls.append(order)
+        return expand(f, n, order)
+
+    monkeypatch.setattr(verify, "expand_in_u", counted)
+    st = cg_structure(3)
+    s0 = s0_from_structure(st)
+    r = build_r_uv(st, s0, formula="kernel")
+    assert verify.check_lift(r, st.triple, s0).passed
+    assert len(calls) == len(r.coeffs) == 17
+    calls.clear()
+    assert verify.pr_limit_check(r, st.n).passed
+    assert len(calls) == len(r.map_scalars(rf).project_traceless((1, 2)).coeffs)
+
+
 def test_check_r01_from_lift_and_shifts():
     from yangbaxter.tensors import variables_used
 
