@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -147,8 +148,8 @@ def _select_structure(args):
                 break
         raise NonAssociativeError(t, witness)
     if args.perm:
-        images = tuple(int(x) for x in args.perm.split(","))
         try:
+            images = tuple(int(x) for x in args.perm.split(","))
             structure = triples.make_structure(t, images)
         except ValueError as exc:
             raise CliError(f"bad --perm: {exc}") from exc
@@ -171,7 +172,12 @@ def _selected_s(structure, args):
     s0 = triples.s0_from_structure(structure)
     if args.phi:
         phi = _parse_fractions(args.phi, structure.n, "--phi")
-        return s0 + triples.phi_coboundary(phi, structure.n), phi
+        s = s0 + triples.phi_coboundary(phi, structure.n)
+        try:
+            triples.phi_from_s(structure, s)
+        except ValueError as exc:
+            raise CliError(f"bad --phi: {exc}") from exc
+        return s, phi
     return s0, None
 
 
@@ -343,6 +349,10 @@ def _verify_numeric(args):
     bad = set(args.suites) - set(NUMERIC_SUITES)
     if bad:
         raise CliError(f"suites not available in numeric mode: {sorted(bad)}")
+    if args.samples < 1:
+        raise CliError("--samples must be at least 1 in numeric mode")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise CliError("--tolerance must be a finite number > 0")
     listed, source = _triples_at(args.n, args.bound)
     for t in listed:
         for structure in _structures_for(t, source):
@@ -441,6 +451,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.n < 1:
+            raise CliError("--n must be at least 1")
         if args.command == "enumerate":
             return cmd_enumerate(args)
         if args.command == "build":

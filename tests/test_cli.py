@@ -2,8 +2,10 @@
 
 import json
 
-from yangbaxter import cli
-from yangbaxter.builders import tensor2_from_json, build_r_uv
+import pytest
+
+from yangbaxter import cli, triples
+from yangbaxter.builders import build_r_ts, tensor2_from_json, build_r_uv
 from yangbaxter import verify
 
 from conftest import cg_structure
@@ -202,3 +204,70 @@ def test_output_file_is_replaced_atomically(tmp_path, capsys, monkeypatch):
     assert cli.main(["enumerate", "--n", "2", "--output", str(target)]) == 0
     assert json.loads(target.read_text())["count"] == 1
     assert list(tmp_path.iterdir()) == [target]
+
+
+NONASSOCIATIVE = [
+    t for n in range(2, 7) for t in triples.enumerate_triples(n)
+    if not triples.compatible_permutations(t)
+]
+
+
+def test_nonassociative_triples_up_to_n6():
+    assert [t.n for t in NONASSOCIATIVE] == [5] * 2 + [6] * 24
+
+
+@pytest.mark.parametrize(
+    "t", NONASSOCIATIVE, ids=[f"n{t.n}-{i}" for i, t in enumerate(NONASSOCIATIVE)]
+)
+def test_nonassociative_witness_is_an_obstruction_coefficient(tmp_path, capsys, t):
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(t.to_json()))
+    code, out = run_cli(
+        capsys, "build", "--n", str(t.n), "--triple-file", str(path), "--target", "ruv"
+    )
+    assert code == 2
+    # the witness value may depend on s, so compare with the particular
+    # solution, the one the CLI builds
+    residual = verify.lift_obstruction(build_r_ts(t, triples.solve_s_system(t)[0]))
+    index = tuple(out["witness"]["index"])
+    assert index in residual.coeffs
+    assert out["witness"]["value"] == str(residual.coeffs[index])
+
+
+def assert_usage_error(capsys, argv, message=""):
+    assert cli.main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message)
+    assert "internal error" not in captured.err
+
+
+NUMERIC_N3 = ("verify", "--n", "3", "--mode", "numeric", "--suite", "aybe")
+
+
+@pytest.mark.parametrize("argv", [
+    NUMERIC_N3 + ("--samples", "0"),
+    NUMERIC_N3 + ("--samples", "-2"),
+    ("verify", "--n", "0"),
+    ("verify", "--n", "-3"),
+    ("build", "--n", "-2", "--trivial", "--target", "classical"),
+    ("build", "--n", "0", "--trivial", "--target", "ggs"),
+    ("enumerate", "--n", "0"),
+], ids=" ".join)
+def test_sizes_and_sample_counts_below_one_are_usage_errors(capsys, argv):
+    assert_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "0", "-1e-9", "inf"])
+def test_tolerance_must_be_finite_and_positive(capsys, tolerance):
+    assert_usage_error(
+        capsys, NUMERIC_N3 + ("--samples", "2", f"--tolerance={tolerance}"), "--tolerance"
+    )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("build", "--n", "3", "--trivial", "--perm", "a", "--target", "ggs"), "bad --perm"),
+    (("build", "--n", "3", "--cg", "1", "--target", "ruv", "--phi", "1,0,0"), "bad --phi"),
+], ids=["perm", "phi"])
+def test_bad_perm_and_phi_are_usage_errors(capsys, argv, message):
+    assert_usage_error(capsys, argv, message)

@@ -278,3 +278,48 @@ def test_variables_used():
     assert variables_used(Tensor2.perm(2)) == set()
     spectral = Tensor2.perm(2).scale((1 - Y1) ** -1).scale(rf(1) * X1)
     assert variables_used(spectral) == {"X1", "Y1"}
+
+
+def test_three_leg_pretty_and_repr():
+    t = Tensor3(2, {
+        (2, 2, 1, 1, 1, 2): Fraction(-3),
+        (1, 2, 2, 1, 1, 1): Fraction(1, 2),
+        (1, 1, 1, 1, 1, 1): Fraction(0),
+    })
+    assert t.pretty() == "t_{1,2,1}^{2,1,1} = 1/2\nt_{2,1,1}^{2,1,2} = -3"
+    assert repr(t) == "Tensor3(n=2, nnz=2)"
+    assert repr(Tensor2.perm(3)) == "Tensor2(n=3, nnz=9)"
+    assert Tensor3(2).pretty() == ""
+
+
+def test_three_leg_weight_zero_rule():
+    assert weight_zero_ok(Tensor2.perm(3).embed(13))
+    assert weight_zero_ok(Tensor3(2, {(1, 2, 2, 1, 1, 1): Fraction(1)}))
+    # i + k + m = 3 but j + l + p = 4
+    assert not weight_zero_ok(Tensor3(2, {(1, 2, 1, 1, 1, 1): Fraction(1)}))
+
+
+def test_three_leg_project_traceless_examples():
+    # 1 (x) 1 (x) 1 has no traceless part on any leg
+    one3 = Tensor2.identity(2).embed(12)
+    assert one3.project_traceless((1, 2, 3)).is_zero()
+    assert one3.project_traceless((3,)).is_zero()
+    # P_12 projected on legs 1 and 2 is (P - 1 (x) 1 / 2) (x) 1 at n = 2
+    half = Fraction(1, 2)
+    want = {}
+    for m in (1, 2):
+        want.update({
+            (1, 1, 1, 1, m, m): half, (2, 2, 2, 2, m, m): half,
+            (1, 1, 2, 2, m, m): -half, (2, 2, 1, 1, m, m): -half,
+            (1, 2, 2, 1, m, m): Fraction(1), (2, 1, 1, 2, m, m): Fraction(1),
+        })
+    assert Tensor2.perm(2).embed(12).project_traceless((1, 2)).coeffs == want
+    # projecting leg 3 as well removes its identity factor, leaving zero
+    assert Tensor2.perm(2).embed(12).project_traceless((1, 2, 3)).is_zero()
+
+
+def test_project_traceless_rejects_missing_legs():
+    # a leg number the tensor does not have is an error, not some other leg
+    for t, leg in ((Tensor2.perm(2), 3), (Tensor2.perm(2), 0), (Tensor2.perm(2).embed(12), 0)):
+        with pytest.raises(ValueError):
+            t.project_traceless((leg,))
