@@ -16,6 +16,7 @@ from fractions import Fraction
 from .scalars import LaurentPoly, RatFunc, monomial_rf, q_power, rf
 from .tensors import Tensor2, gauge_conjugate
 from .triples import (
+    SCHEMA_VERSION,
     adjacency_exponent,
     phi_from_s,
     prec_pairs,
@@ -23,8 +24,6 @@ from .triples import (
     s0_from_structure,
     positive_roots,
 )
-
-SCHEMA_VERSION = 1
 
 HALF = Fraction(1, 2)
 
@@ -258,7 +257,7 @@ def scalar_to_json(value):
     v = rf(value)
 
     def poly_terms(p):
-        keys = sorted(p.terms, key=lambda e: tuple(Fraction(x) for x in e))
+        keys = sorted(p.terms)
         return [[[str(e) for e in exps], str(p.terms[exps])] for exps in keys]
 
     return {"num": poly_terms(v.num), "den": poly_terms(v.den)}

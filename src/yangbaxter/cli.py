@@ -81,6 +81,8 @@ def cmd_enumerate(args):
     n = args.n
     if args.filter == "cg":
         listed = [t for _, t in triples.enumerate_cg_triples(n)]
+    elif n > args.bound:
+        raise CliError(f"enumeration bound exceeded: n={n} > --bound {args.bound}")
     else:
         listed = triples.enumerate_triples(n, bound=args.bound)
     rows = []
@@ -137,16 +139,7 @@ def _select_structure(args):
         raise CliError("need one of --cg, --trivial, --triple-file")
     perms = triples.compatible_permutations(t)
     if not perms:
-        s, _ = triples.solve_s_system(t)
-        residual = verify.lift_obstruction(builders.build_r_ts(t, s))
-        witness = residual.lex_witness()
-        # an orientation reversal pins a stable witness independent of s
-        for a, b in t.pairs:
-            key = (a + 2, a, b - 1, b, b, b + 1)
-            if t.t_map.get(a + 1) == b - 1 and key in residual.coeffs:
-                witness = (key, residual.coeffs[key])
-                break
-        raise NonAssociativeError(t, witness)
+        raise NonAssociativeError(t)
     if args.perm:
         try:
             images = tuple(int(x) for x in args.perm.split(","))
@@ -162,10 +155,20 @@ def _select_structure(args):
 
 
 class NonAssociativeError(Exception):
-    def __init__(self, triple, witness):
+    def __init__(self, triple):
         self.triple = triple
-        self.witness = witness
         super().__init__("triple is not associative")
+
+
+def _nonassociative_witness(t):
+    s, _ = triples.solve_s_system(t)
+    residual = verify.lift_obstruction(builders.build_r_ts(t, s))
+    # an orientation reversal pins a stable witness independent of s
+    for a, b in t.pairs:
+        key = (a + 2, a, b - 1, b, b, b + 1)
+        if t.t_map.get(a + 1) == b - 1 and key in residual.coeffs:
+            return key, residual.coeffs[key]
+    return residual.lex_witness()
 
 
 def _selected_s(structure, args):
@@ -182,7 +185,18 @@ def _selected_s(structure, args):
 
 
 def cmd_build(args):
-    structure, selector = _select_structure(args)
+    try:
+        structure, selector = _select_structure(args)
+    except NonAssociativeError as exc:
+        # r_{T,s} exists for every triple: build it at the particular s
+        if args.target != "classical":
+            raise
+        if args.perm or args.phi:
+            raise CliError("--perm and --phi need an associative triple") from exc
+        s, _ = triples.solve_s_system(exc.triple)
+        extra = {"selector": "particular", "target": args.target}
+        provenance = _structure_provenance(exc.triple, s, extra)
+        return _emit_tensor(builders.build_r_ts(exc.triple, s), provenance, args)
     s, phi = _selected_s(structure, args)
     provenance = _structure_provenance(structure, s, selector)
     if phi is not None:
@@ -199,6 +213,10 @@ def cmd_build(args):
         tensor = builders.build_r_uv(structure, s, formula=args.formula)
     else:
         raise CliError(f"unknown target {args.target!r}")
+    return _emit_tensor(tensor, provenance, args)
+
+
+def _emit_tensor(tensor, provenance, args):
     doc = builders.tensor2_to_json(tensor, provenance=provenance)
     if args.pretty:
         doc["pretty"] = tensor.pretty().splitlines()
@@ -469,7 +487,7 @@ def main(argv=None):
             return cmd_verify(args)
         raise CliError(f"unknown command {args.command!r}")
     except NonAssociativeError as exc:
-        index, value = exc.witness
+        index, value = _nonassociative_witness(exc.triple)
         _emit(
             {
                 "error": "triple is not associative; no two-parameter lift exists",

@@ -249,7 +249,7 @@ class LaurentPoly:
         if not self.terms:
             return "0"
         parts = []
-        for exps in sorted(self.terms, key=lambda e: tuple(Fraction(x) for x in e)):
+        for exps in sorted(self.terms):
             c = self.terms[exps]
             factors = []
             for name, e in zip(VAR_NAMES, exps):
@@ -284,9 +284,10 @@ class RatFunc:
 
     The representation is not canonical; equality and zero tests go
     through cross multiplication, which is exact.  Light normalization is
-    applied on construction: common monomial content is cancelled,
-    monomial denominators are absorbed into the numerator (this is a
-    Laurent ring), and the denominator is made monic.
+    applied on construction, one rule per denominator shape: a monomial
+    denominator is absorbed into the numerator (this is a Laurent ring);
+    any other denominator has the common monomial content cancelled and
+    is made monic by its largest exponent tuple.
     """
 
     __slots__ = ("num", "den")
@@ -301,27 +302,24 @@ class RatFunc:
         if not den.terms:
             raise ZeroDivisionError("RatFunc with zero denominator")
         if not num.terms:
-            self.num = num
-            self.den = _ONE_POLY
-            return
-        # cancel common monomial content of num and den
-        mins = None
-        for e in num.terms:
-            mins = e if mins is None else tuple(map(min, mins, e))
-        for e in den.terms:
-            mins = tuple(map(min, mins, e))
-        if any(mins):
-            neg = tuple(-m for m in mins)
-            num = num.shift(neg)
-            den = den.shift(neg)
-        # absorb a monomial denominator entirely
+            den = _ONE_POLY
         if len(den.terms) == 1:
+            # a monomial c*X^d is a unit of this Laurent ring: absorb it
             ((exps, c),) = den.terms.items()
-            num = num.shift(tuple(-e for e in exps)).scale(1 / c)
+            if any(exps):
+                num = num.shift(tuple(-e for e in exps))
+            if c != 1:
+                num = num.scale(1 / c)
             den = _ONE_POLY
         else:
-            lead = max(den.terms, key=lambda e: tuple(Fraction(x) for x in e))
-            c = den.terms[lead]
+            # cancel common monomial content, then make den monic by its
+            # largest exponent tuple (int and Fraction compare exactly)
+            mins = tuple(map(min, *num.terms, *den.terms))
+            if any(mins):
+                neg = tuple(-m for m in mins)
+                num = num.shift(neg)
+                den = den.shift(neg)
+            c = den.terms[max(den.terms)]
             if c != 1:
                 num = num.scale(1 / c)
                 den = den.scale(1 / c)

@@ -15,6 +15,7 @@ the segment with simple summands a = i..j-1.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -185,7 +186,7 @@ def enumerate_cg_triples(n):
     """
     out = []
     for m in range(1, n + 1):
-        if _gcd(m, n) != 1:
+        if math.gcd(m, n) != 1:
             continue
         mapping = {
             i: _res(i + m, n)
@@ -194,12 +195,6 @@ def enumerate_cg_triples(n):
         }
         out.append((m, BDTriple.make(n, mapping)))
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _step(t, seg, left):
@@ -336,10 +331,6 @@ class AssocStructure:
         if provenance is not None:
             doc["provenance"] = provenance
         return doc
-
-    @classmethod
-    def from_json(cls, doc):
-        return make_structure(BDTriple.from_json(doc), tuple(doc["tilde_t"]))
 
 
 def _is_n_cycle(images):
@@ -483,14 +474,6 @@ class SWedge:
 
     def to_json(self):
         return {f"{i},{j}": str(v) for (i, j), v in self.upper_items() if v}
-
-    @classmethod
-    def from_json(cls, n, doc):
-        upper = {}
-        for key, v in doc.items():
-            i, j = key.split(",")
-            upper[(int(i), int(j))] = Fraction(v)
-        return cls(n, upper)
 
 
 def s0_from_structure(a):

@@ -7,6 +7,7 @@ import pytest
 from yangbaxter import cli, triples
 from yangbaxter.builders import build_r_ts, tensor2_from_json, build_r_uv
 from yangbaxter import verify
+from yangbaxter.tensors import Tensor2
 
 from conftest import cg_structure
 
@@ -271,3 +272,35 @@ def test_tolerance_must_be_finite_and_positive(capsys, tolerance):
 ], ids=["perm", "phi"])
 def test_bad_perm_and_phi_are_usage_errors(capsys, argv, message):
     assert_usage_error(capsys, argv, message)
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--n", "4", "--bound", "-2"),
+    ("enumerate", "--n", "9"),
+], ids=" ".join)
+def test_enumerate_above_bound_is_a_usage_error(capsys, argv):
+    assert_usage_error(capsys, argv, "enumeration bound exceeded")
+
+
+def test_build_classical_for_nonassociative_triple(tmp_path, capsys, reversing5):
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(reversing5.to_json()))
+    code, doc = run_cli(
+        capsys, "build", "--n", "5", "--triple-file", str(path), "--target", "classical"
+    )
+    assert code == 0
+    s = triples.solve_s_system(reversing5)[0]
+    assert doc["provenance"] == dict(
+        reversing5.to_json(), s=s.to_json(), selector="particular", target="classical"
+    )
+    r = tensor2_from_json(doc)
+    assert verify.cybe_residual(r).is_zero()
+    assert r + r.flip21() == Tensor2.perm(5)
+
+
+@pytest.mark.parametrize("option", [("--perm", "2,3,4,5,1"), ("--phi", "0,0,0,0,0")])
+def test_perm_and_phi_need_an_associative_triple(tmp_path, capsys, reversing5, option):
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(reversing5.to_json()))
+    argv = ("build", "--n", "5", "--triple-file", str(path), "--target", "classical")
+    assert_usage_error(capsys, argv + option, "--perm and --phi")

@@ -1,0 +1,89 @@
+"""Golden output: stdout digests and exit codes of exact-arithmetic commands.
+
+Every build and symbolic verify document is byte-deterministic, so a
+refactor of the scalar, tensor or builder layers must leave these digests
+unchanged.  Numeric commands are left out: `cmath` results may differ in
+the last ulp across platforms.  After a deliberate change of output,
+print the new digests with `command_digest` and update the table.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from yangbaxter import cli
+
+TRIPLE_FILE = "reversing5.json"
+
+# the orientation-reversing n = 5 triple: T(a1) = a4, T(a2) = a3
+REVERSING5 = {
+    "schema_version": 1,
+    "n": 5,
+    "gamma1": [1, 2],
+    "gamma2": [3, 4],
+    "t_map": {"1": 4, "2": 3},
+}
+
+GOLDEN = {
+    "build --n 3 --cg 1 --target classical --pretty": (
+        0, "1ab33706fd7dec5665dc758719b84d9b1f2a3c5e098bfcdf19d0a43e5c62ad0e"
+    ),
+    "build --n 3 --cg 1 --target ggs --pretty": (
+        0, "c726844f65d6dda2c90eb372d06805adf31ab741353f3adce4655ee9e0799ffd"
+    ),
+    "build --n 3 --cg 1 --target baxterized --pretty": (
+        0, "098ff281e88225aff5db8b4be9944d21592c66c66f29bac981428890f1646f4d"
+    ),
+    "build --n 3 --cg 1 --target ruv --pretty": (
+        0, "696ec930164791b06ecb3ed1d950b41b0ed30acc502482950ae0ebd489134a49"
+    ),
+    "build --n 5 --cg 2 --target ruv --pretty": (
+        0, "be9871105f76d1b1a940c1e6a3005eb913e124a82befce7d2191b5ce702eac1a"
+    ),
+    "build --n 5 --cg 2 --target ruv --formula quantum --pretty": (
+        0, "73ea3f26a37fa14098d683eb4723cf8d22cc3852bbea7d236db2225016cc8b7e"
+    ),
+    "build --n 2 --trivial --perm 2,1 --target ruv --pretty": (
+        0, "f6489fa44c1bededbf99ff93eab404115091c86385ef8fb0d90582f4bb71daf1"
+    ),
+    "build --n 3 --trivial --perm 2,3,1 --target ruv --phi 0,1/4,1/2 --pretty": (
+        0, "59d3f787b729a554c99b17fce1fe995b908f13b6560c48534bd337e881b33315"
+    ),
+    f"build --n 5 --triple-file {TRIPLE_FILE} --target ruv": (
+        2, "d90ebeeb4ec5c69b83edd5147f49fde2dd8ff6706ee5d601cc8bf183f6af4409"
+    ),
+    "enumerate --n 5": (
+        0, "6c55fea0ea736b426d73841a261be6168268692a4aad48f308d9a8ef3d6b26e0"
+    ),
+    "verify --n 2": (
+        0, "770a9b663cadefec625cde7a66169a9af09b7a1dc2a66a8a6360d6c9ceb6e50f"
+    ),
+    "verify --n 3 --suite all": (
+        0, "720e1e8be50d7182631c9d6942c384b4c475b05d4222a056223496c2c7d6d298"
+    ),
+    "verify --n 4 --suite qybe,hecke,obstruction,exponent": (
+        0, "9323d4063962e9d4a8a4dce2dd184abfceb6c5605fffa343d6514f2140a67f76"
+    ),
+    "verify --n 5 --suite obstruction --include-nonassociative --bound 5": (
+        1, "f7e34ed2fefd2c796106abc9423d097345863cc0bd1a5e4c2f418e3a4317d326"
+    ),
+}
+
+
+def command_digest(command, tmp_path, capsys):
+    """Exit code and sha256 of stdout for one command line."""
+    (tmp_path / TRIPLE_FILE).write_text(json.dumps(REVERSING5))
+    argv = [
+        str(tmp_path / TRIPLE_FILE) if arg == TRIPLE_FILE else arg
+        for arg in command.split()
+    ]
+    capsys.readouterr()
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_stdout_matches_golden_digest(command, tmp_path, capsys):
+    assert command_digest(command, tmp_path, capsys) == GOLDEN[command]

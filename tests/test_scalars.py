@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from yangbaxter.builders import scalar_to_json
 from yangbaxter.scalars import (
     LatticeError,
     LaurentPoly,
@@ -173,3 +174,37 @@ def test_division_by_zero_rejected():
 def test_str_roundtrippable_forms():
     assert str(rf(0)) == "0"
     assert "Y1" in str(Y1 / (1 - Y1))
+
+
+def test_monomial_denominator_is_absorbed_into_the_numerator():
+    f = RatFunc(
+        LaurentPoly({(-1, 0, 0, 0): 1, (Fraction(1, 2), 0, 0, 0): 2}),
+        LaurentPoly({(1, 0, 0, 0): 2}),
+    )
+    # pairs in dict order; tuple equality compares exponents by value
+    assert list(f.num.terms.items()) == [
+        ((-2, 0, 0, 0), Fraction(1, 2)), ((Fraction(-1, 2), 0, 0, 0), 1),
+    ]
+    assert f.den.terms == {(0, 0, 0, 0): 1}
+
+
+def test_polynomial_denominator_is_content_free_and_monic_by_largest_exponents():
+    f = RatFunc(
+        LaurentPoly({(-1, 0, 1, 0): 1, (1, 0, 0, 0): 2}),
+        LaurentPoly({(-1, 0, 0, 0): 2, (Fraction(3, 2), 0, 1, 0): 4}),
+    )
+    assert list(f.num.terms.items()) == [
+        ((0, 0, 1, 0), Fraction(1, 4)), ((2, 0, 0, 0), Fraction(1, 2)),
+    ]
+    assert list(f.den.terms.items()) == [
+        ((0, 0, 0, 0), Fraction(1, 2)), ((Fraction(5, 2), 0, 1, 0), 1),
+    ]
+
+
+def test_terms_print_and_serialize_in_exponent_order():
+    exps = [Fraction(1, 3), 1, 0, -1, Fraction(-1, 2)]
+    p = LaurentPoly({(e, 0, 0, 0): 1 for e in exps})
+    assert str(p) == "X1^-1 + X1^(-1/2) + 1 + X1^(1/3) + X1"
+    assert [x1 for (x1, _, _, _), _ in scalar_to_json(p)["num"]] == [
+        "-1", "-1/2", "0", "1/3", "1",
+    ]

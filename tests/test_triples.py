@@ -372,4 +372,5 @@ def test_triple_json_roundtrip(reversing5):
         assert BDTriple.from_json(doc) == t
     structure = cg_structure(4)
     doc = structure.to_json()
-    assert AssocStructure.from_json(doc) == structure
+    # a structure document is its triple's document plus tilde T
+    assert make_structure(BDTriple.from_json(doc), tuple(doc["tilde_t"])) == structure
