@@ -12,27 +12,13 @@ import json
 import math
 import os
 import sys
+import traceback
 from fractions import Fraction
+from functools import cached_property
 
 from . import builders, triples, verify
 from .tensors import weight_contract
 from .triples import BDTriple
-
-SUITES = (
-    "cybe",
-    "qybe",
-    "hecke",
-    "aybe",
-    "unitarity",
-    "lift",
-    "central",
-    "obstruction",
-    "exponent",
-    "cross-formula",
-)
-
-NUMERIC_SUITES = ("cybe", "qybe", "hecke", "aybe", "unitarity")
-
 
 class CliError(Exception):
     """Usage or configuration error; maps to exit code 2."""
@@ -248,14 +234,15 @@ def _structures_for(t, source):
     return [triples.make_structure(t, shift)]
 
 
-def _s_choices(t):
+def _s_choices(t, prov):
+    """(s, provenance) for the particular s of t and for particular + each basis vector."""
     particular, basis = triples.solve_s_system(t)
-    yield "particular", particular
-    for idx, b in enumerate(basis):
-        yield f"particular+basis{idx}", particular + b
+    choices = [(particular, dict(prov, s="particular"))]
+    return choices + [(particular + b, dict(prov, s=f"particular+basis{idx}"))
+                      for idx, b in enumerate(basis)]
 
 
-def _exponent_report(t, label, s, base_prov):
+def _exponent_report(t, s, prov):
     stensor = builders.s_as_tensor(s)
     witness = None
     for alpha, beta, _, _ in triples.prec_pairs(t):
@@ -266,147 +253,127 @@ def _exponent_report(t, label, s, base_prov):
             break
     return verify.VerifyReport(
         "exponent", "symbolic", "pass" if witness is None else "fail",
-        witness=witness, provenance=dict(base_prov, s=label),
+        witness=witness, provenance=prov,
     )
 
 
-def _verify_symbolic(args):
+def _per_s_reports(t, base_prov, suites, nonassociative):
+    """Suites run at every s of t's family: cybe, exponent and, for a
+    non-associative t, the obstruction on display (expected failures)."""
     reports = []
-    suites = args.suites
+    if "cybe" in suites:
+        for s, prov in _s_choices(t, base_prov):
+            r = builders.build_r_ts(t, s)
+            reports.append(verify.report_from_residual("cybe", verify.cybe_residual(r), prov))
+            reports.append(verify.report_from_residual(
+                "cybe_spectral", verify.cybe_spectral_residual(builders.hat_r(r)), prov
+            ))
+    if "exponent" in suites:
+        reports += [_exponent_report(t, s, prov) for s, prov in _s_choices(t, base_prov)]
+    if "obstruction" in suites and nonassociative:
+        reports += [verify.report_from_residual(
+            "obstruction", verify.lift_obstruction(builders.build_r_ts(t, s)), prov
+        ) for s, prov in _s_choices(t, base_prov)]
+    return reports
+
+
+class _Matrices:
+    """The matrices of one associative structure at s0, each built at most once."""
+
+    def __init__(self, structure):
+        self.structure = structure
+        self.triple = structure.triple
+        self.s0 = triples.s0_from_structure(structure)
+
+    @cached_property
+    def r_ts(self):
+        return builders.build_r_ts(self.triple, self.s0)
+
+    @cached_property
+    def R_assoc(self):
+        return builders.build_R_ggs_assoc(self.structure, self.s0)
+
+    @cached_property
+    def r_quantum(self):
+        return builders.build_r_uv(self.structure, self.s0, formula="quantum")
+
+    @cached_property
+    def r_kernel(self):
+        return builders.build_r_uv(self.structure, self.s0, formula="kernel")
+
+
+def _residual(identity, formula):
+    """A check reporting formula's residual tensor as identity."""
+    return lambda m, prov: verify.report_from_residual(identity, formula(m), prov)
+
+
+# The check plan of one associative structure, in report order.  Each row
+# names the suite, then the matrix and the verifier.  Verifiers and builders
+# are looked up through their module when the check runs, never stored, so a
+# wrapper set on a module attribute after import still sees every call.
+# Symbolic rows: (suite, check(matrices, provenance) -> report).
+SYMBOLIC_CHECKS = (
+    ("obstruction", _residual("obstruction", lambda m: verify.lift_obstruction(m.r_ts))),
+    ("qybe", _residual("qybe", lambda m: verify.qybe_residual(m.R_assoc))),
+    ("hecke", _residual("hecke", lambda m: verify.hecke_residual(m.R_assoc))),
+    ("cross-formula", _residual("cross-formula-ggs", lambda m: (
+        builders.build_R_ggs_general(m.triple, m.s0) - m.R_assoc))),
+    ("cross-formula", _residual("cross-formula-ruv", lambda m: m.r_quantum - m.r_kernel)),
+    ("aybe", _residual("aybe", lambda m: verify.aybe_residual(m.r_quantum))),
+    ("unitarity", lambda m, prov: verify.unitarity_check(m.r_quantum, "associative", prov)),
+    ("lift", lambda m, prov: verify.check_lift(m.r_quantum, m.triple, m.s0, prov)),
+    ("central", _residual("central", lambda m: (
+        m.r_quantum.scale(builders.q_minus_qinv(m.triple.n)) - builders.baxterize(m.R_assoc)))),
+)
+# Numeric rows: (suite, identity, matrix); verify.numeric_residual samples the
+# identity's formula on the matrix.
+NUMERIC_CHECKS = (
+    ("aybe", "aybe", lambda m: m.r_kernel),
+    ("unitarity", "unitarity_assoc", lambda m: m.r_kernel),
+    ("qybe", "qybe", lambda m: m.R_assoc),
+    ("hecke", "hecke", lambda m: m.R_assoc),
+    ("cybe", "cybe_spectral", lambda m: builders.hat_r(m.r_ts)),
+)
+SUITES = ("cybe", "exponent", *dict.fromkeys(suite for suite, _ in SYMBOLIC_CHECKS))
+NUMERIC_SUITES = tuple(dict.fromkeys(suite for suite, _, _ in NUMERIC_CHECKS))
+
+
+def _verify(args):
+    numeric, suites = args.mode == "numeric", args.suites
+    if numeric:
+        bad = suites - set(NUMERIC_SUITES)
+        if bad:
+            raise CliError(f"suites not available in numeric mode: {sorted(bad)}")
+        if args.samples < 1:
+            raise CliError("--samples must be at least 1 in numeric mode")
+        if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+            raise CliError("--tolerance must be a finite number > 0")
+    reports = []
     listed, source = _triples_at(args.n, args.bound)
     for t in listed:
-        base_prov = {"triple": t.to_json()}
         structures = _structures_for(t, source)
-        if "cybe" in suites:
-            for label, s in _s_choices(t):
-                r = builders.build_r_ts(t, s)
-                prov = dict(base_prov, s=label)
-                reports.append(
-                    verify.report_from_residual("cybe", verify.cybe_residual(r), prov)
-                )
-                reports.append(
-                    verify.report_from_residual(
-                        "cybe_spectral",
-                        verify.cybe_spectral_residual(builders.hat_r(r)),
-                        prov,
-                    )
-                )
-        if "exponent" in suites:
-            for label, s in _s_choices(t):
-                reports.append(_exponent_report(t, label, s, base_prov))
-        if "obstruction" in suites and not structures and args.include_nonassociative:
-            # expected failures: the necessity obstruction on display
-            for label, s in _s_choices(t):
-                r = builders.build_r_ts(t, s)
-                reports.append(
-                    verify.report_from_residual(
-                        "obstruction", verify.lift_obstruction(r), dict(base_prov, s=label)
-                    )
-                )
+        base_prov = {"triple": t.to_json()}
+        if not numeric:
+            nonassociative = not structures and args.include_nonassociative
+            reports += _per_s_reports(t, base_prov, suites, nonassociative)
         for structure in structures:
-            reports.extend(_structure_reports(structure, t, suites, base_prov))
-    return reports
-
-
-def _structure_reports(structure, t, suites, base_prov):
-    reports = []
-    base_prov = dict(base_prov, tilde_t=list(structure.tilde_t))
-    s0 = triples.s0_from_structure(structure)
-    prov = dict(base_prov, s="s0")
-    if "obstruction" in suites:
-        reports.append(
-            verify.report_from_residual(
-                "obstruction", verify.lift_obstruction(builders.build_r_ts(t, s0)), prov
-            )
-        )
-    if suites & {"qybe", "hecke", "cross-formula"}:
-        R_assoc = builders.build_R_ggs_assoc(structure, s0)
-        if "qybe" in suites:
-            reports.append(
-                verify.report_from_residual(
-                    "qybe", verify.qybe_residual(R_assoc), prov
-                )
-            )
-        if "hecke" in suites:
-            reports.append(
-                verify.report_from_residual(
-                    "hecke", verify.hecke_residual(R_assoc), prov
-                )
-            )
-        if "cross-formula" in suites:
-            R_general = builders.build_R_ggs_general(structure.triple, s0)
-            reports.append(
-                verify.report_from_residual("cross-formula-ggs", R_general - R_assoc, prov)
-            )
-    if suites & {"aybe", "unitarity", "lift", "central", "cross-formula"}:
-        r_quantum = builders.build_r_uv(structure, s0, formula="quantum")
-        if "cross-formula" in suites:
-            r_kernel = builders.build_r_uv(structure, s0, formula="kernel")
-            reports.append(
-                verify.report_from_residual("cross-formula-ruv", r_quantum - r_kernel, prov)
-            )
-        if "aybe" in suites:
-            reports.append(
-                verify.report_from_residual(
-                    "aybe", verify.aybe_residual(r_quantum), prov
-                )
-            )
-        if "unitarity" in suites:
-            reports.append(verify.unitarity_check(r_quantum, "associative", prov))
-        if "lift" in suites:
-            reports.append(verify.check_lift(r_quantum, structure.triple, s0, prov))
-        if "central" in suites:
-            lhs = r_quantum.scale(builders.q_minus_qinv(structure.n))
-            rhs = builders.baxterize(builders.build_R_ggs_assoc(structure, s0))
-            reports.append(verify.report_from_residual("central", lhs - rhs, prov))
-    return reports
-
-
-def _verify_numeric(args):
-    reports = []
-    bad = set(args.suites) - set(NUMERIC_SUITES)
-    if bad:
-        raise CliError(f"suites not available in numeric mode: {sorted(bad)}")
-    if args.samples < 1:
-        raise CliError("--samples must be at least 1 in numeric mode")
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        raise CliError("--tolerance must be a finite number > 0")
-    listed, source = _triples_at(args.n, args.bound)
-    for t in listed:
-        for structure in _structures_for(t, source):
-            s0 = triples.s0_from_structure(structure)
-            prov = {"triple": t.to_json(), "tilde_t": list(structure.tilde_t), "s": "s0"}
-            common = dict(
-                n=structure.n, samples=args.samples, tolerance=args.tolerance,
-                seed=args.seed, provenance=prov,
-            )
-            if {"aybe", "unitarity"} & args.suites:
-                r = builders.build_r_uv(structure, s0, formula="kernel")
-                if "aybe" in args.suites:
-                    reports.append(verify.numeric_residual("aybe", {"r": r}, **common))
-                if "unitarity" in args.suites:
-                    reports.append(
-                        verify.numeric_residual("unitarity_assoc", {"r": r}, **common)
-                    )
-            if {"qybe", "hecke"} & args.suites:
-                R = builders.build_R_ggs_assoc(structure, s0)
-                if "qybe" in args.suites:
-                    reports.append(verify.numeric_residual("qybe", {"R": R}, **common))
-                if "hecke" in args.suites:
-                    reports.append(verify.numeric_residual("hecke", {"R": R}, **common))
-            if "cybe" in args.suites:
-                r = builders.hat_r(builders.build_r_ts(t, s0))
-                reports.append(
-                    verify.numeric_residual("cybe_spectral", {"r": r}, **common)
-                )
+            m = _Matrices(structure)
+            prov = dict(base_prov, tilde_t=list(structure.tilde_t), s="s0")
+            if not numeric:
+                reports += [check(m, prov) for suite, check in SYMBOLIC_CHECKS if suite in suites]
+                continue
+            for suite, identity, matrix in NUMERIC_CHECKS:
+                if suite in suites:
+                    key = verify.NUMERIC_IDENTITIES[identity][0]
+                    reports.append(verify.numeric_residual(
+                        identity, {key: matrix(m)}, n=structure.n, samples=args.samples,
+                        tolerance=args.tolerance, seed=args.seed, provenance=prov,
+                    ))
     return reports
 
 
 def cmd_verify(args):
-    if args.mode == "numeric":
-        reports = _verify_numeric(args)
-    else:
-        reports = _verify_symbolic(args)
+    reports = _verify(args)
     failed = [r for r in reports if not r.passed]
     doc = {
         "schema_version": triples.SCHEMA_VERSION,
@@ -501,6 +468,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
+        traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
 

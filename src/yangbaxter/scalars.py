@@ -175,9 +175,11 @@ class LaurentPoly:
     def shift(self, exps):
         """Multiply by the monomial with the given exponent vector."""
         e0, e1, e2, e3 = exps
-        return LaurentPoly._make(
-            {(a + e0, b + e1, c + e2, d + e3): v for (a, b, c, d), v in self.terms.items()}
-        )
+        terms = {(a + e0, b + e1, c + e2, d + e3): v for (a, b, c, d), v in self.terms.items()}
+        # a fractional shift can make an exponent integral; __init__ stores it as int
+        if Fraction in map(type, exps):
+            return LaurentPoly(terms)
+        return LaurentPoly._make(terms)
 
     def substitute(self, mapping):
         """Simultaneously substitute monomials (or zero) for variables.
@@ -471,8 +473,6 @@ X1 = monomial_rf(x1=1)
 X2 = monomial_rf(x2=1)
 Y1 = monomial_rf(y1=1)
 Y2 = monomial_rf(y2=1)
-ONE = rf(1)
-ZERO = RatFunc.zero()
 
 
 def q_power(n, exponent):

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import product
 from operator import itemgetter
 
-from .scalars import monomial_rf, rf
+from .scalars import VAR_NAMES, RatFunc, monomial_rf, rf
 
 
 def _prune(d):
@@ -328,8 +328,6 @@ def weight_zero_ok(t):
 
 def variables_used(t):
     """Names of the formal symbols actually appearing in a symbolic tensor."""
-    from .scalars import VAR_NAMES, RatFunc
-
     used = set()
     for v in t.coeffs.values():
         if not isinstance(v, RatFunc):

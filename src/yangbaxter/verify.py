@@ -19,9 +19,9 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .scalars import X1, X2, Y1, Y2, log_point, rf
+from .scalars import X1, X2, Y1, Y2, PoleOrderError, log_point, rf
 from .series import expand_in_u
-from .tensors import Tensor2
+from .tensors import Tensor2, variables_used
 from .builders import build_r_ts, hat_r
 
 # Slots, keyed by their (u, v) arguments.  The input matrix carries (u, v)
@@ -153,11 +153,6 @@ def _symbolic_slots(t, labels):
     return out
 
 
-def _commutator(a, b, legs):
-    """[a_legs[0], b_legs[1]]."""
-    return a.mul(b, legs=legs) - b.mul(a, legs=legs[::-1])
-
-
 def cybe_residual(r):
     """[r12, r13] + [r12, r23] + [r13, r23] for a constant r."""
     return _cybe(r, r, r)[0]
@@ -169,8 +164,6 @@ def cybe_spectral_residual(r):
     Slots carry arguments x, x+y, y realized as Y1, Y1*Y2, Y2; the input
     must not involve the other formal symbols.
     """
-    from .tensors import variables_used
-
     extra = variables_used(r) - {"Y1"}
     if extra:
         raise ValueError(f"spectral CYBE input must depend on Y1 only, found {sorted(extra)}")
@@ -204,30 +197,6 @@ def hecke_residual(R):
 def aybe_residual(r):
     """r12(-u',v) r13(u+u',v+v') - r23(u+u',v') r12(u,v) + r13(u,v+v') r23(u',v')."""
     return _assoc(*_symbolic_slots(r, AYBE_SLOTS))[0]
-
-
-def aybe_reversed_residual(r):
-    """The same three products with the factor order reversed."""
-    a, b, c, d, e, f = _symbolic_slots(r, AYBE_SLOTS)
-    return (
-        b.mul(a, legs=(13, 12))
-        - d.mul(c, legs=(12, 23))
-        + f.mul(e, legs=(23, 13))
-    )
-
-
-def aybe_commutator_sum(r):
-    """[r12(-u',v), r13(u+u',v+v')] + [r12(u,v), r23(u+u',v')] + [r13(u,v+v'), r23(u',v')].
-
-    Identically equal to aybe_residual - aybe_reversed_residual, and zero
-    for unitary solutions.
-    """
-    a, b, c, d, e, f = _symbolic_slots(r, AYBE_SLOTS)
-    return (
-        _commutator(a, b, (12, 13))
-        + _commutator(d, c, (12, 23))
-        + _commutator(e, f, (13, 23))
-    )
 
 
 def lift_obstruction(r):
@@ -290,8 +259,6 @@ def pr_limit_check(r, n, provenance=None):
     spectral CYBE solution; a surviving pole raises PoleOrderError via a
     nonzero u^-1 coefficient.
     """
-    from .scalars import PoleOrderError
-
     projected = r.map_scalars(rf).project_traceless((1, 2))
     pole, rbar = _u_coefficients(projected, n, (-1, 0))
     if not pole.is_zero():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from yangbaxter import cli, triples
+from yangbaxter import builders, cli, triples
 from yangbaxter.builders import build_r_ts, tensor2_from_json, build_r_uv
 from yangbaxter import verify
 from yangbaxter.tensors import Tensor2
@@ -304,3 +304,30 @@ def test_perm_and_phi_need_an_associative_triple(tmp_path, capsys, reversing5, o
     path.write_text(json.dumps(reversing5.to_json()))
     argv = ("build", "--n", "5", "--triple-file", str(path), "--target", "classical")
     assert_usage_error(capsys, argv + option, "--perm and --phi")
+
+
+def test_internal_error_prints_its_traceback(capsys, monkeypatch):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(builders, "build_r_ts", boom)
+    assert cli.main(["verify", "--n", "2", "--suite", "cybe"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert captured.err.rstrip("\n").endswith("internal error: boom")
+
+
+def test_verify_builds_each_quantum_matrix_once_per_structure(capsys, monkeypatch):
+    calls = []
+    build = builders.build_R_ggs_assoc
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(builders, "build_R_ggs_assoc", counting)
+    code, doc = run_cli(capsys, "verify", "--n", "3", "--suite", "all")
+    assert code == 0
+    structures = [r for r in doc["reports"] if r["identity"] == "qybe"]
+    assert len(calls) == len(structures) == 4

@@ -36,13 +36,13 @@ GOLDEN = {
         0, "098ff281e88225aff5db8b4be9944d21592c66c66f29bac981428890f1646f4d"
     ),
     "build --n 3 --cg 1 --target ruv --pretty": (
-        0, "696ec930164791b06ecb3ed1d950b41b0ed30acc502482950ae0ebd489134a49"
+        0, "99480632f0e792421aa445717042cf9282bb424944e81a380f6d960833c3a6b6"
     ),
     "build --n 5 --cg 2 --target ruv --pretty": (
-        0, "be9871105f76d1b1a940c1e6a3005eb913e124a82befce7d2191b5ce702eac1a"
+        0, "2ab4b8c9139d9cbb3d89899eb5c88d95ae85baae5a6a3dd1e2c24c00dad0d4ef"
     ),
     "build --n 5 --cg 2 --target ruv --formula quantum --pretty": (
-        0, "73ea3f26a37fa14098d683eb4723cf8d22cc3852bbea7d236db2225016cc8b7e"
+        0, "6ee2638555ce56ce1340c9dd40c23a9bf722d88cf4a771efa0436a50f757f6e5"
     ),
     "build --n 2 --trivial --perm 2,1 --target ruv --pretty": (
         0, "f6489fa44c1bededbf99ff93eab404115091c86385ef8fb0d90582f4bb71daf1"
@@ -67,6 +67,10 @@ GOLDEN = {
     ),
     "verify --n 5 --suite obstruction --include-nonassociative --bound 5": (
         1, "f7e34ed2fefd2c796106abc9423d097345863cc0bd1a5e4c2f418e3a4317d326"
+    ),
+    # every suite on the trivial+CG listing beyond the enumeration bound
+    "verify --n 4 --suite all --bound 3": (
+        0, "573b8fee77b8f0abb87ea225015f1dbcec53a7d69886877df8504d733003c9ed"
     ),
 }
 

@@ -208,3 +208,10 @@ def test_terms_print_and_serialize_in_exponent_order():
     assert [x1 for (x1, _, _, _), _ in scalar_to_json(p)["num"]] == [
         "-1", "-1/2", "0", "1/3", "1",
     ]
+
+
+def test_shift_by_a_fraction_keeps_integral_exponents_int():
+    half = (Fraction(1, 2), 0, 0, 0)
+    p = LaurentPoly({(1, 0, 0, 0): 1}).shift(half).shift(half)
+    assert str(p) == "X1^2"
+    assert rf(p).substitute({"X1": 2 * X1}) == 4 * X1**2
