@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import builders, triples, verify
-from .tensors import weight_contract
 from .triples import BDTriple
 
 class CliError(Exception):
@@ -52,15 +51,6 @@ def _write_atomically(path, text):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-
-
-def _structure_provenance(structure, s=None, extra=None):
-    doc = structure.to_json()
-    if s is not None:
-        doc["s"] = s.to_json()
-    if extra:
-        doc.update(extra)
-    return doc
 
 
 def cmd_enumerate(args):
@@ -102,53 +92,46 @@ def _parse_fractions(text, n, what):
         raise CliError(f"bad rational in {what}: {exc}") from exc
 
 
-def _select_structure(args):
-    """Resolve the CLI selector to a unique associative structure."""
+def _select_triple(args):
+    """The triple named on the command line."""
     n = args.n
     if args.cg is not None:
         for m, t in triples.enumerate_cg_triples(n):
             if m == args.cg:
-                perms = triples.compatible_permutations(t)
-                return perms[0], {"selector": f"cg m={m}"}
+                return t
         raise CliError(f"no Cremmer-Gervais triple with m={args.cg} for n={n}")
     if args.trivial:
-        t = BDTriple.make(n, {})
-    elif args.triple_file:
-        with open(args.triple_file, encoding="utf-8") as handle:
-            t = BDTriple.from_json(json.load(handle))
-        if t.n != n:
-            raise CliError("triple file has a different n")
-        bad = triples.validate_triple(t)
-        if bad:
-            raise CliError("invalid triple: " + "; ".join(bad))
-    else:
+        return BDTriple.make(n, {})
+    if not args.triple_file:
         raise CliError("need one of --cg, --trivial, --triple-file")
-    perms = triples.compatible_permutations(t)
-    if not perms:
-        raise NonAssociativeError(t)
+    with open(args.triple_file, encoding="utf-8") as handle:
+        t = BDTriple.from_json(json.load(handle))
+    if t.n != n:
+        raise CliError("triple file has a different n")
+    bad = triples.validate_triple(t)
+    if bad:
+        raise CliError("invalid triple: " + "; ".join(bad))
+    return t
+
+
+def _select_structure(t, perms, args):
+    """Resolve the CLI selector to one of t's compatible structures perms."""
+    if args.cg is not None:  # --perm is not consulted
+        return perms[0], f"cg m={args.cg}"
     if args.perm:
         try:
             images = tuple(int(x) for x in args.perm.split(","))
-            structure = triples.make_structure(t, images)
+            return triples.make_structure(t, images), "explicit permutation"
         except ValueError as exc:
             raise CliError(f"bad --perm: {exc}") from exc
-        return structure, {"selector": "explicit permutation"}
     if len(perms) > 1:
-        raise CliError(
-            f"{len(perms)} compatible permutations; pick one with --perm"
-        )
-    return perms[0], {"selector": "unique permutation"}
+        raise CliError(f"{len(perms)} compatible permutations; pick one with --perm")
+    return perms[0], "unique permutation"
 
 
-class NonAssociativeError(Exception):
-    def __init__(self, triple):
-        self.triple = triple
-        super().__init__("triple is not associative")
-
-
-def _nonassociative_witness(t):
-    s, _ = triples.solve_s_system(t)
-    residual = verify.lift_obstruction(builders.build_r_ts(t, s))
+def _nonassociative_witness(m):
+    """(index, value) of a lift-obstruction coefficient of r_{T,s}."""
+    t, residual = m.triple, verify.lift_obstruction(m.r_ts)
     # an orientation reversal pins a stable witness independent of s
     for a, b in t.pairs:
         key = (a + 2, a, b - 1, b, b, b + 1)
@@ -170,39 +153,71 @@ def _selected_s(structure, args):
     return s0, None
 
 
+class _Matrices:
+    """The matrices of a triple at one s, each built at most once.
+
+    r_{T,s} exists for every triple; the quantum and two-parameter
+    matrices need the associative structure.
+    """
+
+    def __init__(self, triple, s, structure=None):
+        self.triple, self.s, self.structure = triple, s, structure
+
+    @cached_property
+    def r_ts(self):
+        return builders.build_r_ts(self.triple, self.s)
+
+    @cached_property
+    def R_assoc(self):
+        return builders.build_R_ggs_assoc(self.structure, self.s)
+
+    @cached_property
+    def r_quantum(self):
+        return builders.build_r_uv(self.structure, self.s, formula="quantum")
+
+    @cached_property
+    def r_kernel(self):
+        return builders.build_r_uv(self.structure, self.s, formula="kernel")
+
+
+# build --target: the tensor of a holder, given --formula.
+BUILD_TARGETS = {
+    "classical": lambda m, formula: m.r_ts,
+    "ggs": lambda m, formula: m.R_assoc,
+    "ruv": lambda m, formula: builders.build_r_uv(m.structure, m.s, formula=formula),
+    "baxterized": lambda m, formula: builders.baxterize(m.R_assoc),
+}
+
+
 def cmd_build(args):
-    try:
-        structure, selector = _select_structure(args)
-    except NonAssociativeError as exc:
+    t = _select_triple(args)
+    perms = triples.compatible_permutations(t)
+    if not perms:
         # r_{T,s} exists for every triple: build it at the particular s
+        s, _ = triples.solve_s_system(t)
+        m = _Matrices(t, s)
         if args.target != "classical":
-            raise
+            index, value = _nonassociative_witness(m)
+            _emit({
+                "error": "triple is not associative; no two-parameter lift exists",
+                "triple": t.to_json(),
+                "witness": {"index": list(index), "value": str(value)},
+            }, args.output)
+            return 2
         if args.perm or args.phi:
-            raise CliError("--perm and --phi need an associative triple") from exc
-        s, _ = triples.solve_s_system(exc.triple)
-        extra = {"selector": "particular", "target": args.target}
-        provenance = _structure_provenance(exc.triple, s, extra)
-        return _emit_tensor(builders.build_r_ts(exc.triple, s), provenance, args)
-    s, phi = _selected_s(structure, args)
-    provenance = _structure_provenance(structure, s, selector)
-    if phi is not None:
-        provenance["phi"] = [str(x) for x in phi]
-    provenance["target"] = args.target
-    if args.target == "classical":
-        tensor = builders.build_r_ts(structure.triple, s)
-    elif args.target == "ggs":
-        tensor = builders.build_R_ggs_assoc(structure, s)
-    elif args.target == "baxterized":
-        tensor = builders.baxterize(builders.build_R_ggs_assoc(structure, s))
-    elif args.target == "ruv":
-        provenance["formula"] = args.formula
-        tensor = builders.build_r_uv(structure, s, formula=args.formula)
+            raise CliError("--perm and --phi need an associative triple")
+        provenance = dict(t.to_json(), s=s.to_json(), selector="particular")
     else:
-        raise CliError(f"unknown target {args.target!r}")
-    return _emit_tensor(tensor, provenance, args)
-
-
-def _emit_tensor(tensor, provenance, args):
+        structure, selector = _select_structure(t, perms, args)
+        s, phi = _selected_s(structure, args)
+        m = _Matrices(t, s, structure)
+        provenance = dict(structure.to_json(), s=s.to_json(), selector=selector)
+        if phi is not None:
+            provenance["phi"] = [str(x) for x in phi]
+        if args.target == "ruv":
+            provenance["formula"] = args.formula
+    provenance["target"] = args.target
+    tensor = BUILD_TARGETS[args.target](m, args.formula)
     doc = builders.tensor2_to_json(tensor, provenance=provenance)
     if args.pretty:
         doc["pretty"] = tensor.pretty().splitlines()
@@ -234,20 +249,21 @@ def _structures_for(t, source):
     return [triples.make_structure(t, shift)]
 
 
-def _s_choices(t, prov):
-    """(s, provenance) for the particular s of t and for particular + each basis vector."""
+def _s_family(t, base_prov):
+    """Holders at the particular s of t and at particular + each basis vector."""
     particular, basis = triples.solve_s_system(t)
-    choices = [(particular, dict(prov, s="particular"))]
-    return choices + [(particular + b, dict(prov, s=f"particular+basis{idx}"))
-                      for idx, b in enumerate(basis)]
+    family = [(particular, "particular")]
+    family += [(particular + b, f"particular+basis{idx}") for idx, b in enumerate(basis)]
+    return [(_Matrices(t, s), dict(base_prov, s=label)) for s, label in family]
 
 
-def _exponent_report(t, s, prov):
-    stensor = builders.s_as_tensor(s)
-    witness = None
-    for alpha, beta, _, _ in triples.prec_pairs(t):
-        lhs = triples.adjacency_exponent(t, alpha, beta)
-        rhs = 1 - weight_contract(stensor, alpha.weights(t.n), beta.weights(t.n))
+def _exponent_report(m, prov):
+    """The adjacency exponent of every alpha < beta against 1 - (alpha (x) beta) s."""
+    s, witness = m.s, None
+    for alpha, beta, _, _ in triples.prec_pairs(m.triple):
+        lhs = triples.adjacency_exponent(m.triple, alpha, beta)
+        (a, b), (c, d) = alpha, beta
+        rhs = 1 - (s.get(a, c) - s.get(a, d) - s.get(b, c) + s.get(b, d))
         if lhs != rhs:
             witness = {"index": list(alpha) + list(beta), "value": f"{lhs} != {rhs}"}
             break
@@ -257,71 +273,36 @@ def _exponent_report(t, s, prov):
     )
 
 
-def _per_s_reports(t, base_prov, suites, nonassociative):
-    """Suites run at every s of t's family: cybe, exponent and, for a
-    non-associative t, the obstruction on display (expected failures)."""
-    reports = []
-    if "cybe" in suites:
-        for s, prov in _s_choices(t, base_prov):
-            r = builders.build_r_ts(t, s)
-            reports.append(verify.report_from_residual("cybe", verify.cybe_residual(r), prov))
-            reports.append(verify.report_from_residual(
-                "cybe_spectral", verify.cybe_spectral_residual(builders.hat_r(r)), prov
-            ))
-    if "exponent" in suites:
-        reports += [_exponent_report(t, s, prov) for s, prov in _s_choices(t, base_prov)]
-    if "obstruction" in suites and nonassociative:
-        reports += [verify.report_from_residual(
-            "obstruction", verify.lift_obstruction(builders.build_r_ts(t, s)), prov
-        ) for s, prov in _s_choices(t, base_prov)]
-    return reports
-
-
-class _Matrices:
-    """The matrices of one associative structure at s0, each built at most once."""
-
-    def __init__(self, structure):
-        self.structure = structure
-        self.triple = structure.triple
-        self.s0 = triples.s0_from_structure(structure)
-
-    @cached_property
-    def r_ts(self):
-        return builders.build_r_ts(self.triple, self.s0)
-
-    @cached_property
-    def R_assoc(self):
-        return builders.build_R_ggs_assoc(self.structure, self.s0)
-
-    @cached_property
-    def r_quantum(self):
-        return builders.build_r_uv(self.structure, self.s0, formula="quantum")
-
-    @cached_property
-    def r_kernel(self):
-        return builders.build_r_uv(self.structure, self.s0, formula="kernel")
-
-
 def _residual(identity, formula):
     """A check reporting formula's residual tensor as identity."""
     return lambda m, prov: verify.report_from_residual(identity, formula(m), prov)
 
 
-# The check plan of one associative structure, in report order.  Each row
-# names the suite, then the matrix and the verifier.  Verifiers and builders
-# are looked up through their module when the check runs, never stored, so a
-# wrapper set on a module attribute after import still sees every call.
-# Symbolic rows: (suite, check(matrices, provenance) -> report).
+# The check plan, in report order.  Each row names the suite, then the
+# matrix and the verifier.  Verifiers and builders are looked up through
+# their module when the check runs, never stored, so a wrapper set on a
+# module attribute after import still sees every call.
+# Per-s rows: (suite, checks), each check(matrices, provenance) -> report,
+# run at every s of a triple's family, one suite over the whole family before
+# the next; the obstruction only for a triple with no compatible permutation.
+PER_S_CHECKS = (
+    ("cybe", (_residual("cybe", lambda m: verify.cybe_residual(m.r_ts)),
+              _residual("cybe_spectral", lambda m: verify.cybe_spectral_residual(
+                  builders.hat_r(m.r_ts))))),
+    ("exponent", (_exponent_report,)),
+    ("obstruction", (_residual("obstruction", lambda m: verify.lift_obstruction(m.r_ts)),)),
+)
+# Symbolic rows of one associative structure at s0: (suite, check).
 SYMBOLIC_CHECKS = (
     ("obstruction", _residual("obstruction", lambda m: verify.lift_obstruction(m.r_ts))),
     ("qybe", _residual("qybe", lambda m: verify.qybe_residual(m.R_assoc))),
     ("hecke", _residual("hecke", lambda m: verify.hecke_residual(m.R_assoc))),
     ("cross-formula", _residual("cross-formula-ggs", lambda m: (
-        builders.build_R_ggs_general(m.triple, m.s0) - m.R_assoc))),
+        builders.build_R_ggs_general(m.triple, m.s) - m.R_assoc))),
     ("cross-formula", _residual("cross-formula-ruv", lambda m: m.r_quantum - m.r_kernel)),
     ("aybe", _residual("aybe", lambda m: verify.aybe_residual(m.r_quantum))),
     ("unitarity", lambda m, prov: verify.unitarity_check(m.r_quantum, "associative", prov)),
-    ("lift", lambda m, prov: verify.check_lift(m.r_quantum, m.triple, m.s0, prov)),
+    ("lift", lambda m, prov: verify.check_lift(m.r_quantum, m.triple, m.s, prov)),
     ("central", _residual("central", lambda m: (
         m.r_quantum.scale(builders.q_minus_qinv(m.triple.n)) - builders.baxterize(m.R_assoc)))),
 )
@@ -334,7 +315,7 @@ NUMERIC_CHECKS = (
     ("hecke", "hecke", lambda m: m.R_assoc),
     ("cybe", "cybe_spectral", lambda m: builders.hat_r(m.r_ts)),
 )
-SUITES = ("cybe", "exponent", *dict.fromkeys(suite for suite, _ in SYMBOLIC_CHECKS))
+SUITES = tuple(dict.fromkeys(suite for suite, _ in PER_S_CHECKS + SYMBOLIC_CHECKS))
 NUMERIC_SUITES = tuple(dict.fromkeys(suite for suite, _, _ in NUMERIC_CHECKS))
 
 
@@ -353,11 +334,15 @@ def _verify(args):
     for t in listed:
         structures = _structures_for(t, source)
         base_prov = {"triple": t.to_json()}
-        if not numeric:
-            nonassociative = not structures and args.include_nonassociative
-            reports += _per_s_reports(t, base_prov, suites, nonassociative)
+        per_s = set() if numeric else suites
+        if structures or not args.include_nonassociative:
+            # per s, the obstruction is shown only for a triple with no structure
+            per_s = per_s - {"obstruction"}
+        rows = [checks for suite, checks in PER_S_CHECKS if suite in per_s]
+        family = _s_family(t, base_prov) if rows else []
+        reports += [check(m, prov) for checks in rows for m, prov in family for check in checks]
         for structure in structures:
-            m = _Matrices(structure)
+            m = _Matrices(t, triples.s0_from_structure(structure), structure)
             prov = dict(base_prov, tilde_t=list(structure.tilde_t), s="s0")
             if not numeric:
                 reports += [check(m, prov) for suite, check in SYMBOLIC_CHECKS if suite in suites]
@@ -412,9 +397,7 @@ def build_parser():
     p_build.add_argument("--triple-file")
     p_build.add_argument("--perm", help='tilde T image list, e.g. "2,3,1"')
     p_build.add_argument("--phi", help="diagonal gauge entries, comma rationals")
-    p_build.add_argument(
-        "--target", choices=("classical", "ggs", "ruv", "baxterized"), required=True
-    )
+    p_build.add_argument("--target", choices=tuple(BUILD_TARGETS), required=True)
     p_build.add_argument("--formula", choices=("quantum", "kernel", "both"), default="both")
     p_build.add_argument("--pretty", action="store_true")
     p_build.add_argument("--output")
@@ -453,17 +436,6 @@ def main(argv=None):
             args.suites = suites
             return cmd_verify(args)
         raise CliError(f"unknown command {args.command!r}")
-    except NonAssociativeError as exc:
-        index, value = _nonassociative_witness(exc.triple)
-        _emit(
-            {
-                "error": "triple is not associative; no two-parameter lift exists",
-                "triple": exc.triple.to_json(),
-                "witness": {"index": list(index), "value": str(value)},
-            },
-            getattr(args, "output", None),
-        )
-        return 2
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

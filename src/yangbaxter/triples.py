@@ -229,9 +229,7 @@ def t_orbit(t, alpha):
         if nxt is None:
             return
         seg, left = nxt
-        if alpha.length == 1:
-            c = 0
-        elif left == seg.i:
+        if alpha.length == 1 or left == seg.i:
             c = 0
         elif left == seg.j - 1:
             c = 1
@@ -541,13 +539,6 @@ def solve_linear(rows, rhs, ncols):
 
     Returns (particular | None, basis); entries are Fractions.
     """
-    if not rows:
-        basis = []
-        for c in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[c] = Fraction(1)
-            basis.append(v)
-        return [Fraction(0)] * ncols, basis
     pivots, red, rrhs = _row_reduce(rows, rhs)
     rank = len(pivots)
     for k in range(rank, len(red)):
@@ -574,16 +565,9 @@ def _s_system_rows(t):
     col = {u: c for c, u in enumerate(unknowns)}
     rows, rhs = [], []
     for a, b in t.pairs:
-        x = [Fraction(0)] * n  # alpha_a - alpha_b as a weight vector
-        x[a - 1] += 1
-        x[a] -= 1
-        x[b - 1] -= 1
-        x[b] += 1
-        y = [Fraction(0)] * n  # alpha_a + alpha_b
-        y[a - 1] += 1
-        y[a] -= 1
-        y[b - 1] += 1
-        y[b] -= 1
+        wa, wb = simple_root(a).weights(n), simple_root(b).weights(n)
+        x = [p - q for p, q in zip(wa, wb)]  # alpha_a - alpha_b as a weight vector
+        y = [p + q for p, q in zip(wa, wb)]  # alpha_a + alpha_b
         for j in range(1, n + 1):
             row = [Fraction(0)] * len(unknowns)
             for i in range(1, n + 1):
@@ -628,14 +612,10 @@ def solve_s_system(t):
 def phi_space(t):
     """Rational basis of {Phi diagonal : (alpha, Phi) = (T alpha, Phi)}."""
     n = t.n
-    rows = []
-    for a, b in t.pairs:
-        row = [Fraction(0)] * n
-        row[a - 1] += 1
-        row[a] -= 1
-        row[b - 1] -= 1
-        row[b] += 1
-        rows.append(row)
+    rows = [
+        [p - q for p, q in zip(simple_root(a).weights(n), simple_root(b).weights(n))]
+        for a, b in t.pairs
+    ]
     _, basis = solve_linear(rows, [Fraction(0)] * len(rows), n)
     return [tuple(v) for v in basis]
 

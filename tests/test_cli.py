@@ -331,3 +331,50 @@ def test_verify_builds_each_quantum_matrix_once_per_structure(capsys, monkeypatc
     assert code == 0
     structures = [r for r in doc["reports"] if r["identity"] == "qybe"]
     assert len(calls) == len(structures) == 4
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that counts its calls in calls[name]."""
+    inner = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_per_s_suites_build_r_ts_once_per_s(capsys, monkeypatch):
+    # the orientation-reversing n = 5 triple has no compatible permutation
+    # and a 3-dimensional s-family: cybe and the on-display obstruction
+    # share one r_{T,s} for each of its 4 values of s
+    reversing = triples.BDTriple.make(5, {1: 4, 2: 3})
+    monkeypatch.setattr(triples, "enumerate_triples", lambda n, bound: [reversing])
+    calls = {}
+    _count_calls(monkeypatch, builders, "build_r_ts", calls)
+    code, doc = run_cli(capsys, "verify", "--n", "5", "--suite", "cybe,obstruction",
+                        "--include-nonassociative", "--bound", "5")
+    assert code == 1
+    assert {r["provenance"]["s"] for r in doc["reports"]} == {
+        "particular", "particular+basis0", "particular+basis1", "particular+basis2"}
+    assert calls == {"build_r_ts": 4}
+
+
+# Names the perfbench span tracer groups by layer.  It rebinds them on their
+# module after import, so the CLI must look each one up at call time.
+TRACED = {
+    verify: ("cybe_spectral_residual", "aybe_residual", "qybe_residual", "hecke_residual",
+             "check_lift", "lift_obstruction", "numeric_residual"),
+    builders: ("build_r_ts", "hat_r", "build_R_ggs_assoc", "build_R_ggs_general",
+               "build_r_uv", "baxterize"),
+}
+
+
+def test_cli_calls_traced_names_through_their_module(capsys, monkeypatch):
+    calls = {}
+    for module, names in TRACED.items():
+        for name in names:
+            _count_calls(monkeypatch, module, name, calls)
+    assert run_cli(capsys, "verify", "--n", "2", "--suite", "all")[0] == 0
+    assert run_cli(capsys, "verify", "--n", "2", "--mode", "numeric", "--samples", "1")[0] == 0
+    assert sorted(calls) == sorted(name for names in TRACED.values() for name in names)

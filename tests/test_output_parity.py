@@ -53,6 +53,13 @@ GOLDEN = {
     f"build --n 5 --triple-file {TRIPLE_FILE} --target ruv": (
         2, "d90ebeeb4ec5c69b83edd5147f49fde2dd8ff6706ee5d601cc8bf183f6af4409"
     ),
+    # r_{T,s} of a triple with no compatible permutation, at the particular s
+    f"build --n 5 --triple-file {TRIPLE_FILE} --target classical --pretty": (
+        0, "3219e7c7b781baee7aceed9d95a1bfa5b7adfa3927c6d81cb9b2723c2b48ac01"
+    ),
+    "build --n 3 --trivial --perm 3,1,2 --target baxterized --pretty": (
+        0, "19aa39f65f45c3070399dedf250d96787c126da2e3b7fc9cba098d4c4a0e4c62"
+    ),
     "enumerate --n 5": (
         0, "6c55fea0ea736b426d73841a261be6168268692a4aad48f308d9a8ef3d6b26e0"
     ),
