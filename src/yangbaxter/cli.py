@@ -116,14 +116,16 @@ def _select_triple(args):
 
 def _select_structure(t, perms, args):
     """Resolve the CLI selector to one of t's compatible structures perms."""
-    if args.cg is not None:  # --perm is not consulted
-        return perms[0], f"cg m={args.cg}"
     if args.perm:
         try:
             images = tuple(int(x) for x in args.perm.split(","))
-            return triples.make_structure(t, images), "explicit permutation"
+            structure = triples.make_structure(t, images)
         except ValueError as exc:
             raise CliError(f"bad --perm: {exc}") from exc
+        if args.cg is None:
+            return structure, "explicit permutation"
+    if args.cg is not None:  # a CG triple's one compatible permutation
+        return perms[0], f"cg m={args.cg}"
     if len(perms) > 1:
         raise CliError(f"{len(perms)} compatible permutations; pick one with --perm")
     return perms[0], "unique permutation"

@@ -7,15 +7,17 @@ exponentials,
 
 with exact rational exponents and exact rational coefficients:
 
-    LaurentPoly = sparse map {exponent 4-tuple: Fraction}
+    LaurentPoly = sparse map {exponent 4-tuple: int | Fraction}
     RatFunc     = quotient of two LaurentPolys, denominator nonzero
 
 Rational-function equality and zero tests are decided by cross
 multiplication of expanded numerators, never by floating point and never
-by gcd canonicalization.  Exponents may be arbitrary exact rationals
-(stored as int whenever integral), which is a superset of every finite
-lattice (1/(2nL))*Z the matrix builders draw from, so substitutions and
-gauge factors never require re-registering a lattice.
+by gcd canonicalization.  A coefficient is stored as int when it enters
+the ring integral, and as Fraction otherwise; every division is exact.
+Exponents may be arbitrary exact rationals (stored as int whenever
+integral), which is a superset of every finite lattice (1/(2nL))*Z the
+matrix builders draw from, so substitutions and gauge factors never
+require re-registering a lattice.
 
 Values are immutable after construction and safe to share between
 workers; every operation returns a fresh value.
@@ -42,14 +44,18 @@ class PoleOrderError(ValueError):
 
 
 def _norm(e):
-    """Store integral exponents as int (canonical, faster to hash)."""
+    """Store an integral exponent or coefficient as int (canonical, and
+    faster to hash and to multiply than Fraction)."""
     if isinstance(e, Fraction) and e.denominator == 1:
         return e.numerator
     return e
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial in X1, X2, Y1, Y2 over Fraction."""
+    """Sparse Laurent polynomial in X1, X2, Y1, Y2 over the rationals.
+
+    Coefficients are int when integral on entry, Fraction otherwise.
+    """
 
     __slots__ = ("terms",)
 
@@ -57,7 +63,7 @@ class LaurentPoly:
         self.terms = {}
         if terms:
             for exps, c in terms.items():
-                c = c if isinstance(c, Fraction) else Fraction(c)
+                c = _norm(c if isinstance(c, (int, Fraction)) else Fraction(c))
                 if c:
                     self.terms[tuple(_norm(e) for e in exps)] = c
 
@@ -74,7 +80,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c):
-        c = c if isinstance(c, Fraction) else Fraction(c)
+        c = _norm(c if isinstance(c, (int, Fraction)) else Fraction(c))
         return cls._make({_ZERO_EXPS: c} if c else {})
 
     @classmethod
@@ -155,7 +161,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = c if isinstance(c, Fraction) else Fraction(c)
+        c = _norm(c if isinstance(c, (int, Fraction)) else Fraction(c))
         if not c:
             return LaurentPoly.zero()
         return LaurentPoly._make({e: c * v for e, v in self.terms.items()})
@@ -210,7 +216,7 @@ class LaurentPoly:
                 tc, texps = target
                 if tc != 1:
                     if isinstance(e, int):
-                        coeff = coeff * tc**e
+                        coeff = coeff * Fraction(tc) ** e
                     else:
                         raise LatticeError(
                             "non-unit coefficient substituted into a fractional exponent"
@@ -311,7 +317,7 @@ class RatFunc:
             if any(exps):
                 num = num.shift(tuple(-e for e in exps))
             if c != 1:
-                num = num.scale(1 / c)
+                num = num.scale(Fraction(1) / c)
             den = _ONE_POLY
         else:
             # cancel common monomial content, then make den monic by its
@@ -323,8 +329,8 @@ class RatFunc:
                 den = den.shift(neg)
             c = den.terms[max(den.terms)]
             if c != 1:
-                num = num.scale(1 / c)
-                den = den.scale(1 / c)
+                num = num.scale(Fraction(1) / c)
+                den = den.scale(Fraction(1) / c)
             if num.terms == den.terms:
                 num, den = _ONE_POLY, _ONE_POLY
         self.num = num

@@ -238,6 +238,29 @@ def test_r_uv_routes_agree():
                 assert weight_zero_ok(quantum)
 
 
+def _scalar_types(t):
+    types = set()
+    for v in t.coeffs.values():
+        if isinstance(v, RatFunc):
+            types |= {type(c) for p in (v.num, v.den) for c in p.terms.values()}
+        else:
+            types.add(type(v))
+    return types
+
+
+def test_no_float_coefficient_in_any_n3_matrix():
+    for t in enumerate_triples(3):
+        for st in compatible_permutations(t):
+            s0 = s0_from_structure(st)
+            for m in (
+                build_r_ts(t, s0),
+                build_R_ggs_assoc(st, s0),
+                build_r_uv(st, s0, formula="quantum"),
+                build_r_uv(st, s0, formula="kernel"),
+            ):
+                assert _scalar_types(m) <= {int, Fraction}
+
+
 def test_r_uv_central_identity():
     """(q - q^-1) r(u,v) equals the Baxterized quantum matrix exactly."""
     for st in [trivial_structures(2)[0], cg_structure(3)]:

@@ -62,6 +62,13 @@ def test_build_ggs_trivial_n2_is_rst(capsys):
     assert doc["provenance"]["tilde_t"] == [2, 1]
 
 
+def test_build_cg_with_its_own_perm_keeps_the_cg_selector(capsys):
+    argv = ("build", "--n", "3", "--cg", "1", "--target", "classical")
+    code, doc = run_cli(capsys, *argv)
+    assert code == 0 and doc["provenance"]["selector"] == "cg m=1"
+    assert run_cli(capsys, *argv, "--perm", "2,3,1") == (code, doc)
+
+
 def test_build_ruv_has_unit_pole(capsys):
     code, doc = run_cli(
         capsys, "build", "--n", "3", "--cg", "1", "--target", "ruv"
@@ -268,8 +275,12 @@ def test_tolerance_must_be_finite_and_positive(capsys, tolerance):
 
 @pytest.mark.parametrize("argv, message", [
     (("build", "--n", "3", "--trivial", "--perm", "a", "--target", "ggs"), "bad --perm"),
+    (("build", "--n", "3", "--cg", "1", "--perm", "9,9,9", "--target", "classical"),
+     "bad --perm"),
+    (("build", "--n", "3", "--cg", "1", "--perm", "3,1,2", "--target", "classical"),
+     "bad --perm"),
     (("build", "--n", "3", "--cg", "1", "--target", "ruv", "--phi", "1,0,0"), "bad --phi"),
-], ids=["perm", "phi"])
+], ids=["perm", "cg-perm-malformed", "cg-perm-incompatible", "phi"])
 def test_bad_perm_and_phi_are_usage_errors(capsys, argv, message):
     assert_usage_error(capsys, argv, message)
 

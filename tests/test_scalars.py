@@ -215,3 +215,131 @@ def test_shift_by_a_fraction_keeps_integral_exponents_int():
     p = LaurentPoly({(1, 0, 0, 0): 1}).shift(half).shift(half)
     assert str(p) == "X1^2"
     assert rf(p).substitute({"X1": 2 * X1}) == 4 * X1**2
+
+
+def _coeff_types(*polys):
+    return {type(c) for p in polys for c in p.terms.values()}
+
+
+def test_monic_step_divides_exactly():
+    f = RatFunc(
+        LaurentPoly({(0, 0, 0, 0): 1, (1, 0, 0, 0): 1}),
+        LaurentPoly({(0, 0, 0, 0): 1, (2, 0, 0, 0): 3}),
+    )
+    third = Fraction(1, 3)
+    assert f.num.terms == {(0, 0, 0, 0): third, (1, 0, 0, 0): third}
+    assert f.den.terms == {(0, 0, 0, 0): third, (2, 0, 0, 0): 1}
+    assert _coeff_types(f.num, f.den) <= {int, Fraction}
+
+
+def test_monomial_denominator_is_absorbed_exactly():
+    f = RatFunc(LaurentPoly.const(1), LaurentPoly.monomial((1, 0, 0, 0), 3))
+    assert f.num.terms == {(-1, 0, 0, 0): Fraction(1, 3)}
+    assert _coeff_types(f.num, f.den) <= {int, Fraction}
+
+
+def test_substitute_negative_power_of_a_coefficient_is_exact():
+    g = substitute(X1**-2, {"X1": 2 * X1})
+    assert g.num.terms == {(-2, 0, 0, 0): Fraction(1, 4)}
+    assert _coeff_types(g.num, g.den) <= {int, Fraction}
+
+
+def test_integral_coefficients_enter_as_int():
+    e = (1, 0, 0, 0)
+    assert _coeff_types(LaurentPoly({e: Fraction(4, 2)})) == {int}
+    assert _coeff_types(LaurentPoly.const(Fraction(6, 3))) == {int}
+    assert _coeff_types(LaurentPoly({e: 3}).scale(Fraction(2, 1))) == {int}
+
+
+# --- differential check against a plain dict-of-Fraction reference --------
+
+_VALUES = [Fraction(k) for k in range(-2, 3)] + [
+    Fraction(s, d) for s in (1, -1) for d in (2, 3)
+]
+
+
+def _mixed(rng, value):
+    """value as int, Fraction or an unreduced Fraction, when integral."""
+    if value.denominator != 1:
+        return value
+    return rng.choice([value.numerator, value, Fraction(2 * value.numerator, 2)])
+
+
+def _random_pair(rng):
+    """(LaurentPoly from mixed-type input, reference dict of Fraction)."""
+    ref = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = tuple(rng.randint(-2, 2) for _ in range(4))
+        value = rng.choice(_VALUES)
+        ref[exps] = value
+    ref = {e: c for e, c in ref.items() if c}
+    inputs = {e: _mixed(rng, c) for e, c in ref.items()}
+    return LaurentPoly(inputs), ref
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_substitute_x1(a, tc, texps):
+    """X1 -> tc * X^texps, with tc**e spelt out as repeated multiplication."""
+    out = {}
+    for exps, c in a.items():
+        e = exps[0]
+        factor = Fraction(1)
+        for _ in range(abs(e)):
+            factor = factor * tc if e > 0 else factor / tc
+        key = tuple(x + t * e for x, t in zip((0,) + exps[1:], texps))
+        out[key] = out.get(key, Fraction(0)) + c * factor
+    return {e: c for e, c in out.items() if c}
+
+
+def test_ring_operations_agree_with_a_fraction_reference(rng):
+    for _ in range(200):
+        (a, ra), (b, rb) = _random_pair(rng), _random_pair(rng)
+        assert a.terms == ra and b.terms == rb
+        # an integral coefficient enters the ring as int
+        assert all(type(c) is int for c in a.terms.values() if c.denominator == 1)
+
+        total, product = a + b, a * b
+        assert _coeff_types(total, product) <= {int, Fraction}
+        assert total.terms == _ref_add(ra, rb)
+        assert product.terms == _ref_mul(ra, rb)
+
+        k = rng.choice(_VALUES)
+        scaled = a * _mixed(rng, k)
+        assert _coeff_types(scaled) <= {int, Fraction}
+        assert scaled.terms == {e: k * c for e, c in ra.items() if k * c}
+
+        if b:
+            f = RatFunc(a, b)
+            assert _coeff_types(f.num, f.den) <= {int, Fraction}
+            assert _ref_mul(f.num.terms, rb) == _ref_mul(ra, f.den.terms)
+            m, rm = _random_pair(rng)
+            if m:
+                g = RatFunc(LaurentPoly(_ref_mul(ra, rm)), LaurentPoly(_ref_mul(rb, rm)))
+                assert f == g
+            (c, rc), (d, rd) = _random_pair(rng), _random_pair(rng)
+            if d:
+                h = RatFunc(c, d)
+                assert (f == h) == (_ref_mul(ra, rd) == _ref_mul(rc, rb))
+
+        tc = rng.choice([v for v in _VALUES if v])
+        texps = tuple(rng.randint(-1, 1) for _ in range(4))
+        target = RatFunc(LaurentPoly({texps: _mixed(rng, tc)}))
+        sub = substitute(rf(a), {"X1": target})
+        assert _coeff_types(sub.num, sub.den) <= {int, Fraction}
+        assert sub.den.terms == {(0, 0, 0, 0): 1}
+        assert sub.num.terms == _ref_substitute_x1(ra, tc, texps)
