@@ -26,6 +26,7 @@ workers; every operation returns a fresh value.
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 
 NVARS = 4
@@ -236,6 +237,21 @@ class LaurentPoly:
                 del out[key]
         return LaurentPoly._make(out)
 
+    def coeff_denominator(self):
+        """The least positive int m such that m * self has int coefficients."""
+        return math.lcm(*(c.denominator for c in self.terms.values()))
+
+    def integral_multiple(self, m):
+        """m * self with every coefficient an int; m must be a multiple of
+        self.coeff_denominator()."""
+        out = {}
+        for e, c in self.terms.items():
+            q, rem = divmod(m, c.denominator)
+            if rem:
+                raise ValueError(f"{m} is not a multiple of the denominator of {c}")
+            out[e] = c.numerator * q
+        return LaurentPoly._make(out)
+
     def evaluate(self, logs):
         """Numeric value with variable i set to exp(logs[i])."""
         total = 0j
@@ -432,20 +448,7 @@ class RatFunc:
         for non-monomial values or when the substituted denominator
         vanishes.
         """
-        mapping = {}
-        for name, value in assignment.items():
-            var = VAR_INDEX[name]
-            if isinstance(value, (int, Fraction)):
-                value = RatFunc(value)
-            if value.den != _ONE_POLY or len(value.num.terms) > 1:
-                raise LatticeError(
-                    f"substitution for {name} must be a monomial or zero"
-                )
-            if not value.num.terms:
-                mapping[var] = None
-            else:
-                ((exps, c),) = value.num.terms.items()
-                mapping[var] = (c, exps)
+        mapping = monomial_mapping(assignment)
         den = self.den.substitute(mapping)
         if not den.terms:
             raise LatticeError("substitution annihilates a denominator")
@@ -479,6 +482,29 @@ X1 = monomial_rf(x1=1)
 X2 = monomial_rf(x2=1)
 Y1 = monomial_rf(y1=1)
 Y2 = monomial_rf(y2=1)
+
+
+def monomial_mapping(assignment):
+    """The mapping LaurentPoly.substitute takes for a named assignment.
+
+    assignment: {"X1": value, ...}, each value zero or a single monomial
+    with rational coefficient (a number, LaurentPoly or RatFunc).  Raises
+    LatticeError for any other value.
+    """
+    mapping = {}
+    for name, value in assignment.items():
+        var = VAR_INDEX[name]
+        value = rf(value)
+        if value.den != _ONE_POLY or len(value.num.terms) > 1:
+            raise LatticeError(
+                f"substitution for {name} must be a monomial or zero"
+            )
+        if not value.num.terms:
+            mapping[var] = None
+        else:
+            ((exps, c),) = value.num.terms.items()
+            mapping[var] = (c, exps)
+    return mapping
 
 
 def q_power(n, exponent):

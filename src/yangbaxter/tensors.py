@@ -23,11 +23,12 @@ instances can be shared freely between parallel workers.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
 
-from .scalars import VAR_NAMES, RatFunc, monomial_rf, rf
+from .scalars import VAR_NAMES, LaurentPoly, RatFunc, monomial_mapping, monomial_rf, rf
 
 
 def _prune(d):
@@ -245,8 +246,39 @@ def _sparse_tensor(nlegs):
             return _adopt(Tensor, self.n, {k: fn(v) for k, v in self.coeffs.items()})
 
         def substitute(self, assignment):
-            """Entrywise exact substitution for symbolic tensors."""
-            return self.map_scalars(lambda v: rf(v).substitute(assignment))
+            """Entrywise exact substitution for symbolic tensors.
+
+            A LaurentPoly entry stays a LaurentPoly; any other becomes a RatFunc.
+            """
+            mapping = monomial_mapping(assignment)
+            return self.map_scalars(
+                lambda v: v.substitute(mapping) if isinstance(v, LaurentPoly)
+                else rf(v).substitute(assignment)
+            )
+
+        def cleared(self):
+            """(N, d) with self = N / d entrywise, all coefficients int.
+
+            d is the product of the distinct entry denominators, and each
+            entry of N is its numerator times the other denominators; then
+            N and d are scaled by the lcm of their coefficient denominators.
+            """
+            entries = {k: rf(v) for k, v in self.coeffs.items()}
+            dens = []
+            for v in entries.values():
+                if len(v.den.terms) > 1 and v.den not in dens:
+                    dens.append(v.den)
+            num = {}
+            for k, v in entries.items():
+                x = v.num
+                for d in dens:
+                    if d != v.den:
+                        x = x * d
+                num[k] = x
+            den = math.prod(dens, start=LaurentPoly.const(1))
+            m = math.lcm(den.coeff_denominator(), *(x.coeff_denominator() for x in num.values()))
+            num = {k: x.integral_multiple(m) for k, x in num.items()}
+            return _adopt(Tensor, self.n, num), den.integral_multiple(m)
 
         def evaluate(self, logs):
             """Entrywise numeric evaluation; scalars become complex."""

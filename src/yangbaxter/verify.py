@@ -19,9 +19,9 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .scalars import X1, X2, Y1, Y2, PoleOrderError, log_point, rf
+from .scalars import X1, X2, Y1, Y2, PoleOrderError, log_point, monomial_mapping, rf
 from .series import expand_in_u
-from .tensors import Tensor2, variables_used
+from .tensors import Tensor2, Tensor3, variables_used
 from .builders import build_r_ts, hat_r
 
 # Slots, keyed by their (u, v) arguments.  The input matrix carries (u, v)
@@ -101,14 +101,23 @@ def report_from_residual(identity, residual, provenance=None):
 # latter give numeric mode its scale at no extra cost.
 
 
-def _cybe(a, b, c):
-    """[a12, b13] + [a12, c23] + [b13, c23]."""
+def _cybe(a, b, c, weights=None):
+    """[a12, b13] + [a12, c23] + [b13, c23].
+
+    With weights (wa, wb, wc), the commutators are scaled by wc, wb and wa:
+    each by the weight of the slot it leaves out.
+    """
     parts = (
         a.mul(b, legs=(12, 13)), b.mul(a, legs=(13, 12)),
         a.mul(c, legs=(12, 23)), c.mul(a, legs=(23, 12)),
         b.mul(c, legs=(13, 23)), c.mul(b, legs=(23, 13)),
     )
-    return (parts[0] - parts[1]) + (parts[2] - parts[3]) + (parts[4] - parts[5]), parts
+
+    def bracket(k):
+        t = parts[2 * k] - parts[2 * k + 1]
+        return t if weights is None else t.scale(weights[2 - k])
+
+    return bracket(0) + bracket(1) + bracket(2), parts
 
 
 def _qybe(a, b, c):
@@ -167,7 +176,24 @@ def cybe_spectral_residual(r):
     extra = variables_used(r) - {"Y1"}
     if extra:
         raise ValueError(f"spectral CYBE input must depend on Y1 only, found {sorted(extra)}")
+    if _cleared_cybe_spectral(r).is_zero():
+        return Tensor3(r.n)
     return _cybe(*_symbolic_slots(r, SPECTRAL_SLOTS))[0]
+
+
+def _cleared_cybe_spectral(r):
+    """da db dc times the spectral CYBE residual of r = N / d.
+
+    Na, Nb, Nc and da, db, dc are the slots of N and d.  The result has
+    LaurentPoly entries with int coefficients, and it is zero exactly when
+    the residual is: a slot substitutes a monomial for Y1, so da, db and
+    dc are nonzero.
+    """
+    num, den = r.cleared()
+    subs = [SLOTS[label][0] for label in SPECTRAL_SLOTS]
+    slots = [num.substitute(sub) for sub in subs]
+    weights = [den.substitute(monomial_mapping(sub)) for sub in subs]
+    return _cybe(*slots, weights=weights)[0]
 
 
 def unitarity_check(r, kind, provenance=None):
@@ -362,8 +388,13 @@ def numeric_residual(identity, tensors, n, samples, tolerance, seed, provenance=
     the scale from _numeric_tensors; the check passes iff every sample
     does, and reports the largest residual over all samples.  Sample
     points whose spectral denominators come within GUARD_DISTANCE of a
-    zero are rejected and counted.
+    zero are rejected and counted.  Raises ValueError unless samples is
+    at least 1 and tolerance a finite number above 0.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
+    if not 0 < tolerance < cmath.inf:
+        raise ValueError(f"tolerance must be a finite number above 0, got {tolerance!r}")
     rng = random.Random(seed)
     worst = 0.0
     resamples = 0

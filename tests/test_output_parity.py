@@ -75,6 +75,10 @@ GOLDEN = {
     "verify --n 5 --suite obstruction --include-nonassociative --bound 5": (
         1, "f7e34ed2fefd2c796106abc9423d097345863cc0bd1a5e4c2f418e3a4317d326"
     ),
+    # cybe and cybe_spectral at every s of every n = 4 triple's family
+    "verify --n 4 --suite cybe": (
+        0, "b893848a7b74f5eb56b3d0fc5a7b819d44225912848fd43817194c3b055ff2aa"
+    ),
     # every suite on the trivial+CG listing beyond the enumeration bound
     "verify --n 4 --suite all --bound 3": (
         0, "573b8fee77b8f0abb87ea225015f1dbcec53a7d69886877df8504d733003c9ed"

@@ -14,6 +14,7 @@ from yangbaxter.scalars import (
     Y1,
     Y2,
     log_point,
+    monomial_mapping,
     monomial_rf,
     ratfunc_is_zero,
     rf,
@@ -249,6 +250,33 @@ def test_integral_coefficients_enter_as_int():
     assert _coeff_types(LaurentPoly({e: Fraction(4, 2)})) == {int}
     assert _coeff_types(LaurentPoly.const(Fraction(6, 3))) == {int}
     assert _coeff_types(LaurentPoly({e: 3}).scale(Fraction(2, 1))) == {int}
+
+
+def test_coeff_denominator_is_the_lcm_of_the_coefficient_denominators():
+    assert LaurentPoly.zero().coeff_denominator() == 1
+    assert LaurentPoly({(0, 0, 1, 0): 3, (0, 0, 0, 0): -2}).coeff_denominator() == 1
+    p = LaurentPoly({(0, 0, 1, 0): Fraction(1, 4), (0, 0, 0, 0): Fraction(-5, 6), (1, 0, 0, 0): 7})
+    assert p.coeff_denominator() == 12
+
+
+def test_integral_multiple_has_int_coefficients():
+    p = LaurentPoly({(0, 0, 1, 0): Fraction(1, 4), (0, 0, 0, 0): Fraction(-5, 6), (1, 0, 0, 0): 7})
+    for m in (12, 24):
+        q = p.integral_multiple(m)
+        assert q == p.scale(m)
+        assert _coeff_types(q) == {int}
+    assert LaurentPoly.zero().integral_multiple(5).is_zero()
+    with pytest.raises(ValueError):
+        p.integral_multiple(6)
+
+
+def test_monomial_mapping_indexes_the_named_assignment():
+    assert monomial_mapping({}) == {}
+    assert monomial_mapping({"Y1": Y1 * Y2, "X1": Fraction(1, 2) * X2**-1, "X2": 0}) == {
+        2: (1, (0, 0, 1, 1)), 0: (Fraction(1, 2), (0, -1, 0, 0)), 1: None,
+    }
+    with pytest.raises(LatticeError):
+        monomial_mapping({"Y1": 1 + Y1})
 
 
 # --- differential check against a plain dict-of-Fraction reference --------

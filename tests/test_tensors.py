@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from yangbaxter.scalars import X1, Y1, rf
+from yangbaxter.scalars import X1, Y1, Y2, LaurentPoly, rf
 from yangbaxter.tensors import (
     Tensor2,
     Tensor3,
@@ -278,6 +278,40 @@ def test_variables_used():
     assert variables_used(Tensor2.perm(2)) == set()
     spectral = Tensor2.perm(2).scale((1 - Y1) ** -1).scale(rf(1) * X1)
     assert variables_used(spectral) == {"X1", "Y1"}
+
+
+def test_cleared_numerators_over_one_int_denominator():
+    y = rf(1) - Y1
+    t = Tensor2(2, {
+        (1, 1, 1, 1): Fraction(1, 2) / y,
+        (1, 2, 2, 1): Fraction(2, 3) * Y1 / (y * y),
+        (2, 2, 1, 1): Fraction(3, 4),
+        (2, 1, 1, 2): rf(Y1) ** -1,
+    })
+    num, den = t.cleared()
+    # the distinct denominators Y1 - 1 and (Y1 - 1)^2, times the lcm 12 of
+    # the numerators' coefficient denominators
+    assert den == ((LaurentPoly.monomial((0, 0, 1, 0)) - 1) ** 3).scale(12)
+    assert {type(c) for c in den.terms.values()} == {int}
+    assert set(num.coeffs) == set(t.coeffs)
+    for key, value in t.coeffs.items():
+        entry = num.coeffs[key]
+        assert isinstance(entry, LaurentPoly)
+        assert {type(c) for c in entry.terms.values()} == {int}
+        assert rf(entry) / den == value
+    const, one = Tensor2.perm(2).cleared()
+    assert one == LaurentPoly.const(1)
+    assert const.coeffs == {k: LaurentPoly.const(1) for k in Tensor2.perm(2).coeffs}
+
+
+def test_substitute_keeps_laurent_entries_laurent():
+    t = Tensor2(1, {(1, 1, 1, 1): LaurentPoly({(0, 0, 1, 0): 2, (0, 0, 0, 0): -1})})
+    out = t.substitute({"Y1": Y1 * Y2})
+    assert out.coeffs == {(1, 1, 1, 1): LaurentPoly({(0, 0, 1, 1): 2, (0, 0, 0, 0): -1})}
+    assert isinstance(out.coeffs[(1, 1, 1, 1)], LaurentPoly)
+    assert t.map_scalars(rf).substitute({"Y1": Y1 * Y2}).coeffs == {
+        (1, 1, 1, 1): rf(2) * Y1 * Y2 - 1
+    }
 
 
 def test_three_leg_pretty_and_repr():

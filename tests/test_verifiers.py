@@ -89,8 +89,54 @@ def test_cybe_spectral_half_perm():
     assert verify.cybe_spectral_residual(rh1).is_zero()
     half = Tensor2.perm(3).scale(Fraction(1, 2))
     assert not verify.cybe_residual(half).is_zero()
-    assert not verify.cybe_spectral_residual(hat_r(half)).is_zero()
+    residual = verify.cybe_spectral_residual(hat_r(half))
+    assert verify.report_from_residual("cybe_spectral", residual).witness == HALF_PERM_WITNESS
     assert verify.unitarity_check(hat_r(half), "classical").passed
+
+
+# the failing witness of hat_r(P/2) at n = 3, as the RatFunc residual gives it
+HALF_PERM_WITNESS = {
+    "index": [1, 1, 1, 2, 2, 1],
+    "value": (
+        "(-1/4 + 1/2*Y2 - 1/4*Y2^2 + 1/2*Y1 - 1/2*Y1*Y2 - 1/2*Y1*Y2^2 + 1/2*Y1*Y2^3"
+        " - 1/4*Y1^2 - 1/2*Y1^2*Y2 + 3/2*Y1^2*Y2^2 - 1/2*Y1^2*Y2^3 - 1/4*Y1^2*Y2^4"
+        " + 1/2*Y1^3*Y2 - 1/2*Y1^3*Y2^2 - 1/2*Y1^3*Y2^3 + 1/2*Y1^3*Y2^4 - 1/4*Y1^4*Y2^2"
+        " + 1/2*Y1^4*Y2^3 - 1/4*Y1^4*Y2^4) / (1 - 2*Y2 + Y2^2 - 2*Y1 + 2*Y1*Y2"
+        " + 2*Y1*Y2^2 - 2*Y1*Y2^3 + Y1^2 + 2*Y1^2*Y2 - 6*Y1^2*Y2^2 + 2*Y1^2*Y2^3"
+        " + Y1^2*Y2^4 - 2*Y1^3*Y2 + 2*Y1^3*Y2^2 + 2*Y1^3*Y2^3 - 2*Y1^3*Y2^4"
+        " + Y1^4*Y2^2 - 2*Y1^4*Y2^3 + Y1^4*Y2^4)"
+    ),
+}
+
+
+def _ratfunc_cybe_spectral(r):
+    """The spectral CYBE residual over RatFunc slots: the oracle for the
+    cleared-numerator zero test."""
+    return verify._cybe(*verify._symbolic_slots(r, verify.SPECTRAL_SLOTS))[0]
+
+
+def _hat_r_family(nmax):
+    """hat_r(r_{T,s}) at the particular s and at particular + each basis
+    vector, for every triple with n <= nmax."""
+    for n in range(2, nmax + 1):
+        for t in enumerate_triples(n):
+            particular, basis = solve_s_system(t)
+            for s in [particular] + [particular + b for b in basis]:
+                yield hat_r(build_r_ts(t, s))
+
+
+def test_cybe_spectral_cleared_verdicts_match_ratfunc_oracle():
+    count = 0
+    for rh in _hat_r_family(4):
+        count += 1
+        verdicts = (verify.cybe_spectral_residual(rh).is_zero(), _ratfunc_cybe_spectral(rh).is_zero())
+        assert verdicts == (True, True)
+        bad = _perturbed(rh)
+        residual, oracle = verify.cybe_spectral_residual(bad), _ratfunc_cybe_spectral(bad)
+        assert not oracle.is_zero()
+        (key, value), (okey, ovalue) = residual.lex_witness(), oracle.lex_witness()
+        assert (key, str(value)) == (okey, str(ovalue))
+    assert count == 45
 
 
 def test_spectral_combination_equals_constant_combination():
@@ -472,6 +518,20 @@ def test_numeric_scale_is_per_sample(monkeypatch):
     rep = verify.numeric_residual("aybe", {"r": None}, 1, 2, 1e-9, 0)
     assert rep.result == "fail"
     assert rep.max_abs_residual == 1e-6
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_numeric_rejects_sample_count_below_one(samples):
+    r = build_r_uv(trivial_structures(3)[0], formula="kernel")
+    with pytest.raises(ValueError, match="samples"):
+        verify.numeric_residual("aybe", {"r": r}, 3, samples, 1e-9, 0)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1e-9, float("nan"), float("inf")])
+def test_numeric_rejects_tolerance_not_finite_and_positive(tolerance):
+    r = build_r_uv(trivial_structures(3)[0], formula="kernel")
+    with pytest.raises(ValueError, match="tolerance"):
+        verify.numeric_residual("aybe", {"r": r}, 3, 2, tolerance, 0)
 
 
 def test_numeric_resampling_is_capped(monkeypatch):
