@@ -242,11 +242,11 @@ def _triples_at(n, bound):
 
 
 def _structures_for(t, source):
-    perms = triples.compatible_permutations(t)
     if source == "exhaustive" or not t.is_trivial:
-        return perms
+        return triples.compatible_permutations(t)
     # the trivial triple has (n-1)! compatible cycles; beyond the
-    # enumeration bound keep only the standard shift cycle
+    # enumeration bound keep only the standard shift cycle, built
+    # without listing the others
     shift = tuple(i % t.n + 1 for i in range(1, t.n + 1))
     return [triples.make_structure(t, shift)]
 

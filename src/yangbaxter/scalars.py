@@ -252,16 +252,38 @@ class LaurentPoly:
             out[e] = c.numerator * q
         return LaurentPoly._make(out)
 
-    def evaluate(self, logs):
-        """Numeric value with variable i set to exp(logs[i])."""
+    def evaluate(self, logs, powers=None):
+        """Numeric value with variable i set to exp(logs[i]).
+
+        powers, if given, is a dict the caller keeps for this one logs: it
+        holds the value of each monomial met so far, keyed by its exponent
+        tuple, so calls at one point exponentiate a shared monomial once.
+        The value is the same to the bit with or without it.
+        """
+        if powers is None:
+            powers = {}
         total = 0j
         for exps, c in self.terms.items():
-            z = 0j
-            for e, lg in zip(exps, logs):
-                if e:
-                    z += float(e) * lg
-            total += float(c) * cmath.exp(z)
+            w = powers.get(exps)
+            if w is None:
+                z = 0j
+                for e, lg in zip(exps, logs):
+                    if e:
+                        z += float(e) * lg
+                w = powers[exps] = cmath.exp(z)
+            total += float(c) * w
         return total
+
+    def float_form(self):
+        """The same polynomial with float coefficients and exponents.
+
+        It evaluates to the same bits as self with nothing left to
+        convert, so a polynomial evaluated at many points is converted
+        once.  It is for evaluation only: arithmetic on it is not exact.
+        """
+        return LaurentPoly._make(
+            {tuple(map(float, exps)): float(c) for exps, c in self.terms.items()}
+        )
 
     def exponents_of(self, var):
         return {e[var] for e in self.terms}
@@ -454,9 +476,17 @@ class RatFunc:
             raise LatticeError("substitution annihilates a denominator")
         return RatFunc(self.num.substitute(mapping), den)
 
-    def evaluate(self, logs):
-        """Numeric value with variable i set to exp(logs[i])."""
-        return self.num.evaluate(logs) / self.den.evaluate(logs)
+    def evaluate(self, logs, powers=None):
+        """Numeric value with variable i set to exp(logs[i]); powers as
+        for LaurentPoly.evaluate."""
+        return self.num.evaluate(logs, powers) / self.den.evaluate(logs, powers)
+
+    def float_form(self):
+        """Numerator and denominator in float form (LaurentPoly.float_form)."""
+        out = RatFunc.__new__(RatFunc)
+        out.num = self.num.float_form()
+        out.den = self.den.float_form()
+        return out
 
     def __str__(self):
         if self.den == _ONE_POLY:

@@ -118,6 +118,9 @@ _PRODUCTS = {
 # Any other placement would place a 2-leg factor too, so a wrong factor is
 # reported (TypeError) before the placement (ValueError).
 _UNKNOWN_PLACEMENT = (2, None, None)
+# Tensor2.apply: the positions of the two legs a Tensor2 is placed on, and
+# of the leg it leaves free, in V (x) V (x) V.
+_LEG_PAIRS = {12: (0, 1, 2), 13: (0, 2, 1), 23: (1, 2, 0)}
 
 
 def _sparse_tensor(nlegs):
@@ -144,6 +147,17 @@ def _sparse_tensor(nlegs):
         def perm_diag(cls, n, one=Fraction(1)):
             """P^0 = sum e_ii (x) e_ii (x) ..., the diagonal part of P."""
             return cls(n, {(i,) * (2 * nlegs): one for i in range(1, n + 1)})
+
+        @classmethod
+        def column(cls, n, values):
+            """A vector of V^(x)nlegs as a tensor with one column on each leg.
+
+            values is flat in row-major index order; entry (i, k, ...)
+            becomes the coefficient of e_i1 (x) e_k1 (x) ....  So
+            T.mul(column(n, x)) equals column(n, T.apply(x)).
+            """
+            keys = product(*((range(1, n + 1), (1,)) * nlegs))
+            return _adopt(cls, n, dict(zip(keys, values)))
 
         def is_zero(self):
             return not self.coeffs
@@ -220,6 +234,35 @@ def _sparse_tensor(nlegs):
                         out[head + (m, m) + tail] = v
                 return _adopt(Tensor3, self.n, out)
 
+            def apply(self, x, legs=None):
+                """self x for a vector x, a flat list in row-major index order.
+
+                x lies in V (x) V, or with legs = 12, 13 or 23 in V (x) V (x) V,
+                where self acts on the named legs: the vector
+                self.embed(legs) x, at a cost of nnz * n products and with no
+                embedding built.  Returns a new list.
+                """
+                n = self.n
+                if legs is None:
+                    size, sa, sb, free = n * n, n, 1, (0,)
+                elif legs in _LEG_PAIRS:
+                    strides = (n * n, n, 1)
+                    a, b, f = _LEG_PAIRS[legs]
+                    size, sa, sb = n ** 3, strides[a], strides[b]
+                    free = range(0, n * strides[f], strides[f])
+                else:
+                    raise ValueError(f"Tensor2.apply cannot place the tensor on legs {legs!r}")
+                if len(x) != size:
+                    raise ValueError(f"vector of length {len(x)}, expected {size}")
+                base = sa + sb
+                y = [0] * size
+                for (i, j, k, l), c in self.coeffs.items():
+                    row = i * sa + k * sb - base
+                    col = j * sa + l * sb - base
+                    for f in free:
+                        y[row + f] += c * x[col + f]
+                return y
+
         def project_traceless(self, legs):
             """Apply M -> M - (tr M / n) 1 on each selected leg (1, 2, ...)."""
             n = self.n
@@ -280,9 +323,19 @@ def _sparse_tensor(nlegs):
             num = {k: x.integral_multiple(m) for k, x in num.items()}
             return _adopt(Tensor, self.n, num), den.integral_multiple(m)
 
+        def float_form(self):
+            """Every scalar in float form (LaurentPoly.float_form), a number
+            as complex: it evaluates to the same bits as self."""
+            return self.map_scalars(_float_form)
+
         def evaluate(self, logs):
-            """Entrywise numeric evaluation; scalars become complex."""
-            return self.map_scalars(lambda v: _to_complex(v, logs))
+            """Entrywise numeric evaluation; scalars become complex.
+
+            The entries share one table of monomial values, so a monomial
+            common to many entries is exponentiated once.
+            """
+            powers = {}
+            return self.map_scalars(lambda v: _to_complex(v, logs, powers))
 
         def lex_witness(self):
             """Lexicographically least nonzero coefficient (index, value)."""
@@ -317,10 +370,14 @@ Tensor3 = _sparse_tensor(3)
 _TENSORS = {2: Tensor2, 3: Tensor3}
 
 
-def _to_complex(v, logs):
-    if isinstance(v, (int, float, complex, Fraction)):
-        return complex(v)
-    return v.evaluate(logs)
+def _to_complex(v, logs, powers):
+    if isinstance(v, (LaurentPoly, RatFunc)):
+        return v.evaluate(logs, powers)
+    return complex(v)
+
+
+def _float_form(v):
+    return v.float_form() if isinstance(v, (LaurentPoly, RatFunc)) else complex(v)
 
 
 def weight_contract(t, w1, w2):

@@ -3,12 +3,14 @@
 Symbolic mode produces identically-zero certificates: each residual is a
 sparse tensor of exact rational functions, and "pass" means every
 coefficient is exactly zero.  Numeric mode evaluates the same formulas
-at seeded random complex sample points and reports the largest residual
-magnitude.  Each identity is written once, as a formula over its slots
-(copies of the input matrix at shifted arguments); the two modes differ
-only in how they make the slots.  Verifiers never mutate their inputs;
-failure reports carry the lexicographically least nonzero coefficient
-as a witness.
+at seeded random complex sample points, applies each residual to a
+seeded random vector with entries of modulus 1 (Freivalds' check) and
+reports the largest entry of the result.  Each identity is written
+once, as a formula over its slots (copies of the input matrix at
+shifted arguments); the two modes differ in how they make the slots,
+and in whether the formula's products are formed or applied to the
+vector.  Verifiers never mutate their inputs; failure reports carry the
+lexicographically least nonzero coefficient as a witness.
 """
 
 from __future__ import annotations
@@ -98,19 +100,44 @@ def report_from_residual(identity, residual, provenance=None):
 # identities, each written once over its slots
 #
 # A formula returns the residual and the tensors it combined into it; the
-# latter give numeric mode its scale at no extra cost.
+# latter give numeric mode its scale.  Numeric mode passes a sample vector
+# x: every product is then applied to x instead of being formed, and the
+# residual and its parts are vectors (see _product).
 
 
-def _cybe(a, b, c, weights=None):
+def _product(x, *factors):
+    """The product of factors, each (tensor, legs), left to right.
+
+    legs places a Tensor2 on legs 12, 13 or 23 of the 3-fold product; None
+    takes a tensor on its own legs.  Given a vector x (a flat list), the
+    product applied to x instead, right factor first, as a column
+    (Tensor.column): no product of two factors is formed.
+    """
+    if x is not None:
+        for t, legs in reversed(factors):
+            x = t.apply(x, legs)
+        t, legs = factors[0]
+        return (Tensor2 if legs is None else Tensor3).column(t.n, x)
+    (a, ab), *rest = factors
+    if not rest:
+        return a
+    (b, cd), *rest = rest
+    out = a.mul(b, legs=None if ab is None else (ab, cd))
+    for c, legs in rest:
+        out = out.mul(c, legs=legs)
+    return out
+
+
+def _cybe(a, b, c, weights=None, x=None):
     """[a12, b13] + [a12, c23] + [b13, c23].
 
     With weights (wa, wb, wc), the commutators are scaled by wc, wb and wa:
     each by the weight of the slot it leaves out.
     """
     parts = (
-        a.mul(b, legs=(12, 13)), b.mul(a, legs=(13, 12)),
-        a.mul(c, legs=(12, 23)), c.mul(a, legs=(23, 12)),
-        b.mul(c, legs=(13, 23)), c.mul(b, legs=(23, 13)),
+        _product(x, (a, 12), (b, 13)), _product(x, (b, 13), (a, 12)),
+        _product(x, (a, 12), (c, 23)), _product(x, (c, 23), (a, 12)),
+        _product(x, (b, 13), (c, 23)), _product(x, (c, 23), (b, 13)),
     )
 
     def bracket(k):
@@ -120,37 +147,38 @@ def _cybe(a, b, c, weights=None):
     return bracket(0) + bracket(1) + bracket(2), parts
 
 
-def _qybe(a, b, c):
+def _qybe(a, b, c, x=None):
     """a12 b13 c23 - c23 b13 a12."""
     parts = (
-        a.mul(b, legs=(12, 13)).mul(c, legs=23),
-        c.mul(b, legs=(23, 13)).mul(a, legs=12),
+        _product(x, (a, 12), (b, 13), (c, 23)),
+        _product(x, (c, 23), (b, 13), (a, 12)),
     )
     return parts[0] - parts[1], parts
 
 
-def _assoc(a, b, c, d, e, f):
+def _assoc(a, b, c, d, e, f, x=None):
     """a12 b13 - c23 d12 + e13 f23."""
     parts = (
-        a.mul(b, legs=(12, 13)),
-        c.mul(d, legs=(23, 12)),
-        e.mul(f, legs=(13, 23)),
+        _product(x, (a, 12), (b, 13)),
+        _product(x, (c, 23), (d, 12)),
+        _product(x, (e, 13), (f, 23)),
     )
     return parts[0] - parts[1] + parts[2], parts
 
 
-def _hecke(R, q, qinv, one):
+def _hecke(R, q, qinv, one, x=None):
     """(PR - q)(PR + q^-1)."""
     m = Tensor2.perm(R.n, one).mul(R)
     ident = Tensor2.identity(R.n, one)
     factors = (m - ident.scale(q), m + ident.scale(qinv))
-    return factors[0].mul(factors[1]), factors
+    parts = tuple(_product(x, (f, None)) for f in factors)
+    return _product(x, (factors[0], None), (factors[1], None)), parts
 
 
-def _unitarity(direct, reflected):
+def _unitarity(direct, reflected, x=None):
     """direct + reflected^21."""
-    flipped = reflected.flip21()
-    return direct + flipped, (direct, flipped)
+    parts = (_product(x, (direct, None)), _product(x, (reflected.flip21(), None)))
+    return parts[0] + parts[1], parts
 
 
 def _symbolic_slots(t, labels):
@@ -313,21 +341,22 @@ LOG_BAND = (0.3, 1.5)
 MAX_REJECTIONS = 1000
 
 
-def _sampled_hecke(u, R):
+def _sampled_hecke(u, x, R):
     q = cmath.exp(u / 2)  # q = X1^n at the sample point
-    return _hecke(R, q, 1 / q, 1.0 + 0j)
+    return _hecke(R, q, 1 / q, 1.0 + 0j, x=x)
 
 
-# identity -> (input key, slot labels, formula); numeric mode calls the
-# formula with the sample's u first, which only the Hecke condition uses.
+# identity -> (input key, slot labels, legs of the sample vector, formula);
+# numeric mode calls the formula with the sample's u and vector x first,
+# and u only the Hecke condition uses.
 NUMERIC_IDENTITIES = {
-    "aybe": ("r", AYBE_SLOTS, lambda u, *slots: _assoc(*slots)),
-    "qybe": ("R", ("u,v",) * 3, lambda u, *slots: _qybe(*slots)),
-    "qybe_spectral": ("R", SPECTRAL_SLOTS, lambda u, *slots: _qybe(*slots)),
-    "cybe_spectral": ("r", SPECTRAL_SLOTS, lambda u, *slots: _cybe(*slots)),
-    "hecke": ("R", ("u,v",), _sampled_hecke),
+    "aybe": ("r", AYBE_SLOTS, 3, lambda u, x, *slots: _assoc(*slots, x=x)),
+    "qybe": ("R", ("u,v",) * 3, 3, lambda u, x, *slots: _qybe(*slots, x=x)),
+    "qybe_spectral": ("R", SPECTRAL_SLOTS, 3, lambda u, x, *slots: _qybe(*slots, x=x)),
+    "cybe_spectral": ("r", SPECTRAL_SLOTS, 3, lambda u, x, *slots: _cybe(*slots, x=x)),
+    "hecke": ("R", ("u,v",), 2, _sampled_hecke),
     "unitarity_assoc": (
-        "r", UNITARITY_SLOTS["associative"], lambda u, *slots: _unitarity(*slots)
+        "r", UNITARITY_SLOTS["associative"], 2, lambda u, x, *slots: _unitarity(*slots, x=x)
     ),
 }
 
@@ -361,40 +390,50 @@ def _clear_point(rng):
     )
 
 
-def _numeric_tensors(identity, tensors, n, point):
-    """Evaluate the identity's formula at one sample point.
-
-    Returns (residual, scale): scale is the largest coefficient magnitude
-    of the tensors the formula combined into the residual.  Each distinct
-    slot is evaluated once.
-    """
+def _numeric_row(identity):
     if identity not in NUMERIC_IDENTITIES:
         raise ValueError(f"unknown numeric identity {identity!r}")
-    key, labels, formula = NUMERIC_IDENTITIES[identity]
+    return NUMERIC_IDENTITIES[identity]
+
+
+def _numeric_tensors(identity, tensors, n, point, x):
+    """The identity's residual at one sample point, applied to the vector x.
+
+    Returns (residual, scale), the residual as a column (Tensor.column):
+    scale is the largest entry magnitude of the formula's parts applied
+    to x.  Each distinct slot is evaluated once.
+    """
+    key, labels, _, formula = _numeric_row(identity)
     u, up, v, vp = point
     evaluated = {}
     for label in labels:
         if label not in evaluated:
             uu, vv = SLOTS[label][1](*point)
             evaluated[label] = tensors[key].evaluate(log_point(uu, up, vv, vp, n))
-    residual, parts = formula(u, *(evaluated[label] for label in labels))
+    residual, parts = formula(u, x, *(evaluated[label] for label in labels))
     return residual, max(part.max_abs() for part in parts)
 
 
 def numeric_residual(identity, tensors, n, samples, tolerance, seed, provenance=None):
     """Sampled residual check, relative to each sample's own scale.
 
-    A sample passes iff max |residual| < tolerance * max(1, scale), with
-    the scale from _numeric_tensors; the check passes iff every sample
-    does, and reports the largest residual over all samples.  Sample
-    points whose spectral denominators come within GUARD_DISTANCE of a
-    zero are rejected and counted.  Raises ValueError unless samples is
-    at least 1 and tolerance a finite number above 0.
+    Each sample draws a point (u, u', v, v') and then a vector x of
+    entries exp(2 pi i theta), from one random.Random(seed), and applies
+    the residual at that point to x.  A sample passes iff
+    max |residual x| < tolerance * max(1, scale), with the scale from
+    _numeric_tensors; the check passes iff every sample does, and reports
+    the largest entry over all samples.  Sample points whose spectral
+    denominators come within GUARD_DISTANCE of a zero are rejected and
+    counted.  The input is converted to float form once.  Raises
+    ValueError unless samples is at least 1 and tolerance a finite number
+    above 0.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
     if not 0 < tolerance < cmath.inf:
         raise ValueError(f"tolerance must be a finite number above 0, got {tolerance!r}")
+    key, _, legs, _ = _numeric_row(identity)
+    floats = {key: tensors[key].float_form()}
     rng = random.Random(seed)
     worst = 0.0
     resamples = 0
@@ -402,7 +441,8 @@ def numeric_residual(identity, tensors, n, samples, tolerance, seed, provenance=
     for _ in range(samples):
         point, rejected = _clear_point(rng)
         resamples += rejected
-        residual, scale = _numeric_tensors(identity, tensors, n, point)
+        x = [cmath.rect(1.0, 2 * cmath.pi * rng.random()) for _ in range(n ** legs)]
+        residual, scale = _numeric_tensors(identity, floats, n, point, x)
         err = residual.max_abs()
         worst = max(worst, err)
         ok = ok and err < tolerance * max(1.0, scale)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -163,4 +164,25 @@ def dense_numeric_aybe(r, n, point):
                                 acc += E[i][j][m][t] * F[k][l][t][p]
                             if acc != 0:
                                 out[(i + 1, j + 1, k + 1, l + 1, m + 1, p + 1)] = acc
+    return out
+
+
+def dense_apply(coeffs, x, n, legs):
+    """A tensor, given by its coefficient dict, applied to the flat vector x.
+
+    Plain loops over every row and column index tuple on legs legs, x in
+    row-major index order; returns {row index tuple: value} for the
+    nonzero rows.
+    """
+    out = {}
+    indices = list(product(range(1, n + 1), repeat=legs))
+    for rows in indices:
+        acc = 0j
+        for pos, cols in enumerate(indices):
+            key = tuple(i for pair in zip(rows, cols) for i in pair)
+            v = coeffs.get(key)
+            if v:
+                acc += v * x[pos]
+        if acc != 0:
+            out[rows] = acc
     return out

@@ -4,11 +4,12 @@ Every check is exact (symbolic) unless the criterion itself is numeric;
 the stated runtime budgets are asserted with the wall clock.
 """
 
+import json
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from yangbaxter import verify
+from yangbaxter import cli, verify
 from yangbaxter.builders import (
     baxterize,
     build_R_ggs_assoc,
@@ -209,3 +210,16 @@ def test_criterion_11_compatible_permutation_count():
         perms = compatible_permutations(BDTriple.make(4, {}))
         assert len(perms) == 6
         assert len({p.tilde_t for p in perms}) == 6
+
+
+def test_criterion_12_numeric_cg16(capsys):
+    with criterion(12, "numeric AYBE and CYBE, trivial+CG n=16, 3 samples", budget=10.0):
+        code = cli.main([
+            "verify", "--n", "16", "--mode", "numeric", "--suite", "aybe,cybe",
+            "--samples", "3",
+        ])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        # the trivial shift cycle and 8 CG structures, two suites each
+        assert doc["summary"] == {"total": 18, "passed": 18}
+        assert all(r["max_abs_residual"] < 1e-9 for r in doc["reports"])

@@ -163,14 +163,28 @@ def test_verify_obstruction_include_nonassociative_exit1(capsys):
 
 
 def test_verify_numeric_deterministic(capsys):
+    """The same --seed gives the same stdout bytes, for every numeric suite."""
     args = [
-        "verify", "--n", "3", "--mode", "numeric", "--suite", "aybe",
+        "verify", "--n", "3", "--mode", "numeric", "--suite", "all",
         "--samples", "4", "--tolerance", "1e-9", "--seed", "7",
     ]
-    code1, doc1 = run_cli(capsys, *args)
-    code2, doc2 = run_cli(capsys, *args)
-    assert code1 == code2 == 0
-    assert doc1 == doc2
+    outs = []
+    for argv in (args, args, args[:-1] + ["8"]):
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0] != outs[2]
+
+
+def test_structures_beyond_the_bound_list_no_trivial_cycles(monkeypatch):
+    """Above --bound the trivial triple keeps only the shift cycle, built
+    directly: listing its (n-1)! compatible cycles is out of reach at n = 16."""
+    def refuse(t):
+        raise AssertionError("compatible_permutations called on the trivial triple")
+
+    monkeypatch.setattr(triples, "compatible_permutations", refuse)
+    (structure,) = cli._structures_for(triples.BDTriple.make(16, {}), "trivial+cg")
+    assert structure.tilde_t == tuple(range(2, 17)) + (1,)
 
 
 def test_build_byte_deterministic(capsys):

@@ -166,6 +166,38 @@ def test_fused_three_leg_product_matches_embedding(rng, legs, kind, n, nnz):
         assert _exact(got) == _exact(want)
 
 
+@pytest.mark.parametrize("legs", [None, 12, 13, 23])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_apply_is_the_product_with_a_column(rng, legs, n):
+    """T x equals T times x held as a column, on the embedding for placed legs."""
+    k = 2 if legs is None else 3
+    column = Tensor2.column if k == 2 else Tensor3.column
+    for _ in range(4):
+        t = Tensor2(n, _random_coeffs(n, 2, "fraction", rng, 3 * n))
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n ** k)]
+        placed = t if legs is None else t.embed(legs)
+        assert column(n, t.apply(x, legs)) == placed.mul(column(n, x))
+
+
+def test_column_and_apply_examples():
+    assert Tensor2.column(2, [5, 0, 0, 7]).coeffs == {(1, 1, 1, 1): 5, (2, 1, 2, 1): 7}
+    # e_12 (x) 1 on legs 2, 3 of V (x) V (x) V moves entry (i, 2, m) to (i, 1, m)
+    x = list(range(8))
+    y = (unit2(2, 1, 2, 1, 1) + unit2(2, 1, 2, 2, 2)).apply(x, 23)
+    assert y == [2, 3, 0, 0, 6, 7, 0, 0]
+    assert unit2(2, 1, 2, 1, 1).apply([1, 2, 3, 4]) == [3, 0, 0, 0]
+
+
+def test_apply_rejects_unknown_legs_and_wrong_lengths():
+    t = Tensor2.perm(2)
+    with pytest.raises(ValueError):
+        t.apply([0] * 8, 21)
+    with pytest.raises(ValueError):
+        t.apply([0] * 8)
+    with pytest.raises(ValueError):
+        t.apply([0] * 4, 12)
+
+
 def test_products_reject_unknown_legs_and_wrong_factors():
     a = Tensor2.perm(2)
     t = a.embed(12)

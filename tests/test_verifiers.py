@@ -1,10 +1,13 @@
 """Residual verifiers: positive certificates, engineered failures, numerics."""
 
+import cmath
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from yangbaxter import verify
+from yangbaxter import cli, verify
 from yangbaxter.builders import (
     baxterize,
     build_R_ggs_general,
@@ -431,27 +434,39 @@ def test_numeric_hecke_and_unitarity():
     assert verify.numeric_residual("unitarity_assoc", {"r": r}, 4, 3, 1e-9, 2).passed
 
 
+def _sample_vector(n, legs, seed=4):
+    rng = random.Random(seed)
+    return [cmath.rect(1.0, 2 * cmath.pi * rng.random()) for _ in range(n ** legs)]
+
+
+def _rows(column):
+    """A column tensor (Tensor.column) as {row index tuple: value}."""
+    return {key[0::2]: v for key, v in column.coeffs.items()}
+
+
 def test_numeric_engine_matches_dense_oracle():
-    """Sparse numeric AYBE equals a from-scratch dense-loop evaluation,
-    entrywise, for both a solution and a non-solution."""
-    from conftest import dense_numeric_aybe
+    """Sparse numeric AYBE applied to x equals a from-scratch dense-loop
+    residual applied to the same x, entrywise, for both a solution and a
+    non-solution."""
+    from conftest import dense_apply, dense_numeric_aybe
 
     point = (0.31 + 0.52j, -0.44 + 0.27j, 0.62 - 0.35j, -0.53 + 0.41j)
+    x = _sample_vector(2, 3)
     good = build_r_uv(trivial_structures(2)[0], formula="kernel")
     naive = Tensor2.perm(2).scale(f_v()) + build_R_st(2).scale(
         q_minus_qinv(2).inverse()
     ) + Tensor2(2, {(1, 2, 1, 2): rf(1) * X1})  # deliberately broken
     for r in (good, naive):
-        residual, _ = verify._numeric_tensors("aybe", {"r": r}, 2, point)
-        dense = dense_numeric_aybe(r, 2, point)
-        keys = set(residual.coeffs) | set(dense)
-        for key in keys:
-            lhs = residual.coeffs.get(key, 0j)
+        residual, _ = verify._numeric_tensors("aybe", {"r": r}, 2, point, x)
+        sketched = _rows(residual)
+        dense = dense_apply(dense_numeric_aybe(r, 2, point), x, 2, 3)
+        for key in set(sketched) | set(dense):
+            lhs = sketched.get(key, 0j)
             rhs = dense.get(key, 0j)
             assert abs(lhs - rhs) < 1e-12, (key, lhs, rhs)
     # and the broken matrix really does fail while the good one passes
-    res_good, _ = verify._numeric_tensors("aybe", {"r": good}, 2, point)
-    res_bad, _ = verify._numeric_tensors("aybe", {"r": naive}, 2, point)
+    res_good, _ = verify._numeric_tensors("aybe", {"r": good}, 2, point, x)
+    res_bad, _ = verify._numeric_tensors("aybe", {"r": naive}, 2, point, x)
     assert res_good.max_abs() < 1e-12
     assert res_bad.max_abs() > 1e-3
 
@@ -466,7 +481,9 @@ def _perturbed(t):
 
 def test_numeric_formulas_match_symbolic():
     """Every numeric identity, on a perturbed input, equals its symbolic
-    residual evaluated at the same point, entry by entry."""
+    residual evaluated at the same point and applied to the same vector,
+    entry by entry."""
+    from conftest import dense_apply
     from yangbaxter.builders import build_R_ggs_assoc
     from yangbaxter.scalars import log_point
 
@@ -494,30 +511,120 @@ def test_numeric_formulas_match_symbolic():
     assert set(cases) == set(verify.NUMERIC_IDENTITIES)
     logs = log_point(*point, n)
     for identity, (tensors, symbolic) in cases.items():
-        numeric, _ = verify._numeric_tensors(identity, tensors, n, point)
+        legs = verify.NUMERIC_IDENTITIES[identity][2]
+        x = _sample_vector(n, legs)
+        numeric, _ = verify._numeric_tensors(identity, tensors, n, point, x)
         assert numeric.max_abs() > 1e-3, identity
         (t,) = tensors.values()
         exact = symbolic(t).map_scalars(
             lambda c: c.evaluate(logs) if hasattr(c, "evaluate") else complex(c)
         )
-        for key in set(numeric.coeffs) | set(exact.coeffs):
-            lhs = numeric.coeffs.get(key, 0j)
-            rhs = exact.coeffs.get(key, 0j)
+        sketched = _rows(numeric)
+        applied = dense_apply(exact.coeffs, x, n, legs)
+        for key in set(sketched) | set(applied):
+            lhs = sketched.get(key, 0j)
+            rhs = applied.get(key, 0j)
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs)), (identity, key, lhs, rhs)
     with pytest.raises(ValueError):
-        verify._numeric_tensors("cybe", {"r": r_v}, n, point)
+        verify._numeric_tensors("cybe", {"r": r_v}, n, point, _sample_vector(n, 3))
 
 
 def test_numeric_scale_is_per_sample(monkeypatch):
     """A large-scale sample must not excuse a bad small-scale one."""
     outcomes = iter([
-        (Tensor2(1, {(1, 1, 1, 1): 1e-6}), 1.0),
-        (Tensor2(1), 1e6),
+        (Tensor2.column(1, [1e-6]), 1.0),
+        (Tensor2.column(1, [0j]), 1e6),
     ])
     monkeypatch.setattr(verify, "_numeric_tensors", lambda *args: next(outcomes))
-    rep = verify.numeric_residual("aybe", {"r": None}, 1, 2, 1e-9, 0)
+    rep = verify.numeric_residual("aybe", {"r": Tensor2(1)}, 1, 2, 1e-9, 0)
     assert rep.result == "fail"
     assert rep.max_abs_residual == 1e-6
+
+
+@pytest.mark.parametrize("suite, identity, matrix", [
+    pytest.param(*row, id=row[1]) for row in cli.NUMERIC_CHECKS
+])
+def test_numeric_checks_fail_on_a_perturbed_input(suite, identity, matrix):
+    """Each numeric check of the CLI passes on its CG n = 4 input and fails
+    once the least coefficient of that input is raised by 1."""
+    st = cg_structure(4)
+    m = cli._Matrices(st.triple, s0_from_structure(st), st)
+    key = verify.NUMERIC_IDENTITIES[identity][0]
+    good = verify.numeric_residual(identity, {key: matrix(m)}, 4, 3, 1e-9, 5)
+    bad = verify.numeric_residual(identity, {key: _perturbed(matrix(m))}, 4, 3, 1e-9, 5)
+    assert good.passed and good.max_abs_residual < 1e-9
+    assert bad.result == "fail"
+    assert bad.max_abs_residual > 1e-3
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_numeric_residual_of_one_entry_is_its_magnitude(seed):
+    """The sample vector has entries of modulus 1, so a residual with one
+    nonzero entry M reads |M|, to rounding."""
+    # r + r^21 for a constant r = c e_12 (x) e_12 is 2c e_12 (x) e_12
+    r = Tensor2(2, {(1, 2, 1, 2): Fraction(-5, 2)})
+    rep = verify.numeric_residual("unitarity_assoc", {"r": r}, 2, 3, 1e-9, seed)
+    assert rep.result == "fail"
+    assert abs(rep.max_abs_residual - 5.0) <= 2 * 5.0 * sys.float_info.epsilon
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_numeric_residual_whose_rows_sum_to_zero_still_fails(seed):
+    """A residual that maps the all-ones vector to 0 is caught: the sample
+    vector's entries have random phases."""
+    # r + r^21 = 2c (e_11 (x) e_11 - e_12 (x) e_12): its one nonzero row sums to 0
+    r = Tensor2(2, {(1, 1, 1, 1): Fraction(3), (1, 2, 1, 2): Fraction(-3)})
+    rep = verify.numeric_residual("unitarity_assoc", {"r": r}, 2, 3, 1e-9, seed)
+    assert rep.result == "fail"
+    assert rep.max_abs_residual > 1e-3
+
+
+def _reference_evaluate(value, logs):
+    """Reference loop: one entry's value, converting every coefficient
+    and exponent to float on the spot and exponentiating every term."""
+    if not hasattr(value, "num"):
+        return complex(value)
+
+    def poly(p):
+        total = 0j
+        for exps, c in p.terms.items():
+            z = 0j
+            for e, lg in zip(exps, logs):
+                if e:
+                    z += float(e) * lg
+            total += float(c) * cmath.exp(z)
+        return total
+
+    return poly(value.num) / poly(value.den)
+
+
+def test_float_form_evaluates_to_the_same_bits_on_cg8_inputs():
+    """Every input numeric mode samples at n = 8 (trivial and CG), in float
+    form, evaluates entry by entry to the bits of the reference loop."""
+    from yangbaxter.scalars import log_point
+
+    rng = random.Random(8)
+    points = [
+        tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4))
+        for _ in range(3)
+    ]
+    listed, source = cli._triples_at(8, 6)
+    inputs = []
+    for t in listed:
+        for st in cli._structures_for(t, source):
+            m = cli._Matrices(t, s0_from_structure(st), st)
+            inputs += [m.r_kernel, m.R_assoc, hat_r(m.r_ts)]
+    assert len(inputs) == 15
+    for tensor in inputs:
+        floats = tensor.float_form()
+        for point in points:
+            logs = log_point(*point, 8)
+            got = floats.evaluate(logs).coeffs
+            want = {k: _reference_evaluate(v, logs) for k, v in tensor.coeffs.items()}
+            assert got.keys() == {k for k, v in want.items() if v}
+            for key, value in got.items():
+                bits = (value.real.hex(), value.imag.hex())
+                assert bits == (want[key].real.hex(), want[key].imag.hex()), key
 
 
 @pytest.mark.parametrize("samples", [0, -1])
