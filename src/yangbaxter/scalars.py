@@ -279,9 +279,9 @@ class LaurentPoly:
 
         It evaluates to the same bits as self with nothing left to
         convert, so a polynomial evaluated at many points is converted
-        once.  It is for evaluation only: arithmetic on it is not exact.
+        once.  It is for evaluate only (see _FloatPoly).
         """
-        return LaurentPoly._make(
+        return _FloatPoly._make(
             {tuple(map(float, exps)): float(c) for exps, c in self.terms.items()}
         )
 
@@ -320,6 +320,24 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self})"
+
+
+class _FloatPoly(LaurentPoly):
+    """LaurentPoly.float_form: float coefficients and exponents.
+
+    Its values are not exact, so the operations that promise exact
+    rational coefficients (arithmetic, comparison, printing) raise
+    TypeError, also through a RatFunc holding it; evaluate works.
+    """
+
+    __slots__ = ()
+
+    def _inexact(self, *args):
+        raise TypeError("a float form is for evaluate only")
+
+    __eq__ = __neg__ = __add__ = __radd__ = __sub__ = __rsub__ = _inexact
+    __mul__ = __rmul__ = __pow__ = scale = shift = substitute = _inexact
+    integral_multiple = __str__ = _inexact
 
 
 _ONE_POLY = LaurentPoly.const(1)

@@ -23,6 +23,7 @@ instances can be shared freely between parallel workers.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from itertools import product
@@ -118,9 +119,9 @@ _PRODUCTS = {
 # Any other placement would place a 2-leg factor too, so a wrong factor is
 # reported (TypeError) before the placement (ValueError).
 _UNKNOWN_PLACEMENT = (2, None, None)
-# Tensor2.apply: the positions of the two legs a Tensor2 is placed on, and
-# of the leg it leaves free, in V (x) V (x) V.
-_LEG_PAIRS = {12: (0, 1, 2), 13: (0, 2, 1), 23: (1, 2, 0)}
+# Tensor2.embed and Tensor2.apply: the positions of the two legs a Tensor2
+# is placed on, and of the leg it leaves free, in V (x) V (x) V.
+_LEG_POSITIONS = {12: (0, 1, 2), 13: (0, 2, 1), 23: (1, 2, 0)}
 
 
 def _sparse_tensor(nlegs):
@@ -223,10 +224,10 @@ def _sparse_tensor(nlegs):
 
             def embed(self, legs):
                 """Place the tensor on the named legs of a 3-fold product (12, 13, 23)."""
-                if legs not in (12, 13, 23):
+                if legs not in _LEG_POSITIONS:
                     raise ValueError("legs must be one of 12, 13, 23")
                 # the identity's index pair sits at the leg left out
-                gap = {12: 4, 13: 2, 23: 0}[legs]
+                gap = 2 * _LEG_POSITIONS[legs][2]
                 out = {}
                 for key, v in self.coeffs.items():
                     head, tail = key[:gap], key[gap:]
@@ -245,9 +246,9 @@ def _sparse_tensor(nlegs):
                 n = self.n
                 if legs is None:
                     size, sa, sb, free = n * n, n, 1, (0,)
-                elif legs in _LEG_PAIRS:
+                elif legs in _LEG_POSITIONS:
                     strides = (n * n, n, 1)
-                    a, b, f = _LEG_PAIRS[legs]
+                    a, b, f = _LEG_POSITIONS[legs]
                     size, sa, sb = n ** 3, strides[a], strides[b]
                     free = range(0, n * strides[f], strides[f])
                 else:
@@ -325,7 +326,8 @@ def _sparse_tensor(nlegs):
 
         def float_form(self):
             """Every scalar in float form (LaurentPoly.float_form), a number
-            as complex: it evaluates to the same bits as self."""
+            as complex: it evaluates to the same bits as self, and is for
+            evaluate only."""
             return self.map_scalars(_float_form)
 
         def evaluate(self, logs):
@@ -378,6 +380,24 @@ def _to_complex(v, logs, powers):
 
 def _float_form(v):
     return v.float_form() if isinstance(v, (LaurentPoly, RatFunc)) else complex(v)
+
+
+def apply_product(x, factors):
+    """The product of factors, each (tensor, legs), applied to the vector x.
+
+    x is a flat list and legs as for Tensor2.apply; a tensor with legs None
+    acts on its own legs.  The factors are applied right first, so no
+    product of two is formed, and the result is a column (Tensor.column).
+    """
+    for t, legs in reversed(factors):
+        x = t.apply(x, legs)
+    t, legs = factors[0]
+    return (Tensor2 if legs is None else Tensor3).column(t.n, x)
+
+
+def unit_vector(rng, size):
+    """A list of size entries exp(2 pi i theta), theta drawn from rng.random()."""
+    return [cmath.rect(1.0, 2 * math.pi * rng.random()) for _ in range(size)]
 
 
 def weight_contract(t, w1, w2):

@@ -18,12 +18,12 @@ from __future__ import annotations
 import cmath
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import X1, X2, Y1, Y2, PoleOrderError, log_point, monomial_mapping, rf
 from .series import expand_in_u
-from .tensors import Tensor2, Tensor3, variables_used
+from .tensors import Tensor2, Tensor3, apply_product, unit_vector, variables_used
 from .builders import build_r_ts, hat_r
 
 # Slots, keyed by their (u, v) arguments.  The input matrix carries (u, v)
@@ -70,7 +70,8 @@ class VerifyReport:
         return self.result == "pass"
 
     def as_dict(self):
-        return asdict(self)
+        """The fields as a dict; nested values are shared, not copied."""
+        return dict(vars(self))
 
     def to_json(self):
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)
@@ -110,14 +111,10 @@ def _product(x, *factors):
 
     legs places a Tensor2 on legs 12, 13 or 23 of the 3-fold product; None
     takes a tensor on its own legs.  Given a vector x (a flat list), the
-    product applied to x instead, right factor first, as a column
-    (Tensor.column): no product of two factors is formed.
+    product applied to x instead (tensors.apply_product).
     """
     if x is not None:
-        for t, legs in reversed(factors):
-            x = t.apply(x, legs)
-        t, legs = factors[0]
-        return (Tensor2 if legs is None else Tensor3).column(t.n, x)
+        return apply_product(x, factors)
     (a, ab), *rest = factors
     if not rest:
         return a
@@ -441,7 +438,7 @@ def numeric_residual(identity, tensors, n, samples, tolerance, seed, provenance=
     for _ in range(samples):
         point, rejected = _clear_point(rng)
         resamples += rejected
-        x = [cmath.rect(1.0, 2 * cmath.pi * rng.random()) for _ in range(n ** legs)]
+        x = unit_vector(rng, n ** legs)
         residual, scale = _numeric_tensors(identity, floats, n, point, x)
         err = residual.max_abs()
         worst = max(worst, err)

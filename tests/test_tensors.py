@@ -8,7 +8,9 @@ from yangbaxter.scalars import X1, Y1, Y2, LaurentPoly, rf
 from yangbaxter.tensors import (
     Tensor2,
     Tensor3,
+    apply_product,
     gauge_conjugate,
+    unit_vector,
     weight_contract,
     weight_zero_ok,
 )
@@ -186,6 +188,28 @@ def test_column_and_apply_examples():
     y = (unit2(2, 1, 2, 1, 1) + unit2(2, 1, 2, 2, 2)).apply(x, 23)
     assert y == [2, 3, 0, 0, 6, 7, 0, 0]
     assert unit2(2, 1, 2, 1, 1).apply([1, 2, 3, 4]) == [3, 0, 0, 0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_apply_product_is_the_formed_product_on_a_column(rng, n):
+    """a12 b13 c23 and P Q applied to x, right factor first, equal the
+    formed products times x held as a column."""
+    a, b, c = (Tensor2(n, _random_coeffs(n, 2, "fraction", rng, 3 * n)) for _ in range(3))
+    x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n ** 3)]
+    formed = a.mul(b, legs=(12, 13)).mul(c, legs=23)
+    got = apply_product(x, ((a, 12), (b, 13), (c, 23)))
+    assert got == formed.mul(Tensor3.column(n, x))
+    y = x[: n * n]
+    assert apply_product(y, ((a, None), (b, None))) == a.mul(b).mul(Tensor2.column(n, y))
+
+
+def test_unit_vector_draws_unit_modulus_entries_from_the_rng():
+    import random
+
+    x = unit_vector(random.Random(3), 50)
+    assert len(x) == 50 and len(set(x)) == 50
+    assert all(abs(abs(z) - 1) < 1e-15 for z in x)
+    assert x == unit_vector(random.Random(3), 50)
 
 
 def test_apply_rejects_unknown_legs_and_wrong_lengths():

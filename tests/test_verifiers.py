@@ -627,6 +627,27 @@ def test_float_form_evaluates_to_the_same_bits_on_cg8_inputs():
                 assert bits == (want[key].real.hex(), want[key].imag.hex()), key
 
 
+def test_float_form_refuses_exact_operations():
+    """A float form evaluates, but arithmetic, comparison and printing,
+    which promise exact coefficients, raise, also through a RatFunc."""
+    from yangbaxter.scalars import LaurentPoly, log_point
+
+    poly = LaurentPoly({(1, 0, 0, 0): Fraction(1, 3), (0, 0, 1, 0): 2})
+    quotient = rf(poly) / rf(poly + 1)
+    logs = log_point(0.3 + 0.2j, 0.1j, 0.7, -0.4j, 2)
+    for exact in (poly, quotient):
+        floats = exact.float_form()
+        assert floats.evaluate(logs) == exact.evaluate(logs)
+        assert floats and not floats.is_zero()
+        for refused in (
+            lambda: floats + exact, lambda: exact + floats, lambda: floats - 1,
+            lambda: floats * floats, lambda: -floats, lambda: floats ** 2,
+            lambda: floats == exact, lambda: exact == floats, lambda: str(floats),
+        ):
+            with pytest.raises(TypeError):
+                refused()
+
+
 @pytest.mark.parametrize("samples", [0, -1])
 def test_numeric_rejects_sample_count_below_one(samples):
     r = build_r_uv(trivial_structures(3)[0], formula="kernel")
