@@ -50,7 +50,6 @@ from .verify import (
     aybe_residual,
     lift_obstruction,
     check_lift,
-    check_r01,
     cybe_residual,
     cybe_spectral_residual,
     hecke_residual,

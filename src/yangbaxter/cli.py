@@ -38,16 +38,18 @@ def _write_atomically(path, text):
     """Write through a fresh file in the target directory, then rename it over path.
 
     A reader sees the old file or the new one, never a partial write, and
-    a failed write leaves the old file and no temporary file behind.
+    a failed write leaves the old file and no temporary file behind; it
+    raises CliError naming path, not the temporary file.
     """
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
-    # mode "x" gives the permissions a new file gets from open(path, "w")
-    handle = open(tmp, "x", encoding="utf-8")
     try:
-        with handle:
+        # mode "x" gives the permissions a new file gets from open(path, "w")
+        with open(tmp, "x", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -104,8 +106,15 @@ def _select_triple(args):
         return BDTriple.make(n, {})
     if not args.triple_file:
         raise CliError("need one of --cg, --trivial, --triple-file")
-    with open(args.triple_file, encoding="utf-8") as handle:
-        t = BDTriple.from_json(json.load(handle))
+    try:
+        with open(args.triple_file, encoding="utf-8") as handle:
+            t = BDTriple.from_json(json.load(handle))
+    except OSError as exc:
+        raise CliError(
+            f"bad --triple-file: cannot read {args.triple_file}: {exc.strerror or exc}"
+        ) from exc
+    except ValueError as exc:  # not JSON, or not a triple document
+        raise CliError(f"bad --triple-file: {exc}") from exc
     if t.n != n:
         raise CliError("triple file has a different n")
     bad = triples.validate_triple(t)

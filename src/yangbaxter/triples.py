@@ -62,6 +62,13 @@ def root_inner(a, b):
     return 0
 
 
+def _json_int(value):
+    """An integer of a JSON document, given as a number or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, order=True)
 class BDTriple:
     """A triple (Gamma_1, Gamma_2, T), stored as sorted (a, T(a)) pairs."""
@@ -111,7 +118,16 @@ class BDTriple:
 
     @classmethod
     def from_json(cls, doc):
-        return cls.make(doc["n"], {int(a): b for a, b in doc["t_map"].items()})
+        """The triple of a to_json document.
+
+        Raises ValueError when doc is not an object with n and a t_map
+        object, or when n or an entry of t_map is not an integer.
+        """
+        try:
+            n, items = doc["n"], doc["t_map"].items()
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError("expected an object with n and a t_map object") from exc
+        return cls.make(_json_int(n), {_json_int(a): _json_int(b) for a, b in items})
 
 
 def validate_triple(t):
@@ -559,7 +575,10 @@ def solve_linear(rows, rhs, ncols):
 
 
 def _s_system_rows(t):
-    """Rows of the linear system for s (unknowns s_ij, i < j, row-major)."""
+    """Rows of the linear system for s (unknowns s_ij, i < j, row-major).
+
+    Each row is a sparse {column: int coefficient}.
+    """
     n = t.n
     unknowns = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     col = {u: c for c, u in enumerate(unknowns)}
@@ -568,15 +587,14 @@ def _s_system_rows(t):
         wa, wb = simple_root(a).weights(n), simple_root(b).weights(n)
         x = [p - q for p, q in zip(wa, wb)]  # alpha_a - alpha_b as a weight vector
         y = [p + q for p, q in zip(wa, wb)]  # alpha_a + alpha_b
+        support = [i for i in range(1, n + 1) if x[i - 1]]
         for j in range(1, n + 1):
-            row = [Fraction(0)] * len(unknowns)
-            for i in range(1, n + 1):
-                if i == j or not x[i - 1]:
-                    continue
+            row = {}
+            for i in support:
                 if i < j:
-                    row[col[(i, j)]] += x[i - 1]
-                else:
-                    row[col[(j, i)]] -= x[i - 1]
+                    row[col[(i, j)]] = x[i - 1]
+                elif i > j:
+                    row[col[(j, i)]] = -x[i - 1]
             rows.append(row)
             rhs.append(Fraction(y[j - 1], 2))
     return unknowns, rows, rhs
@@ -586,10 +604,7 @@ def s_in_solution_space(t, s):
     """Membership test for the affine solution space of the s-system."""
     unknowns, rows, rhs = _s_system_rows(t)
     vec = [s.get(i, j) for (i, j) in unknowns]
-    for row, b in zip(rows, rhs):
-        if sum(c * v for c, v in zip(row, vec)) != b:
-            return False
-    return True
+    return all(sum(c * vec[k] for k, c in row.items()) == b for row, b in zip(rows, rhs))
 
 
 def solve_s_system(t):
@@ -599,7 +614,8 @@ def solve_s_system(t):
     system indicates an internal error.
     """
     unknowns, rows, rhs = _s_system_rows(t)
-    particular, basis = solve_linear(rows, rhs, len(unknowns))
+    dense = [[Fraction(row.get(c, 0)) for c in range(len(unknowns))] for row in rows]
+    particular, basis = solve_linear(dense, rhs, len(unknowns))
     if particular is None:
         raise RuntimeError("s-system inconsistent for a valid triple")
 

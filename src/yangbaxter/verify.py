@@ -258,16 +258,11 @@ def lift_obstruction(r):
     return _assoc(r, r, r, r, r, r)[0].project_traceless((1, 2, 3))
 
 
-def tensor_u_coefficient(r, n, power, order=0):
-    """Tensor of u^power coefficients of an entrywise u-expansion."""
-    return _u_coefficients(r, n, (power,), order)[0]
-
-
-def _u_coefficients(r, n, powers, order=0):
-    """Tensors of the u^p coefficients, p in powers, expanding each entry once."""
+def u_coefficients(r, powers, order=0):
+    """Tensors of the u^p coefficients of r, p in powers, expanding each entry once."""
     outs = [{} for _ in powers]
     for key, value in r.coeffs.items():
-        series = expand_in_u(rf(value), n, order)
+        series = expand_in_u(rf(value), r.n, order)
         for out, power in zip(outs, powers):
             c = series.coeff(power)
             if c:
@@ -281,51 +276,29 @@ def check_lift(r, t, s, provenance=None):
     Passes when the u^-1 coefficient is 1 (x) 1 and the u^0 coefficient
     equals the spectral lift of the classical matrix for (t, s).
     """
-    n = t.n
-    pole, const = _u_coefficients(r, n, (-1, 0))
-    diff_pole = pole - Tensor2.identity(n).map_scalars(rf)
+    pole, const = u_coefficients(r, (-1, 0))
+    diff_pole = pole - Tensor2.identity(t.n).map_scalars(rf)
     diff_const = const - hat_r(build_r_ts(t, s))
     if not diff_pole.is_zero():
         return report_from_residual("lift", diff_pole, provenance)
     return report_from_residual("lift", diff_const, provenance)
 
 
-def check_r01(r0, r1, provenance=None):
-    """Residual of the order-one compatibility between r0 and r1.
+def pr_limit_check(r, provenance=None):
+    """Take u -> 0 and project both legs away from the identity.
 
-    r0_12(v) r0_13(v+v') - r0_23(v') r0_12(v) + r0_13(v+v') r0_23(v')
-    must equal r1_12(v) + r1_23(v') + r1_13(v+v').
+    The traceless projection is linear, so it is applied to the u^-1 and
+    u^0 coefficients of r.  The limit must exist (the projection kills the
+    pole; a surviving one raises PoleOrderError) and be a unitary spectral
+    CYBE solution.
     """
-    a, b, c = _symbolic_slots(r0, SPECTRAL_SLOTS)
-    lhs, _ = _assoc(a, b, c, a, b, c)
-    d, e, f = _symbolic_slots(r1, SPECTRAL_SLOTS)
-    rhs = d.embed(12) + f.embed(23) + e.embed(13)
-    return report_from_residual("r01", lhs - rhs, provenance)
-
-
-def pr_limit_check(r, n, provenance=None):
-    """Project both legs away from the identity and take u -> 0.
-
-    The limit must exist (pole killed by the projection) and be a unitary
-    spectral CYBE solution; a surviving pole raises PoleOrderError via a
-    nonzero u^-1 coefficient.
-    """
-    projected = r.map_scalars(rf).project_traceless((1, 2))
-    pole, rbar = _u_coefficients(projected, n, (-1, 0))
+    pole, rbar = (c.project_traceless((1, 2)) for c in u_coefficients(r, (-1, 0)))
     if not pole.is_zero():
         raise PoleOrderError("pole survives the traceless projection")
     residual = cybe_spectral_residual(rbar)
-    unit = unitarity_check(rbar, "classical")
-    ok = residual.is_zero() and unit.passed
-    witness = None
-    if not residual.is_zero():
-        witness = _witness(residual)
-    elif not unit.passed:
-        witness = unit.witness
-    return VerifyReport(
-        "pr_limit", "symbolic", "pass" if ok else "fail",
-        witness=witness, provenance=provenance,
-    )
+    if residual.is_zero():
+        residual, _ = _unitarity(*_symbolic_slots(rbar, UNITARITY_SLOTS["classical"]))
+    return report_from_residual("pr_limit", residual, provenance)
 
 
 # ---------------------------------------------------------------------------

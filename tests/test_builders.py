@@ -135,8 +135,7 @@ def test_ggs_semiclassical_term():
     st = cg_structure(3)
     s0 = s0_from_structure(st)
     R = build_R_ggs_assoc(st, s0)
-    const = verify.tensor_u_coefficient(R, 3, 0, order=1)
-    linear = verify.tensor_u_coefficient(R, 3, 1, order=1)
+    const, linear = verify.u_coefficients(R, (0, 1), order=1)
     assert const == Tensor2.identity(3).map_scalars(rf)
     assert linear == build_r_ts(st.triple, s0).map_scalars(rf)
 
@@ -176,7 +175,7 @@ def test_baxterize_y_limit_and_semiclassical():
     R = build_R_ggs_assoc(st, s0)
     RB = baxterize(R)
     assert RB.substitute({"Y1": rf(0)}) == R
-    linear = verify.tensor_u_coefficient(RB, 3, 1, order=1)
+    linear = verify.u_coefficients(RB, (1,), order=1)[0]
     assert linear == hat_r(build_r_ts(st.triple, s0))
     assert verify.qybe_spectral_residual(RB).is_zero()
 
@@ -223,7 +222,7 @@ def test_y_satisfies_aybe_n4():
 def test_y_diagonal_pole_structure():
     st = cg_structure(3)
     y = build_y(st)
-    pole = verify.tensor_u_coefficient(y, 3, -1)
+    pole = verify.u_coefficients(y, (-1,))[0]
     assert pole == Tensor2.identity(3).map_scalars(rf)
 
 

@@ -75,7 +75,7 @@ def test_build_ruv_has_unit_pole(capsys):
     )
     assert code == 0
     tensor = tensor2_from_json(doc)
-    pole = verify.tensor_u_coefficient(tensor, 3, -1)
+    pole = verify.u_coefficients(tensor, (-1,))[0]
     from yangbaxter.tensors import Tensor2
     from yangbaxter.scalars import rf
 
@@ -228,6 +228,15 @@ def test_output_file_is_replaced_atomically(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == [target]
 
 
+def test_output_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    assert cli.main(["enumerate", "--n", "2", "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {target}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 NONASSOCIATIVE = [
     t for n in range(2, 7) for t in triples.enumerate_triples(n)
     if not triples.compatible_permutations(t)
@@ -297,6 +306,20 @@ def test_tolerance_must_be_finite_and_positive(capsys, tolerance):
 ], ids=["perm", "cg-perm-malformed", "cg-perm-incompatible", "phi"])
 def test_bad_perm_and_phi_are_usage_errors(capsys, argv, message):
     assert_usage_error(capsys, argv, message)
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read"),
+    ('{"n": 3', "Expecting"),
+    ('{"n": 3}', "expected an object with n and a t_map object"),
+    ('{"n": 3, "t_map": {"1": "two"}}', "invalid literal"),
+], ids=["missing", "not-json", "no-t_map", "non-integer"])
+def test_bad_triple_file_is_a_usage_error(tmp_path, capsys, content, message):
+    path = tmp_path / "triple.json"
+    if content is not None:
+        path.write_text(content)
+    argv = ("build", "--n", "3", "--triple-file", str(path), "--target", "classical")
+    assert_usage_error(capsys, argv, "bad --triple-file: " + message)
 
 
 @pytest.mark.parametrize("argv", [

@@ -326,6 +326,37 @@ def test_solve_s_trivial_triple_dimension():
         assert len(basis) == n * (n - 1) // 2
 
 
+def dense_in_solution_space(t, s):
+    """The s-system as dense dot products: for each pair (a, b) and each j,
+    sum_i (alpha_a - alpha_b)_i s_ij = (alpha_a + alpha_b)_j / 2."""
+    n = t.n
+    for a, b in t.pairs:
+        wa, wb = simple_root(a).weights(n), simple_root(b).weights(n)
+        for j in range(1, n + 1):
+            lhs = sum((wa[i - 1] - wb[i - 1]) * s.get(i, j) for i in range(1, n + 1))
+            if lhs != Fraction(wa[j - 1] + wb[j - 1], 2):
+                return False
+    return True
+
+
+def test_sparse_membership_agrees_with_dense_dot_products():
+    for n in (2, 3, 4, 5):
+        for t in enumerate_triples(n):
+            particular, basis = solve_s_system(t)
+            for s in [particular] + [particular + b for b in basis]:
+                assert s_in_solution_space(t, s) and dense_in_solution_space(t, s)
+            if t.is_trivial:
+                continue  # no equations: every s solves the system
+            # a unit shift of s_ij with (alpha_a - alpha_b)_i != 0 breaks row j
+            a, b = t.pairs[0]
+            wa, wb = simple_root(a).weights(n), simple_root(b).weights(n)
+            i = next(i for i in range(1, n + 1) if wa[i - 1] != wb[i - 1])
+            j = 1 if i != 1 else 2
+            bad = particular + SWedge(n, {(i, j) if i < j else (j, i): 1})
+            assert not dense_in_solution_space(t, bad)
+            assert not s_in_solution_space(t, bad)
+
+
 def test_s0_plus_phi_span_solves_system():
     for n in (3, 4):
         for t in enumerate_triples(n):

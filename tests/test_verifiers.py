@@ -21,7 +21,8 @@ from yangbaxter.builders import (
     q_minus_qinv,
 )
 from yangbaxter.scalars import PoleOrderError, X1, Y1, Y2, rf
-from yangbaxter.tensors import Tensor2, gauge_conjugate
+from yangbaxter.series import expand_in_u
+from yangbaxter.tensors import Tensor2, gauge_conjugate, variables_used
 from yangbaxter.triples import (
     BDTriple,
     SWedge,
@@ -325,38 +326,69 @@ def test_check_lift_expands_each_entry_once(monkeypatch):
     assert verify.check_lift(r, st.triple, s0).passed
     assert len(calls) == len(r.coeffs) == 17
     calls.clear()
-    assert verify.pr_limit_check(r, st.n).passed
-    assert len(calls) == len(r.map_scalars(rf).project_traceless((1, 2)).coeffs)
+    assert verify.pr_limit_check(r).passed
+    assert len(calls) == len(r.coeffs)
 
 
-def test_check_r01_from_lift_and_shifts():
-    from yangbaxter.tensors import variables_used
+def _projection_first_rbar(r):
+    """The limit of r by the old order: project, then expand each entry."""
+    projected = r.map_scalars(rf).project_traceless((1, 2))
+    out = {}
+    for key, value in projected.coeffs.items():
+        series = expand_in_u(value, r.n, 0)
+        assert not series.coeff(-1)
+        if series.coeff(0):
+            out[key] = series.coeff(0)
+    return Tensor2(r.n, out)
 
-    (a2,) = trivial_structures(2)
-    r = build_r_uv(a2, formula="kernel")
-    r0 = verify.tensor_u_coefficient(r, 2, 0, order=1)
-    r1 = verify.tensor_u_coefficient(r, 2, 1, order=1)
-    # expansion coefficients live in Y1 only
-    assert variables_used(r0) <= {"Y1"}
-    assert variables_used(r1) <= {"Y1"}
-    assert verify.check_r01(r0, r1).passed
-    shift = Tensor2.identity(2).scale(rf(Fraction(1, 3)))
-    assert verify.check_r01(r0, r1 + shift).result == "fail"
-    vshift = Tensor2.identity(2).scale(rf(1) * Y1 - 1)  # (e^v - 1) 1x1
-    assert verify.check_r01(r0, r1 + vshift).result == "fail"
+
+def test_pr_limit_expands_before_it_projects(monkeypatch):
+    # the rbar handed to spectral CYBE equals the projection-first limit
+    seen = []
+    cybe = verify.cybe_spectral_residual
+
+    def recorded(rbar):
+        seen.append(rbar)
+        return cybe(rbar)
+
+    monkeypatch.setattr(verify, "cybe_spectral_residual", recorded)
+    for n in (2, 3):
+        for t in enumerate_triples(n):
+            for st in compatible_permutations(t):
+                r = build_r_uv(st, formula="kernel")
+                seen.clear()
+                assert verify.pr_limit_check(r).passed
+                (rbar,) = seen
+                assert rbar == _projection_first_rbar(r)
 
 
 def test_pr_limit_positive():
     for st in [trivial_structures(2)[0], cg_structure(3)]:
         r = build_r_uv(st, formula="kernel")
-        assert verify.pr_limit_check(r, st.n).passed
+        assert verify.pr_limit_check(r).passed
+        # expansion coefficients live in Y1 only
+        for c in verify.u_coefficients(r, (-1, 0, 1), order=1):
+            assert variables_used(c) <= {"Y1"}
+
+
+def test_pr_limit_n4_structures_and_perturbations():
+    structures = [st for t in enumerate_triples(4) for st in compatible_permutations(t)]
+    assert len(structures) == 14
+    for st in structures:
+        r = build_r_uv(st, formula="kernel")
+        assert verify.pr_limit_check(r).passed
+        # the least coefficient + 1 breaks the limit
+        key, _ = r.lex_witness()
+        rep = verify.pr_limit_check(r + Tensor2(4, {key: rf(1)}))
+        assert rep.result == "fail"
+        assert rep.witness is not None
 
 
 def test_pr_limit_unitarity_failure():
     n = 2
     pole = Tensor2.identity(n).scale((1 - X1 ** (-2 * n)) ** -1)
     bad = pole + Tensor2.perm_diag(n).scale(rf(1) * Y1)
-    rep = verify.pr_limit_check(bad, n)
+    rep = verify.pr_limit_check(bad)
     assert rep.result == "fail"
 
 
@@ -364,7 +396,7 @@ def test_pr_limit_surviving_pole():
     n = 2
     r = Tensor2.perm_diag(n).scale((1 - X1 ** (-2 * n)) ** -1)
     with pytest.raises(PoleOrderError):
-        verify.pr_limit_check(r, n)
+        verify.pr_limit_check(r)
 
 
 def test_pr_limit_constant_in_u():
@@ -372,7 +404,7 @@ def test_pr_limit_constant_in_u():
     t = BDTriple.make(2, {})
     particular, _ = solve_s_system(t)
     rh = hat_r(build_r_ts(t, particular))
-    assert verify.pr_limit_check(rh, 2).passed
+    assert verify.pr_limit_check(rh).passed
 
 
 # --- central identity ------------------------------------------------------
