@@ -327,17 +327,43 @@ def _sparse_tensor(nlegs):
         def float_form(self):
             """Every scalar in float form (LaurentPoly.float_form), a number
             as complex: it evaluates to the same bits as self, and is for
-            evaluate only."""
-            return self.map_scalars(_float_form)
+            evaluate only.
+
+            Entries whose scalars have the same terms in the same order
+            share one float-form object, which evaluate computes once per
+            point.  Equal scalars with their terms in another order are
+            kept apart, since they may round differently.
+            """
+            shared = {}
+            out = {}
+            for k, v in self.coeffs.items():
+                key = _terms_key(v)
+                if key is None:
+                    out[k] = _float_form(v)
+                    continue
+                f = shared.get(key)
+                if f is None:
+                    f = shared[key] = _float_form(v)
+                out[k] = f
+            return _adopt(Tensor, self.n, out)
 
         def evaluate(self, logs):
             """Entrywise numeric evaluation; scalars become complex.
 
             The entries share one table of monomial values, so a monomial
-            common to many entries is exponentiated once.
+            common to many entries is exponentiated once, and an object
+            held by many entries (as float_form shares them) is evaluated
+            once.
             """
             powers = {}
-            return self.map_scalars(lambda v: _to_complex(v, logs, powers))
+            values = {}
+            out = {}
+            for k, v in self.coeffs.items():
+                c = values.get(id(v))
+                if c is None:
+                    c = values[id(v)] = _to_complex(v, logs, powers)
+                out[k] = c
+            return _adopt(Tensor, self.n, out)
 
         def lex_witness(self):
             """Lexicographically least nonzero coefficient (index, value)."""
@@ -382,15 +408,40 @@ def _float_form(v):
     return v.float_form() if isinstance(v, (LaurentPoly, RatFunc)) else complex(v)
 
 
-def apply_product(x, factors):
+def _terms_key(v):
+    """The ordered terms of a polynomial or quotient, or None for a number.
+
+    Scalars with equal keys have equal float forms, bit for bit.
+    """
+    if isinstance(v, RatFunc):
+        return tuple(v.num.terms.items()), tuple(v.den.terms.items())
+    if isinstance(v, LaurentPoly):
+        return (tuple(v.terms.items()),)
+    return None
+
+
+def apply_product(x, factors, applied=None):
     """The product of factors, each (tensor, legs), applied to the vector x.
 
     x is a flat list and legs as for Tensor2.apply; a tensor with legs None
     acts on its own legs.  The factors are applied right first, so no
     product of two is formed, and the result is a column (Tensor.column).
+
+    applied, if given, is a dict the caller keeps for this one x: it holds
+    each right-hand suffix of factors applied to x so far, so products
+    that end in the same factors apply them once.  The result is the same
+    to the bit with or without it.
     """
+    if applied is None:
+        applied = {}
+    suffix = ()
     for t, legs in reversed(factors):
-        x = t.apply(x, legs)
+        suffix += ((id(t), legs),)
+        hit = applied.get(suffix)
+        if hit is None:
+            # the tensor is kept with its vector, so its id is not reused
+            hit = applied[suffix] = (t.apply(x, legs), t)
+        x = hit[0]
     t, legs = factors[0]
     return (Tensor2 if legs is None else Tensor3).column(t.n, x)
 

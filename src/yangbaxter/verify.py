@@ -101,20 +101,24 @@ def report_from_residual(identity, residual, provenance=None):
 # identities, each written once over its slots
 #
 # A formula returns the residual and the tensors it combined into it; the
-# latter give numeric mode its scale.  Numeric mode passes a sample vector
-# x: every product is then applied to x instead of being formed, and the
-# residual and its parts are vectors (see _product).
+# latter give numeric mode its scale.  Numeric mode passes a sample x, a
+# vector with the dict of products applied to it: every product is then
+# applied to the vector instead of being formed, and the residual and its
+# parts are vectors (see _product).
 
 
 def _product(x, *factors):
     """The product of factors, each (tensor, legs), left to right.
 
     legs places a Tensor2 on legs 12, 13 or 23 of the 3-fold product; None
-    takes a tensor on its own legs.  Given a vector x (a flat list), the
-    product applied to x instead (tensors.apply_product).
+    takes a tensor on its own legs.  Given a sample x, a pair of a vector
+    (a flat list) and the dict of products already applied to it, the
+    product applied to the vector instead (tensors.apply_product), so a
+    factor that ends several products is applied to it once.
     """
     if x is not None:
-        return apply_product(x, factors)
+        vector, applied = x
+        return apply_product(vector, factors, applied)
     (a, ab), *rest = factors
     if not rest:
         return a
@@ -317,8 +321,8 @@ def _sampled_hecke(u, x, R):
 
 
 # identity -> (input key, slot labels, legs of the sample vector, formula);
-# numeric mode calls the formula with the sample's u and vector x first,
-# and u only the Hecke condition uses.
+# numeric mode calls the formula with the sample's u and sample x first
+# (see _product), and u only the Hecke condition uses.
 NUMERIC_IDENTITIES = {
     "aybe": ("r", AYBE_SLOTS, 3, lambda u, x, *slots: _assoc(*slots, x=x)),
     "qybe": ("R", ("u,v",) * 3, 3, lambda u, x, *slots: _qybe(*slots, x=x)),
@@ -371,7 +375,10 @@ def _numeric_tensors(identity, tensors, n, point, x):
 
     Returns (residual, scale), the residual as a column (Tensor.column):
     scale is the largest entry magnitude of the formula's parts applied
-    to x.  Each distinct slot is evaluated once.
+    to x.  Each distinct slot is evaluated once, and within it each
+    distinct scalar of a float-form input (Tensor.float_form).  The
+    formula's products share one dict of the factors applied to x, so a
+    factor that ends several of them is applied once.
     """
     key, labels, _, formula = _numeric_row(identity)
     u, up, v, vp = point
@@ -380,7 +387,7 @@ def _numeric_tensors(identity, tensors, n, point, x):
         if label not in evaluated:
             uu, vv = SLOTS[label][1](*point)
             evaluated[label] = tensors[key].evaluate(log_point(uu, up, vv, vp, n))
-    residual, parts = formula(u, x, *(evaluated[label] for label in labels))
+    residual, parts = formula(u, (x, {}), *(evaluated[label] for label in labels))
     return residual, max(part.max_abs() for part in parts)
 
 

@@ -203,6 +203,52 @@ def test_apply_product_is_the_formed_product_on_a_column(rng, n):
     assert apply_product(y, ((a, None), (b, None))) == a.mul(b).mul(Tensor2.column(n, y))
 
 
+def test_apply_product_applies_a_shared_suffix_once(rng, monkeypatch):
+    """With one applied dict, products ending in the same factors apply
+    them once, and each result equals the one made without the dict."""
+    n = 3
+    a, b, c = (Tensor2(n, _random_coeffs(n, 2, "fraction", rng, 3 * n)) for _ in range(3))
+    x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n ** 3)]
+    products = (((a, 12), (b, 13)), ((c, 23), (b, 13)), ((b, 12), (b, 13)), ((a, 13), (b, 13)))
+    fresh = [apply_product(x, factors) for factors in products]
+    calls = []
+    apply = Tensor2.apply
+
+    def counted(self, x, legs=None):
+        calls.append((self, legs))
+        return apply(self, x, legs)
+
+    monkeypatch.setattr(Tensor2, "apply", counted)
+    applied = {}
+    assert [apply_product(x, factors, applied) for factors in products] == fresh
+    # b13 once, then each product's left factor: a12, c23, b12, a13
+    assert len(calls) == 5
+    assert apply_product(x, ((a, 12), (b, 13)), applied) == fresh[0]
+    assert len(calls) == 5
+
+
+def test_float_form_shares_scalars_with_the_same_ordered_terms():
+    """Entries with the same terms in the same order share one float form;
+    equal entries with their terms in another order do not."""
+    p = LaurentPoly({(1, 0, 0, 0): 2, (0, 0, 1, 0): Fraction(1, 3)})
+    q = LaurentPoly({(0, 0, 1, 0): Fraction(1, 3), (1, 0, 0, 0): 2})
+    assert p == q and list(p.terms) != list(q.terms)
+    den = rf(1) - rf(Y1)
+    t = Tensor2(2, {
+        (1, 1, 1, 1): rf(p) / den, (1, 1, 2, 2): rf(p) / den, (2, 2, 1, 1): rf(q) / den,
+        (2, 2, 2, 2): p, (1, 2, 2, 1): Fraction(3, 2),
+    })
+    assert list(t.coeffs[(1, 1, 1, 1)].num.terms) != list(t.coeffs[(2, 2, 1, 1)].num.terms)
+    floats = t.float_form().coeffs
+    assert floats[(1, 1, 1, 1)] is floats[(1, 1, 2, 2)]
+    assert floats[(2, 2, 1, 1)] is not floats[(1, 1, 1, 1)]
+    assert floats[(1, 2, 2, 1)] == 1.5 + 0j
+    logs = (0.3 + 0.2j, 0.1j, 0.7, -0.4j)
+    got = t.float_form().evaluate(logs).coeffs
+    assert got == {k: v.evaluate(logs) if hasattr(v, "evaluate") else complex(v)
+                   for k, v in t.coeffs.items()}
+
+
 def test_unit_vector_draws_unit_modulus_entries_from_the_rng():
     import random
 

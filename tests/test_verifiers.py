@@ -22,7 +22,7 @@ from yangbaxter.builders import (
 )
 from yangbaxter.scalars import PoleOrderError, X1, Y1, Y2, rf
 from yangbaxter.series import expand_in_u
-from yangbaxter.tensors import Tensor2, gauge_conjugate, variables_used
+from yangbaxter.tensors import Tensor2, Tensor3, gauge_conjugate, variables_used
 from yangbaxter.triples import (
     BDTriple,
     SWedge,
@@ -657,6 +657,122 @@ def test_float_form_evaluates_to_the_same_bits_on_cg8_inputs():
             for key, value in got.items():
                 bits = (value.real.hex(), value.imag.hex())
                 assert bits == (want[key].real.hex(), want[key].imag.hex()), key
+
+
+def test_float_form_evaluates_each_distinct_scalar_once_on_cg8_inputs(monkeypatch):
+    """One evaluation of a float form at a point evaluates each scalar
+    once per distinct ordered terms (numerator's and denominator's), not
+    once per entry."""
+    from yangbaxter.scalars import RatFunc, log_point
+
+    listed, source = cli._triples_at(8, 6)
+    inputs = []
+    for t in listed:
+        for st in cli._structures_for(t, source):
+            m = cli._Matrices(t, s0_from_structure(st), st)
+            inputs += [m.r_kernel, m.R_assoc, hat_r(m.r_ts)]
+    assert len(inputs) == 15
+    calls = []
+    evaluate = RatFunc.evaluate
+
+    def counted(self, logs, powers=None):
+        calls.append(self)
+        return evaluate(self, logs, powers)
+
+    monkeypatch.setattr(RatFunc, "evaluate", counted)
+    logs = log_point(0.3 + 0.2j, -0.4 + 0.1j, 0.5 - 0.6j, 0.2 + 0.7j, 8)
+    for tensor in inputs:
+        distinct = {
+            (tuple(v.num.terms.items()), tuple(v.den.terms.items()))
+            for v in tensor.coeffs.values()
+        }
+        floats = tensor.float_form()
+        calls.clear()
+        floats.evaluate(logs)
+        assert len(calls) == len(distinct) < len(tensor.coeffs)
+
+
+def _cg4_numeric_inputs():
+    """Each numeric identity's CG n = 4 input, least coefficient + 1."""
+    from yangbaxter.builders import build_R_ggs_assoc
+
+    st = cg_structure(4)
+    s0 = s0_from_structure(st)
+    r_uv = build_r_uv(st, s0, formula="kernel")
+    R = build_R_ggs_assoc(st, s0)
+    inputs = {
+        "aybe": r_uv,
+        "unitarity_assoc": r_uv,
+        "qybe": R,
+        "hecke": R,
+        "qybe_spectral": baxterize(R),
+        "cybe_spectral": hat_r(build_r_ts(st.triple, s0)),
+    }
+    assert set(inputs) == set(verify.NUMERIC_IDENTITIES)
+    return {identity: _perturbed(t) for identity, t in inputs.items()}
+
+
+def test_numeric_products_apply_each_shared_factor_once(monkeypatch):
+    """Within one sample, a factor (with the factors right of it) that
+    ends several of the formula's products is applied to the vector once."""
+    point = (0.31 + 0.52j, -0.44 + 0.27j, 0.62 - 0.35j, -0.53 + 0.41j)
+    calls = []
+    apply = Tensor2.apply
+
+    def counted(self, x, legs=None):
+        calls.append(legs)
+        return apply(self, x, legs)
+
+    monkeypatch.setattr(Tensor2, "apply", counted)
+    expected = {
+        "cybe_spectral": 9, "hecke": 3, "aybe": 6, "qybe": 6,
+        "qybe_spectral": 6, "unitarity_assoc": 2,
+    }
+    for identity, t in _cg4_numeric_inputs().items():
+        key, _, legs, _ = verify.NUMERIC_IDENTITIES[identity]
+        calls.clear()
+        verify._numeric_tensors(identity, {key: t.float_form()}, 4, point, _sample_vector(4, legs))
+        assert len(calls) == expected[identity], identity
+
+
+def _applied_afresh(vector, factors, applied):
+    """Reference route: every factor of every product applied to the vector anew."""
+    for t, legs in reversed(factors):
+        vector = t.apply(vector, legs)
+    t, legs = factors[0]
+    return (Tensor2 if legs is None else Tensor3).column(t.n, vector)
+
+
+def test_numeric_sharing_keeps_the_bits_of_the_unshared_route(monkeypatch):
+    """The residual column and the scale equal, bit for bit, the route
+    that evaluates every entry's scalar on its own and applies every
+    factor of every product anew."""
+    from yangbaxter.scalars import log_point
+
+    point = (0.31 + 0.52j, -0.44 + 0.27j, 0.62 - 0.35j, -0.53 + 0.41j)
+    u, up, v, vp = point
+
+    def bits(z):
+        return z.real.hex(), z.imag.hex()
+
+    for identity, t in _cg4_numeric_inputs().items():
+        key, labels, legs, formula = verify.NUMERIC_IDENTITIES[identity]
+        x = _sample_vector(4, legs)
+        residual, scale = verify._numeric_tensors(identity, {key: t.float_form()}, 4, point, x)
+        slots = []
+        for label in labels:
+            uu, vv = verify.SLOTS[label][1](*point)
+            logs = log_point(uu, up, vv, vp, 4)
+            slots.append(t.map_scalars(lambda c: c.float_form().evaluate(logs)))
+        with monkeypatch.context() as patched:
+            patched.setattr(verify, "apply_product", _applied_afresh)
+            want, parts = formula(u, (x, None), *slots)
+        want_scale = max(part.max_abs() for part in parts)
+        assert residual.coeffs.keys() == want.coeffs.keys(), identity
+        for k, value in residual.coeffs.items():
+            assert bits(value) == bits(want.coeffs[k]), (identity, k)
+        assert scale.hex() == want_scale.hex(), identity
+        assert residual.max_abs() > 1e-3, identity
 
 
 def test_float_form_refuses_exact_operations():
