@@ -29,7 +29,6 @@ from .triples import (
     enumerate_triples,
     is_associative,
     is_valid,
-    adjacency_exponent,
     s0_from_structure,
     solve_s_system,
     validate_triple,

@@ -17,7 +17,6 @@ from .scalars import LaurentPoly, RatFunc, monomial_rf, q_power, rf
 from .tensors import Tensor2, gauge_conjugate
 from .triples import (
     SCHEMA_VERSION,
-    adjacency_exponent,
     phi_from_s,
     prec_pairs,
     s_in_solution_space,
@@ -66,7 +65,7 @@ def build_a(t):
     e_beta (x) e_{-alpha}); empty for the trivial triple.
     """
     out = {}
-    for alpha, beta, _, c in prec_pairs(t):
+    for alpha, beta, _, c, _ in prec_pairs(t):
         sign = Fraction(-1 if (c * (alpha.length - 1)) % 2 else 1)
         i, j = alpha
         k, l = beta
@@ -104,12 +103,12 @@ def hat_r(r):
     return Tensor2(r.n, out)
 
 
-def _q_conjugate(tensor, s, n):
+def _q_conjugate(tensor, s):
     """q^s M q^s: scale the (a, b, c, d) entry by q^(s_ac + s_bd)."""
     out = {}
     for (a, b, c, d), v in tensor.coeffs.items():
         e = s.get(a, c) + s.get(b, d)
-        out[(a, b, c, d)] = q_power(n, e) * rf(v) if e else rf(v)
+        out[(a, b, c, d)] = q_power(tensor.n, e) * rf(v) if e else rf(v)
     return Tensor2(tensor.n, out)
 
 
@@ -137,17 +136,16 @@ def build_R_ggs_general(t, s):
     qm = q_minus_qinv(n)
     core = build_R_st(n)
     extra = {}
-    for alpha, beta, _, c in prec_pairs(t):
+    for alpha, beta, _, c, exponent in prec_pairs(t):
         cexp = c * (alpha.length - 1)
         sign = Fraction(-1 if cexp % 2 else 1)
-        exponent = adjacency_exponent(t, alpha, beta)
         i, j = alpha
         k, l = beta
         low = qm * (sign * q_power(n, -cexp - exponent))
         high = qm * (sign * q_power(n, cexp + exponent))
         for key, val in (((j, i, k, l), low), ((k, l, j, i), -high)):
             extra[key] = extra.get(key, RatFunc.zero()) + val
-    return _q_conjugate(core + Tensor2(n, extra), s, n)
+    return _q_conjugate(core + Tensor2(n, extra), s)
 
 
 def build_R_ggs_assoc(a, s=None):
@@ -173,7 +171,7 @@ def build_R_ggs_assoc(a, s=None):
     for alpha in positive_roots(n):
         i, j = alpha
         out[(j, i, i, j)] = qm
-    for alpha, beta, k, _ in prec_pairs(a.triple):
+    for alpha, beta, k, _, _ in prec_pairs(a.triple):
         i, j = alpha
         kk, ll = beta
         low = qm * q_power(n, Fraction(-2 * k, n))
@@ -183,7 +181,7 @@ def build_R_ggs_assoc(a, s=None):
         out[key_low] = out.get(key_low, RatFunc.zero()) + low
         out[key_high] = out.get(key_high, RatFunc.zero()) - high
     diff = s + s0.scale(-1)
-    return _q_conjugate(Tensor2(n, out), diff, n)
+    return _q_conjugate(Tensor2(n, out), diff)
 
 
 def baxterize(R):
@@ -208,7 +206,7 @@ def build_y(a):
     for alpha in positive_roots(n):
         i, j = alpha
         out[(j, i, i, j)] = rf(1)
-    for alpha, beta, k, _ in prec_pairs(a.triple):
+    for alpha, beta, k, _, _ in prec_pairs(a.triple):
         i, j = alpha
         kk, ll = beta
         key_low = (j, i, kk, ll)
@@ -239,7 +237,7 @@ def build_r_uv(a, s=None, formula="both"):
         return p_term + R.scale(q_minus_qinv(n).inverse())
 
     def via_kernel():
-        return p_term + gauge_conjugate(build_y(a), phi, n)
+        return p_term + gauge_conjugate(build_y(a), phi)
 
     if formula == "quantum":
         return via_quantum()

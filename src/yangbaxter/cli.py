@@ -236,28 +236,25 @@ def cmd_build(args):
     return 0
 
 
-def _triples_at(n, bound):
-    """Triples driving the verify suites.
+def _listing(n, bound):
+    """The (triple, structures) pairs driving the verify suites.
 
     Beyond the exhaustive-enumeration bound the listing falls back to the
     triples that exist closed-form for every n: the trivial one and the
-    Cremmer-Gervais family.
+    Cremmer-Gervais family.  There the trivial triple's (n-1)! compatible
+    cycles give way to the standard shift cycle, built without listing
+    the others.
     """
     if n <= bound:
-        return triples.enumerate_triples(n, bound=bound), "exhaustive"
-    listed = [BDTriple.make(n, {})]
-    listed += [t for _, t in triples.enumerate_cg_triples(n)]
-    return listed, "trivial+cg"
-
-
-def _structures_for(t, source):
-    if source == "exhaustive" or not t.is_trivial:
-        return triples.compatible_permutations(t)
-    # the trivial triple has (n-1)! compatible cycles; beyond the
-    # enumeration bound keep only the standard shift cycle, built
-    # without listing the others
-    shift = tuple(i % t.n + 1 for i in range(1, t.n + 1))
-    return [triples.make_structure(t, shift)]
+        listed = triples.enumerate_triples(n, bound=bound)
+        return [(t, triples.compatible_permutations(t)) for t in listed]
+    listed = [BDTriple.make(n, {})] + [t for _, t in triples.enumerate_cg_triples(n)]
+    shift = tuple(i % n + 1 for i in range(1, n + 1))
+    return [
+        (t, [triples.make_structure(t, shift)] if t.is_trivial
+         else triples.compatible_permutations(t))
+        for t in listed
+    ]
 
 
 def _s_family(t, base_prov):
@@ -271,8 +268,7 @@ def _s_family(t, base_prov):
 def _exponent_report(m, prov):
     """The adjacency exponent of every alpha < beta against 1 - (alpha (x) beta) s."""
     s, witness = m.s, None
-    for alpha, beta, _, _ in triples.prec_pairs(m.triple):
-        lhs = triples.adjacency_exponent(m.triple, alpha, beta)
+    for alpha, beta, _, _, lhs in triples.prec_pairs(m.triple):
         (a, b), (c, d) = alpha, beta
         rhs = 1 - (s.get(a, c) - s.get(a, d) - s.get(b, c) + s.get(b, d))
         if lhs != rhs:
@@ -341,9 +337,7 @@ def _verify(args):
         if not (math.isfinite(args.tolerance) and args.tolerance > 0):
             raise CliError("--tolerance must be a finite number > 0")
     reports = []
-    listed, source = _triples_at(args.n, args.bound)
-    for t in listed:
-        structures = _structures_for(t, source)
+    for t, structures in _listing(args.n, args.bound):
         base_prov = {"triple": t.to_json()}
         per_s = set() if numeric else suites
         if structures or not args.include_nonassociative:

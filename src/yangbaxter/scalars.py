@@ -522,8 +522,8 @@ def rf(value):
     return RatFunc(value)
 
 
-def monomial_rf(x1=0, x2=0, y1=0, y2=0, coeff=1):
-    return RatFunc(LaurentPoly.monomial((x1, x2, y1, y2), coeff))
+def monomial_rf(x1=0, x2=0, y1=0, y2=0):
+    return RatFunc(LaurentPoly.monomial((x1, x2, y1, y2)))
 
 
 X1 = monomial_rf(x1=1)

@@ -145,9 +145,9 @@ def _sparse_tensor(nlegs):
             return cls(n, {tuple(x for i in row for x in (i, i)): one for row in rows})
 
         @classmethod
-        def perm_diag(cls, n, one=Fraction(1)):
+        def perm_diag(cls, n):
             """P^0 = sum e_ii (x) e_ii (x) ..., the diagonal part of P."""
-            return cls(n, {(i,) * (2 * nlegs): one for i in range(1, n + 1)})
+            return cls(n, {(i,) * (2 * nlegs): Fraction(1) for i in range(1, n + 1)})
 
         @classmethod
         def column(cls, n, values):
@@ -462,21 +462,22 @@ def weight_contract(t, w1, w2):
     return Fraction(0) if total is None else total
 
 
-def gauge_conjugate(t, phi, n):
+def gauge_conjugate(t, phi):
     """exp(-Phi^2 u) t exp(Phi^1 u) for a diagonal Phi = diag(phi).
 
     The coefficient at e_ij (x) e_kl picks up exp((phi_j - phi_k) u),
-    realized as the monomial X1^(2n(phi_j - phi_k)).  Entries are promoted
-    to RatFunc when needed.
+    realized as the monomial X1^(2n(phi_j - phi_k)) with n = t.n.  Entries
+    are promoted to RatFunc when needed.  Raises ValueError unless phi
+    has t.n entries.
     """
     phi = [Fraction(x) for x in phi]
-    if len(phi) != n:
+    if len(phi) != t.n:
         raise ValueError("Phi must have one diagonal entry per row")
     out = {}
     for (i, j, k, l), v in t.coeffs.items():
         rate = phi[j - 1] - phi[k - 1]
         if rate:
-            v = monomial_rf(x1=2 * n * rate) * rf(v)
+            v = monomial_rf(x1=2 * t.n * rate) * rf(v)
         out[(i, j, k, l)] = v
     return _adopt(Tensor2, t.n, out)
 

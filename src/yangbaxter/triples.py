@@ -1,8 +1,8 @@
 """Belavin-Drinfeld triples for sl(n) and their combinatorics.
 
 Covers validation and exhaustive enumeration of triples, the root
-ordering alpha < beta under iteration of T, orientation labels, the
-adjacency exponents of the quantum formula, compatible cyclic
+ordering alpha < beta under iteration of T with the orientation label
+and the adjacency exponent of each pair, compatible cyclic
 permutations and the resulting associative structures, the closed
 formula for s0, and the exact rational linear systems for the
 continuous datum s and the gauge freedom Phi.
@@ -104,17 +104,14 @@ class BDTriple:
         """The dual triple (Gamma_2, Gamma_1, T^-1)."""
         return BDTriple.make(self.n, {b: a for a, b in self.pairs})
 
-    def to_json(self, provenance=None):
-        doc = {
+    def to_json(self):
+        return {
             "schema_version": SCHEMA_VERSION,
             "n": self.n,
             "gamma1": list(self.gamma1),
             "gamma2": list(self.gamma2),
             "t_map": {str(a): b for a, b in self.pairs},
         }
-        if provenance is not None:
-            doc["provenance"] = provenance
-        return doc
 
     @classmethod
     def from_json(cls, doc):
@@ -258,58 +255,33 @@ def positive_roots(n):
     return [Root(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def prec_pairs(t):
-    """All (alpha, beta, k, C) with T^k alpha = beta, k >= 1."""
-    out = []
-    for alpha in positive_roots(t.n):
-        for k, beta, c in t_orbit(t, alpha):
-            out.append((alpha, beta, k, c))
-    return out
-
-
-def prec_order(t, alpha, beta):
-    """The k >= 1 with T^k alpha = beta, or None when alpha !< beta."""
-    for k, img, _ in t_orbit(t, alpha):
-        if img == beta:
-            return k
-    return None
-
-
-def orientation_C(t, alpha, beta):
-    """Orientation label of the pair alpha < beta (0 preserve, 1 reverse)."""
-    for _, img, c in t_orbit(t, alpha):
-        if img == beta:
-            return c
-    raise ValueError(f"{alpha} does not precede {beta}")
-
-
-def is_orientation_preserving(t):
-    return all(c == 0 for (_, _, _, c) in prec_pairs(t))
-
-
 def _adjacent(a, b):
     """a lessdot b: segment a lies immediately left-adjacent to segment b."""
     return a.j == b.i
 
 
-def adjacency_exponent(t, alpha, beta):
-    """The combinatorial exponent in the quantum formula for alpha < beta.
+def prec_pairs(t):
+    """All (alpha, beta, k, C, exponent) with T^k alpha = beta, k >= 1.
 
+    exponent is the combinatorial exponent of the quantum formula,
     1/2([a<.b] + [b<.a]) + [exists gamma strictly between with a<.gamma]
     + [exists gamma with gamma<.a], where <. is left-adjacency of
-    segments; always equal to 1 - (alpha (x) beta) s.
+    segments and gamma runs over T^m alpha, 0 < m < k; it always equals
+    1 - (alpha (x) beta) s.  Each root's T-orbit is walked once: two flags
+    record whether an earlier image lay right- or left-adjacent to alpha.
     """
-    chain = {}
-    for k, img, _ in t_orbit(t, alpha):
-        chain[k] = img
-    k = next((k for k, img in chain.items() if img == beta), None)
-    if k is None:
-        raise ValueError(f"{alpha} does not precede {beta}")
-    between = [chain[a] for a in range(1, k)]
-    exponent = Fraction(int(_adjacent(alpha, beta)) + int(_adjacent(beta, alpha)), 2)
-    exponent += int(any(_adjacent(alpha, g) for g in between))
-    exponent += int(any(_adjacent(g, alpha) for g in between))
-    return exponent
+    out = []
+    for alpha in positive_roots(t.n):
+        right = left = 0
+        for k, beta, c in t_orbit(t, alpha):
+            ab, ba = int(_adjacent(alpha, beta)), int(_adjacent(beta, alpha))
+            out.append((alpha, beta, k, c, Fraction(ab + ba, 2) + right + left))
+            right, left = right | ab, left | ba
+    return out
+
+
+def is_orientation_preserving(t):
+    return all(c == 0 for (_, _, _, c, _) in prec_pairs(t))
 
 
 @dataclass(frozen=True, order=True)
@@ -339,12 +311,8 @@ class AssocStructure:
             x = self.apply(x)
         raise RuntimeError("tilde T is not a single n-cycle")
 
-    def to_json(self, provenance=None):
-        doc = self.triple.to_json()
-        doc["tilde_t"] = list(self.tilde_t)
-        if provenance is not None:
-            doc["provenance"] = provenance
-        return doc
+    def to_json(self):
+        return dict(self.triple.to_json(), tilde_t=list(self.tilde_t))
 
 
 def _is_n_cycle(images):

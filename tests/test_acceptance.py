@@ -29,7 +29,6 @@ from yangbaxter.triples import (
     enumerate_triples,
     is_valid,
     prec_pairs,
-    adjacency_exponent,
     s0_from_structure,
     solve_s_system,
 )
@@ -131,8 +130,7 @@ def test_criterion_06_ps_lemma():
                     continue
                 for s in s_choices(t):
                     st = s_as_tensor(s)
-                    for alpha, beta, _, _ in pairs:
-                        lhs = adjacency_exponent(t, alpha, beta)
+                    for alpha, beta, _, _, lhs in pairs:
                         rhs = 1 - weight_contract(
                             st, alpha.weights(n), beta.weights(n)
                         )
@@ -175,7 +173,7 @@ def test_criterion_08_gauge_covariance():
             (Fraction(1), Fraction(1, 3), Fraction(-1, 3)),
         ]
         for phi in phis:
-            conjugated = gauge_conjugate(r, phi, 3)
+            conjugated = gauge_conjugate(r, phi)
             assert verify.aybe_residual(conjugated).is_zero()
             assert verify.unitarity_check(conjugated, "associative").passed
 

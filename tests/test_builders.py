@@ -165,7 +165,7 @@ def test_ggs_with_gauge_equals_conjugated():
     base = build_R_ggs_assoc(st, s0)
     # q^{s-s0} M q^{s-s0} with s-s0 = Phi^1 - Phi^2 is exactly the u-gauge
     # with rate phi/2 per leg... realized through gauge_conjugate on X1
-    conjugated = gauge_conjugate(base, phi, 3)
+    conjugated = gauge_conjugate(base, phi)
     assert direct == conjugated
 
 

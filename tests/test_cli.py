@@ -179,12 +179,18 @@ def test_verify_numeric_deterministic(capsys):
 def test_structures_beyond_the_bound_list_no_trivial_cycles(monkeypatch):
     """Above --bound the trivial triple keeps only the shift cycle, built
     directly: listing its (n-1)! compatible cycles is out of reach at n = 16."""
-    def refuse(t):
-        raise AssertionError("compatible_permutations called on the trivial triple")
+    compatible = triples.compatible_permutations
 
-    monkeypatch.setattr(triples, "compatible_permutations", refuse)
-    (structure,) = cli._structures_for(triples.BDTriple.make(16, {}), "trivial+cg")
+    def refuse_trivial(t):
+        if t.is_trivial:
+            raise AssertionError("compatible_permutations called on the trivial triple")
+        return compatible(t)
+
+    monkeypatch.setattr(triples, "compatible_permutations", refuse_trivial)
+    (trivial, (structure,)), *cg = cli._listing(16, 6)
+    assert trivial == triples.BDTriple.make(16, {})
     assert structure.tilde_t == tuple(range(2, 17)) + (1,)
+    assert cg == [(t, compatible(t)) for _, t in triples.enumerate_cg_triples(16)]
 
 
 def test_build_byte_deterministic(capsys):

@@ -351,20 +351,33 @@ def test_weight_contract_examples():
 def test_gauge_conjugate_zero_phi():
     n = 3
     t = random_sparse_tensor2(n, __import__("random").Random(5), nnz=5)
-    assert gauge_conjugate(t, [0, 0, 0], n) == t.map_scalars(rf)
+    assert gauge_conjugate(t, [0, 0, 0]) == t.map_scalars(rf)
 
 
 def test_gauge_conjugate_monomial_factors():
     # entry at e_ij (x) e_kl picks up exp((phi_j - phi_k) u)
     n = 2
     t = unit2(n, 1, 2, 2, 1)
-    got = gauge_conjugate(t, [Fraction(1, 2), Fraction(0)], n)
+    got = gauge_conjugate(t, [Fraction(1, 2), Fraction(0)])
     # phi_j - phi_k = phi_2 - phi_2 = 0 here
     assert got == t.map_scalars(rf)
     t2 = unit2(n, 2, 1, 2, 2)
-    got2 = gauge_conjugate(t2, [Fraction(1, 2), Fraction(0)], n)
+    got2 = gauge_conjugate(t2, [Fraction(1, 2), Fraction(0)])
     # phi_1 - phi_2 = 1/2: factor e^{u/2} = X1^(2n/2) = X1^2
     assert got2.coeffs[(2, 1, 2, 2)] == rf(1) * X1**2
+
+
+def test_gauge_conjugate_reads_n_from_the_tensor():
+    """The monomial rate 2n comes from the tensor, and a phi of another
+    length than t.n is refused."""
+    t = unit2(3, 2, 1, 2, 2)
+    got = gauge_conjugate(t, [Fraction(1, 2), Fraction(0), Fraction(0)])
+    # phi_1 - phi_2 = 1/2: factor e^{u/2} = X1^(2n/2) = X1^3 at n = 3
+    assert got.n == 3
+    assert got.coeffs[(2, 1, 2, 2)] == rf(1) * X1**3
+    for phi in ([Fraction(1, 2), Fraction(0)], [Fraction(1, 2), 0, 0, 0]):
+        with pytest.raises(ValueError):
+            gauge_conjugate(t, phi)
 
 
 def test_weight_zero_rule():

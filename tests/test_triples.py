@@ -20,21 +20,21 @@ from yangbaxter.triples import (
     is_orientation_preserving,
     is_valid,
     make_structure,
-    orientation_C,
     phi_coboundary,
     phi_space,
-    prec_order,
+    positive_roots,
     prec_pairs,
-    adjacency_exponent,
     s0_from_structure,
     s_in_solution_space,
     simple_root,
     solve_s_system,
+    t_orbit,
     tilde_t_from_s,
     validate_triple,
 )
+from yangbaxter import triples
 from yangbaxter.tensors import weight_contract
-from yangbaxter.builders import s_as_tensor
+from yangbaxter.builders import build_R_ggs_general, build_r_ts, s_as_tensor
 
 from conftest import cg_structure, trivial_structures
 
@@ -153,27 +153,33 @@ def test_cg3_explicit():
     assert (m2, t2.t_map) == (2, {2: 1})
 
 
+def _pair(t, alpha, beta):
+    """The (k, C, exponent) that prec_pairs carries for alpha < beta, or None."""
+    found = [rest for a, b, *rest in prec_pairs(t) if (a, b) == (alpha, beta)]
+    assert len(found) <= 1
+    return tuple(found[0]) if found else None
+
+
 def test_prec_order_examples(reversing5):
     cg3 = BDTriple.make(3, {1: 2})
-    assert prec_order(cg3, simple_root(1), simple_root(2)) == 1
+    assert _pair(cg3, simple_root(1), simple_root(2))[0] == 1
     trivial = BDTriple.make(4, {})
     assert prec_pairs(trivial) == []
     cg4 = BDTriple.make(4, {1: 2, 2: 3})
-    assert prec_order(cg4, simple_root(1), simple_root(3)) == 2
-    assert prec_order(cg4, simple_root(3), simple_root(1)) is None
+    assert _pair(cg4, simple_root(1), simple_root(3))[0] == 2
+    assert _pair(cg4, simple_root(3), simple_root(1)) is None
 
 
 def test_orientation_examples(reversing5):
     # length-1 roots carry label 0 by convention
     cg3 = BDTriple.make(3, {1: 2})
-    assert orientation_C(cg3, simple_root(1), simple_root(2)) == 0
+    assert _pair(cg3, simple_root(1), simple_root(2))[1] == 0
     # the n=5 reversing pair e1-e3 -> e3-e5
-    assert orientation_C(reversing5, Root(1, 3), Root(3, 5)) == 1
+    assert _pair(reversing5, Root(1, 3), Root(3, 5))[1] == 1
     # CG n=4: e1-e3 -> e2-e4 preserves
     cg4 = BDTriple.make(4, {1: 2, 2: 3})
-    assert orientation_C(cg4, Root(1, 3), Root(2, 4)) == 0
-    with pytest.raises(ValueError):
-        orientation_C(cg4, Root(1, 3), Root(1, 4))
+    assert _pair(cg4, Root(1, 3), Root(2, 4))[1] == 0
+    assert _pair(cg4, Root(1, 3), Root(1, 4)) is None
 
 
 def test_is_orientation_preserving(reversing5):
@@ -186,25 +192,93 @@ def test_is_orientation_preserving(reversing5):
 
 def test_ps_examples(reversing5):
     cg3 = BDTriple.make(3, {1: 2})
-    assert adjacency_exponent(cg3, simple_root(1), simple_root(2)) == Fraction(1, 2)
+    assert _pair(cg3, simple_root(1), simple_root(2))[2] == Fraction(1, 2)
     # disjoint non-adjacent segments with no intermediates
-    assert adjacency_exponent(reversing5, simple_root(1), simple_root(4)) == 0
+    assert _pair(reversing5, simple_root(1), simple_root(4))[2] == 0
     cg4 = BDTriple.make(4, {1: 2, 2: 3})
-    assert adjacency_exponent(cg4, simple_root(1), simple_root(3)) == 1
+    assert _pair(cg4, simple_root(1), simple_root(3))[2] == 1
+
+
+def _chain_exponent(t, alpha, beta):
+    """The adjacency exponent from its definition on the chain alpha < ... < beta.
+
+    1/2([a<.b] + [b<.a]) + [exists gamma strictly between with a<.gamma]
+    + [exists gamma with gamma<.a], where <. is left-adjacency of segments,
+    over a fresh walk of alpha's T-orbit for this one pair.
+    """
+    def adjacent(a, b):
+        return a.j == b.i
+
+    chain = {}
+    for k, img, _ in t_orbit(t, alpha):
+        chain[k] = img
+    k = next(k for k, img in chain.items() if img == beta)
+    between = [chain[a] for a in range(1, k)]
+    exponent = Fraction(int(adjacent(alpha, beta)) + int(adjacent(beta, alpha)), 2)
+    exponent += int(any(adjacent(alpha, g) for g in between))
+    exponent += int(any(adjacent(g, alpha) for g in between))
+    return exponent
+
+
+def test_prec_pairs_exponent_matches_the_chain_definition():
+    """The exponent carried by prec_pairs' one walk per root equals, in value
+    and in type, the chain definition on every pair of every triple at n <= 7."""
+    pairs = 0
+    for n in range(2, 8):
+        for t in enumerate_triples(n, bound=7):
+            for alpha, beta, k, c, exponent in prec_pairs(t):
+                want = _chain_exponent(t, alpha, beta)
+                assert (exponent, type(exponent)) == (want, type(want)), (t, alpha, beta)
+                pairs += 1
+    assert pairs == 2736
+
+
+def test_ggs_general_walks_each_orbit_once(monkeypatch):
+    """build_R_ggs_general on CG n = 8 walks each positive root's T-orbit
+    once: 28 walks, not one more per pair."""
+    st = cg_structure(8)
+    s0 = s0_from_structure(st)
+    walks = []
+    walk = triples.t_orbit
+
+    def counted(t, alpha):
+        walks.append(alpha)
+        return walk(t, alpha)
+
+    monkeypatch.setattr(triples, "t_orbit", counted)
+    build_R_ggs_general(st.triple, s0)
+    assert sorted(walks) == positive_roots(8)
 
 
 def test_ps_lemma_against_s_contraction():
-    """adjacency_exponent = 1 - (alpha (x) beta) s for every solution s."""
+    """The exponent of prec_pairs = 1 - (alpha (x) beta) s for every solution s."""
     for n in range(2, 6):
         for t in enumerate_triples(n):
             particular, basis = solve_s_system(t)
             for s in [particular] + [particular + b for b in basis]:
                 st = s_as_tensor(s)
-                for alpha, beta, _, _ in prec_pairs(t):
+                for alpha, beta, _, _, exponent in prec_pairs(t):
                     contraction = weight_contract(
                         st, alpha.weights(n), beta.weights(n)
                     )
-                    assert adjacency_exponent(t, alpha, beta) == 1 - contraction
+                    assert exponent == 1 - contraction
+
+
+def test_s_basis_directions_move_only_the_cartan_part():
+    """Along every basis direction b of the s-family, r_{T,s} changes only
+    in e_ii (x) e_jj entries.  Cartan tensors commute, so the CYBE
+    residuals stay affine in s and the per-s rows at the particular s and
+    particular + each basis vector cover the whole family."""
+    directions = 0
+    for n in range(2, 6):
+        for t in enumerate_triples(n):
+            particular, basis = solve_s_system(t)
+            base = build_r_ts(t, particular)
+            for b in basis:
+                moved = build_r_ts(t, particular + b) - base
+                assert all(i == j and k == l for i, j, k, l in moved.coeffs), (t, b)
+                directions += 1
+    assert directions == 166
 
 
 def test_compatible_permutations_counts(reversing5):
@@ -252,7 +326,7 @@ def test_translation_property_of_assoc_pairs():
     for n in (3, 4):
         for t in enumerate_triples(n):
             for structure in compatible_permutations(t):
-                for alpha, beta, k, c in prec_pairs(t):
+                for alpha, beta, k, c, _ in prec_pairs(t):
                     assert c == 0
                     assert structure.orbit_distance(alpha.i, beta.i) == k
                     assert structure.orbit_distance(alpha.j, beta.j) == k

@@ -231,7 +231,7 @@ def test_aybe_gauge_covariance():
     st = cg_structure(3)
     r = build_r_uv(st, formula="kernel")
     for phi in [(Fraction(1, 2),) * 3, (1, 0, -1), (1, Fraction(1, 3), Fraction(-1, 3))]:
-        rp = gauge_conjugate(r, phi, 3)
+        rp = gauge_conjugate(r, phi)
         assert verify.aybe_residual(rp).is_zero()
         assert verify.unitarity_check(rp, "associative").passed
 
@@ -640,10 +640,9 @@ def test_float_form_evaluates_to_the_same_bits_on_cg8_inputs():
         tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4))
         for _ in range(3)
     ]
-    listed, source = cli._triples_at(8, 6)
     inputs = []
-    for t in listed:
-        for st in cli._structures_for(t, source):
+    for t, structures in cli._listing(8, 6):
+        for st in structures:
             m = cli._Matrices(t, s0_from_structure(st), st)
             inputs += [m.r_kernel, m.R_assoc, hat_r(m.r_ts)]
     assert len(inputs) == 15
@@ -665,10 +664,9 @@ def test_float_form_evaluates_each_distinct_scalar_once_on_cg8_inputs(monkeypatc
     once per entry."""
     from yangbaxter.scalars import RatFunc, log_point
 
-    listed, source = cli._triples_at(8, 6)
     inputs = []
-    for t in listed:
-        for st in cli._structures_for(t, source):
+    for t, structures in cli._listing(8, 6):
+        for st in structures:
             m = cli._Matrices(t, s0_from_structure(st), st)
             inputs += [m.r_kernel, m.R_assoc, hat_r(m.r_ts)]
     assert len(inputs) == 15
