@@ -13,12 +13,10 @@ from .scalars import (
     LaurentPoly,
     PoleOrderError,
     RatFunc,
-    ratfunc_is_zero,
     rf,
-    substitute,
 )
 from .series import USeries, expand_in_u
-from .tensors import Tensor2, Tensor3, gauge_conjugate, weight_contract
+from .tensors import Tensor2, Tensor3, gauge_conjugate
 from .triples import (
     AssocStructure,
     BDTriple,
@@ -27,7 +25,6 @@ from .triples import (
     compatible_permutations,
     enumerate_cg_triples,
     enumerate_triples,
-    is_associative,
     is_valid,
     s0_from_structure,
     solve_s_system,

@@ -261,18 +261,6 @@ def scalar_to_json(value):
     return {"num": poly_terms(v.num), "den": poly_terms(v.den)}
 
 
-def scalar_from_json(doc):
-    def poly(terms):
-        return LaurentPoly(
-            {
-                tuple(Fraction(e) for e in exps): Fraction(c)
-                for exps, c in terms
-            }
-        )
-
-    return RatFunc(poly(doc["num"]), poly(doc["den"]))
-
-
 def tensor2_to_json(t, provenance=None):
     entries = []
     for (i, j, k, l) in sorted(t.coeffs):
@@ -283,12 +271,3 @@ def tensor2_to_json(t, provenance=None):
     if provenance is not None:
         doc["provenance"] = provenance
     return doc
-
-
-def tensor2_from_json(doc):
-    out = {}
-    for entry in doc["entries"]:
-        i, k = entry["rows"]
-        j, l = entry["cols"]
-        out[(i, j, k, l)] = scalar_from_json(entry)
-    return Tensor2(doc["n"], out)

@@ -90,7 +90,7 @@ def _parse_fractions(text, n, what):
         raise CliError(f"{what} needs {n} comma-separated rationals")
     try:
         return tuple(Fraction(p) for p in parts)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad rational in {what}: {exc}") from exc
 
 
@@ -123,16 +123,27 @@ def _select_triple(args):
     return t
 
 
-def _select_structure(t, perms, args):
-    """Resolve the CLI selector to one of t's compatible structures perms."""
-    if args.perm:
-        try:
-            images = tuple(int(x) for x in args.perm.split(","))
-            structure = triples.make_structure(t, images)
-        except ValueError as exc:
+def _structures(t, perm):
+    """t's compatible structures, or only the one a valid --perm names.
+
+    A valid --perm shows t associative, so the listing ((n-1)! structures
+    for the trivial triple) is left out.  An invalid one is a usage error
+    when t has compatible structures at all.
+    """
+    if not perm:
+        return triples.compatible_permutations(t)
+    try:
+        return [triples.make_structure(t, tuple(int(x) for x in perm.split(",")))]
+    except ValueError as exc:
+        if triples.compatible_permutations(t):
             raise CliError(f"bad --perm: {exc}") from exc
-        if args.cg is None:
-            return structure, "explicit permutation"
+        return []
+
+
+def _select_structure(perms, args):
+    """Resolve the CLI selector to one of the compatible structures perms."""
+    if args.perm and args.cg is None:
+        return perms[0], "explicit permutation"
     if args.cg is not None:  # a CG triple's one compatible permutation
         return perms[0], f"cg m={args.cg}"
     if len(perms) > 1:
@@ -202,7 +213,7 @@ BUILD_TARGETS = {
 
 def cmd_build(args):
     t = _select_triple(args)
-    perms = triples.compatible_permutations(t)
+    perms = _structures(t, args.perm)
     if not perms:
         # r_{T,s} exists for every triple: build it at the particular s
         s, _ = triples.solve_s_system(t)
@@ -219,7 +230,7 @@ def cmd_build(args):
             raise CliError("--perm and --phi need an associative triple")
         provenance = dict(t.to_json(), s=s.to_json(), selector="particular")
     else:
-        structure, selector = _select_structure(t, perms, args)
+        structure, selector = _select_structure(perms, args)
         s, phi = _selected_s(structure, args)
         m = _Matrices(t, s, structure)
         provenance = dict(structure.to_json(), s=s.to_json(), selector=selector)

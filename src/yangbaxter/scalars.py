@@ -561,16 +561,6 @@ def q_power(n, exponent):
     return monomial_rf(x1=_norm(n * e))
 
 
-def ratfunc_is_zero(f):
-    """True iff f is identically zero (exact, by expanded numerator)."""
-    return rf(f).is_zero()
-
-
-def substitute(f, assignment):
-    """Exact substitution of monomials for symbols; see RatFunc.substitute."""
-    return rf(f).substitute(assignment)
-
-
 def log_point(u, uprime, v, vprime, n):
     """Per-variable logarithms for numeric evaluation at a sample point.
 

@@ -38,35 +38,6 @@ class USeries:
             raise IndexError(f"u^{k} not tracked at order {self.order}")
         return self.coeffs[k + 1]
 
-    def has_pole(self):
-        return bool(self.coeffs[0])
-
-    def __eq__(self, other):
-        if not isinstance(other, USeries):
-            return NotImplemented
-        return self.order == other.order and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
-
-    __hash__ = None
-
-    def __mul__(self, other):
-        p1, p2 = self.has_pole(), other.has_pole()
-        if p1 and p2:
-            raise PoleOrderError("product of two simple poles leaves the model")
-        order = min(self.order - (1 if p2 else 0), other.order - (1 if p1 else 0))
-        if order < 0:
-            raise ValueError("truncation orders too small for a product")
-        out = []
-        for m in range(-1, order + 1):
-            total = RatFunc.zero()
-            for i in range(-1, self.order + 1):
-                j = m - i
-                if -1 <= j <= other.order:
-                    total = total + self.coeff(i) * other.coeff(j)
-            out.append(total)
-        return USeries(order, out)
-
     def __str__(self):
         parts = [f"u^{k}: {self.coeff(k)}" for k in range(-1, self.order + 1)]
         return "; ".join(parts)

@@ -97,7 +97,7 @@ def _contract(left, right, left_cols, right_rows, pick, sort_by=None):
 # the same legs.  (ab, cd) is X_ab Y_cd for two 2-leg factors on legs of
 # the 3-fold product: X's column on the shared leg meets Y's row there; on
 # its other leg Y meets the identity that embedding X puts there, whose
-# index equals Y's row on that leg.  embed().mul() runs that index in
+# index equals Y's row on that leg.  The embedded product runs that index in
 # ascending order, so Y's entries are sorted stably by that row (the fourth
 # getter).  cd is T Y_cd for a 3-leg T: T's columns on legs c, d meet Y's rows.
 _PRODUCTS = {
@@ -119,8 +119,8 @@ _PRODUCTS = {
 # Any other placement would place a 2-leg factor too, so a wrong factor is
 # reported (TypeError) before the placement (ValueError).
 _UNKNOWN_PLACEMENT = (2, None, None)
-# Tensor2.embed and Tensor2.apply: the positions of the two legs a Tensor2
-# is placed on, and of the leg it leaves free, in V (x) V (x) V.
+# Tensor2.apply: the positions of the two legs a Tensor2 is placed on, and
+# of the leg it leaves free, in V (x) V (x) V.
 _LEG_POSITIONS = {12: (0, 1, 2), 13: (0, 2, 1), 23: (1, 2, 0)}
 
 
@@ -143,11 +143,6 @@ def _sparse_tensor(nlegs):
             """1 (x) 1 (x) ... on every leg."""
             rows = product(range(1, n + 1), repeat=nlegs)
             return cls(n, {tuple(x for i in row for x in (i, i)): one for row in rows})
-
-        @classmethod
-        def perm_diag(cls, n):
-            """P^0 = sum e_ii (x) e_ii (x) ..., the diagonal part of P."""
-            return cls(n, {(i,) * (2 * nlegs): Fraction(1) for i in range(1, n + 1)})
 
         @classmethod
         def column(cls, n, values):
@@ -192,12 +187,11 @@ def _sparse_tensor(nlegs):
             """Componentwise matrix product, e_ij e_kl = delta_jk e_il per leg.
 
             With legs=(ab, cd), one of the six ordered pairs of distinct legs
-            among 12, 13, 23, a Tensor2 returns the Tensor3 self_ab other_cd,
-            equal to self.embed(ab).mul(other.embed(cd)).  With legs = 12, 13
-            or 23, a Tensor3 takes a Tensor2 factor and returns self other_legs,
-            equal to self.mul(other.embed(legs)).  Both agree with the embedded
-            products coefficient for coefficient, float bits included, but
-            build no embedding.
+            among 12, 13, 23, a Tensor2 returns the Tensor3 self_ab other_cd;
+            with legs = 12, 13 or 23, a Tensor3 takes a Tensor2 factor and
+            returns self other_legs.  Both agree to the bit with the products
+            of the embedded factors (the embed oracle in tests/conftest.py),
+            but build no embedding.
             """
             factor, result, getters = _PRODUCTS.get((nlegs, legs), _UNKNOWN_PLACEMENT)
             if not isinstance(other, _TENSORS[factor]):
@@ -222,26 +216,13 @@ def _sparse_tensor(nlegs):
                 flipped = {(k, l, i, j): v for (i, j, k, l), v in self.coeffs.items()}
                 return _adopt(Tensor, self.n, flipped)
 
-            def embed(self, legs):
-                """Place the tensor on the named legs of a 3-fold product (12, 13, 23)."""
-                if legs not in _LEG_POSITIONS:
-                    raise ValueError("legs must be one of 12, 13, 23")
-                # the identity's index pair sits at the leg left out
-                gap = 2 * _LEG_POSITIONS[legs][2]
-                out = {}
-                for key, v in self.coeffs.items():
-                    head, tail = key[:gap], key[gap:]
-                    for m in range(1, self.n + 1):
-                        out[head + (m, m) + tail] = v
-                return _adopt(Tensor3, self.n, out)
-
             def apply(self, x, legs=None):
                 """self x for a vector x, a flat list in row-major index order.
 
                 x lies in V (x) V, or with legs = 12, 13 or 23 in V (x) V (x) V,
-                where self acts on the named legs: the vector
-                self.embed(legs) x, at a cost of nnz * n products and with no
-                embedding built.  Returns a new list.
+                where self acts on the named legs: the vector embed(self, legs) x
+                (the oracle in tests/conftest.py), at a cost of nnz * n products
+                and with no embedding built.  Returns a new list.
                 """
                 n = self.n
                 if legs is None:
@@ -451,17 +432,6 @@ def unit_vector(rng, size):
     return [cmath.rect(1.0, 2 * math.pi * rng.random()) for _ in range(size)]
 
 
-def weight_contract(t, w1, w2):
-    """sum_ij w1_i w2_j coeff(i, i, j, j); w1, w2 are length-n vectors."""
-    total = None
-    for (i, j, k, l), v in t.coeffs.items():
-        if i != j or k != l:
-            continue
-        piece = w1[i - 1] * w2[k - 1] * v
-        total = piece if total is None else total + piece
-    return Fraction(0) if total is None else total
-
-
 def gauge_conjugate(t, phi):
     """exp(-Phi^2 u) t exp(Phi^1 u) for a diagonal Phi = diag(phi).
 
@@ -480,11 +450,6 @@ def gauge_conjugate(t, phi):
             v = monomial_rf(x1=2 * t.n * rate) * rf(v)
         out[(i, j, k, l)] = v
     return _adopt(Tensor2, t.n, out)
-
-
-def weight_zero_ok(t):
-    """Check the index rule i + k = j + l (resp. i+k+m = j+l+p) on support."""
-    return all(sum(key[0::2]) == sum(key[1::2]) for key in t.coeffs)
 
 
 def variables_used(t):

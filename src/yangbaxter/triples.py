@@ -4,8 +4,8 @@ Covers validation and exhaustive enumeration of triples, the root
 ordering alpha < beta under iteration of T with the orientation label
 and the adjacency exponent of each pair, compatible cyclic
 permutations and the resulting associative structures, the closed
-formula for s0, and the exact rational linear systems for the
-continuous datum s and the gauge freedom Phi.
+formula for s0, the exact rational linear system for the continuous
+datum s, and the gauge Phi that moves s0 to an admissible s.
 
 Roots e_i - e_j are encoded as pairs (i, j); simple roots are indexed
 1..n-1 with alpha_a = e_a - e_{a+1}.  A positive root (i, j), i < j, is
@@ -397,10 +397,6 @@ def make_structure(t, tilde_t):
     return AssocStructure(t, tilde_t)
 
 
-def is_associative(t):
-    return bool(compatible_permutations(t))
-
-
 class SWedge:
     """Antisymmetric rational n x n array: the h-wedge-h datum.
 
@@ -466,25 +462,6 @@ def s0_from_structure(a):
         for j in range(i + 1, n + 1):
             upper[(i, j)] = Fraction(1, 2) - Fraction(a.orbit_distance(i, j), n)
     return SWedge(n, upper)
-
-
-def check_s0_identities(s0, a):
-    """Verify [(e_i - e_{~T i}) (x) 1] s0 = 1/2 [(e_i + e_{~T i}) (x) 1] P'.
-
-    P' is the traceless projection of P^0; the identity must hold for
-    every i and every component j.
-    """
-    n = a.n
-    for i in range(1, n + 1):
-        ti = a.apply(i)
-        for j in range(1, n + 1):
-            lhs = s0.get(i, j) - s0.get(ti, j)
-            rhs = (
-                Fraction(int(i == j) + int(ti == j), 2) - Fraction(1, n)
-            )
-            if lhs != rhs:
-                return False
-    return True
 
 
 def _row_reduce(rows, rhs):
@@ -593,17 +570,6 @@ def solve_s_system(t):
     return to_swedge(particular), [to_swedge(v) for v in basis]
 
 
-def phi_space(t):
-    """Rational basis of {Phi diagonal : (alpha, Phi) = (T alpha, Phi)}."""
-    n = t.n
-    rows = [
-        [p - q for p, q in zip(simple_root(a).weights(n), simple_root(b).weights(n))]
-        for a, b in t.pairs
-    ]
-    _, basis = solve_linear(rows, [Fraction(0)] * len(rows), n)
-    return [tuple(v) for v in basis]
-
-
 def phi_coboundary(phi, n):
     """The wedge Phi (x) 1 - 1 (x) Phi, entries phi_i - phi_j."""
     phi = [Fraction(x) for x in phi]
@@ -637,39 +603,6 @@ def phi_from_s(a, s):
         if phi[a_ - 1] - phi[a_] != phi[b_ - 1] - phi[b_]:
             raise ValueError("Phi violates (alpha, Phi) = (T alpha, Phi)")
     return tuple(phi)
-
-
-def tilde_t_from_s(s):
-    """Reconstruct tilde T from the diagonal data of a liftable r-matrix.
-
-    Uses t'_ij = t_ij - t_1j - t_i1 on indices 2..n (t = s + P^0/2); all
-    values must be +-1/2 and transitively ordered, else ValueError.
-    """
-    n = s.n
-    if n < 2:
-        raise ValueError("need n >= 2")
-    half = Fraction(1, 2)
-
-    def tprime(i, j):
-        return s.get(i, j) - s.get(1, j) - s.get(i, 1)
-
-    for i in range(2, n + 1):
-        for j in range(2, n + 1):
-            if i != j and tprime(i, j) not in (half, -half):
-                raise ValueError(f"t'_{i}{j} = {tprime(i, j)} is not +-1/2")
-    order = sorted(
-        range(2, n + 1),
-        key=lambda a: sum(1 for b in range(2, n + 1) if b != a and tprime(b, a) == half),
-    )
-    for idx, a in enumerate(order):
-        for b in order[idx + 1:]:
-            if tprime(a, b) != half:
-                raise ValueError("t' values are not transitively ordered")
-    cycle = [1] + order
-    images = [0] * n
-    for idx, node in enumerate(cycle):
-        images[node - 1] = cycle[(idx + 1) % n]
-    return tuple(images)
 
 
 def triple_flags(t):

@@ -13,10 +13,13 @@ from itertools import product
 
 import pytest
 
+from yangbaxter.scalars import LaurentPoly, RatFunc
 from yangbaxter.triples import (
     BDTriple,
     compatible_permutations,
     enumerate_cg_triples,
+    simple_root,
+    solve_linear,
 )
 from yangbaxter.tensors import Tensor2, Tensor3
 
@@ -53,7 +56,80 @@ def random_sparse_tensor2(n, rng, nnz=4):
     return Tensor2(n, coeffs)
 
 
+def perm_diag(n):
+    """P^0 = sum e_ii (x) e_ii, the diagonal part of P."""
+    return Tensor2(n, {(i, i, i, i): Fraction(1) for i in range(1, n + 1)})
+
+
+def tensor2_from_json(doc):
+    """The tensor of a builders.tensor2_to_json document, entries as RatFunc."""
+
+    def poly(terms):
+        return LaurentPoly({tuple(map(Fraction, exps)): Fraction(c) for exps, c in terms})
+
+    out = {}
+    for entry in doc["entries"]:
+        (i, k), (j, l) = entry["rows"], entry["cols"]
+        out[(i, j, k, l)] = RatFunc(poly(entry["num"]), poly(entry["den"]))
+    return Tensor2(doc["n"], out)
+
+
+# --- oracles for the weight, s0 and gauge checks --------------------------
+
+
+def weight_contract(t, w1, w2):
+    """sum_ij w1_i w2_j coeff(i, i, j, j); w1, w2 are length-n vectors."""
+    return sum(
+        (w1[i - 1] * w2[k - 1] * v for (i, j, k, l), v in t.coeffs.items() if i == j and k == l),
+        Fraction(0),
+    )
+
+
+def weight_zero_ok(t):
+    """The index rule i + k = j + l (i + k + m = j + l + p on three legs) on the support."""
+    return all(sum(key[0::2]) == sum(key[1::2]) for key in t.coeffs)
+
+
+def check_s0_identities(s0, a):
+    """[(e_i - e_{~T i}) (x) 1] s0 = 1/2 [(e_i + e_{~T i}) (x) 1] P' for every i, j.
+
+    P' is the traceless projection of P^0.
+    """
+    n = a.n
+    return all(
+        s0.get(i, j) - s0.get(a.apply(i), j)
+        == Fraction(int(i == j) + int(a.apply(i) == j), 2) - Fraction(1, n)
+        for i in range(1, n + 1) for j in range(1, n + 1)
+    )
+
+
+def phi_space(t):
+    """Rational basis of {Phi diagonal : (alpha, Phi) = (T alpha, Phi)}."""
+    n = t.n
+    rows = [
+        [p - q for p, q in zip(simple_root(a).weights(n), simple_root(b).weights(n))]
+        for a, b in t.pairs
+    ]
+    return [tuple(v) for v in solve_linear(rows, [Fraction(0)] * len(rows), n)[1]]
+
+
 # --- dense oracles (independent of the sparse engine) ---------------------
+
+
+def embed(t, legs):
+    """The Tensor2 t placed on legs 12, 13 or 23 of the 3-fold product.
+
+    The identity fills the leg left out.  Entries come in t's dict order,
+    each with the identity's index ascending, which is the order the fused
+    products sum them in, so products of embeddings are their bit-exact
+    reference.
+    """
+    gap = 2 * {12: 2, 13: 1, 23: 0}[legs]
+    out = {}
+    for key, v in t.coeffs.items():
+        for m in range(1, t.n + 1):
+            out[key[:gap] + (m, m) + key[gap:]] = v
+    return Tensor3(t.n, out)
 
 
 def dense2(t):

@@ -18,11 +18,10 @@ from yangbaxter.builders import (
     hat_r,
     q_minus_qinv,
     s_as_tensor,
-    tensor2_from_json,
     tensor2_to_json,
 )
 from yangbaxter.scalars import RatFunc, LaurentPoly, X1, Y1, rf
-from yangbaxter.tensors import Tensor2, gauge_conjugate, weight_zero_ok
+from yangbaxter.tensors import Tensor2, gauge_conjugate
 from yangbaxter.triples import (
     BDTriple,
     SWedge,
@@ -34,7 +33,7 @@ from yangbaxter.triples import (
 )
 from yangbaxter import verify
 
-from conftest import cg_structure, trivial_structures
+from conftest import cg_structure, tensor2_from_json, trivial_structures, weight_zero_ok
 
 HALF = Fraction(1, 2)
 

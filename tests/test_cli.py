@@ -5,11 +5,11 @@ import json
 import pytest
 
 from yangbaxter import builders, cli, triples
-from yangbaxter.builders import build_r_ts, tensor2_from_json, build_r_uv
+from yangbaxter.builders import build_r_ts, build_r_uv
 from yangbaxter import verify
 from yangbaxter.tensors import Tensor2
 
-from conftest import cg_structure
+from conftest import cg_structure, tensor2_from_json
 
 
 def run_cli(capsys, *args):
@@ -193,6 +193,20 @@ def test_structures_beyond_the_bound_list_no_trivial_cycles(monkeypatch):
     assert cg == [(t, compatible(t)) for _, t in triples.enumerate_cg_triples(16)]
 
 
+def test_build_with_a_valid_perm_lists_no_structures(capsys, monkeypatch):
+    """A valid --perm is built directly: listing the trivial triple's 11!
+    compatible cycles at n = 12 is out of reach."""
+    def refuse(t):
+        raise AssertionError("compatible_permutations called")
+
+    monkeypatch.setattr(triples, "compatible_permutations", refuse)
+    shift = ",".join(str(i % 12 + 1) for i in range(1, 13))
+    code, doc = run_cli(capsys, "build", "--n", "12", "--trivial", "--perm", shift,
+                        "--target", "classical")
+    assert code == 0
+    assert doc["provenance"]["selector"] == "explicit permutation"
+
+
 def test_build_byte_deterministic(capsys):
     args = ["build", "--n", "3", "--cg", "1", "--target", "ruv"]
     cli.main(args)
@@ -309,7 +323,9 @@ def test_tolerance_must_be_finite_and_positive(capsys, tolerance):
     (("build", "--n", "3", "--cg", "1", "--perm", "3,1,2", "--target", "classical"),
      "bad --perm"),
     (("build", "--n", "3", "--cg", "1", "--target", "ruv", "--phi", "1,0,0"), "bad --phi"),
-], ids=["perm", "cg-perm-malformed", "cg-perm-incompatible", "phi"])
+    (("build", "--n", "3", "--trivial", "--perm", "2,3,1", "--phi", "1/0,0,0",
+      "--target", "classical"), "bad rational in --phi"),
+], ids=["perm", "cg-perm-malformed", "cg-perm-incompatible", "phi", "phi-zero-denominator"])
 def test_bad_perm_and_phi_are_usage_errors(capsys, argv, message):
     assert_usage_error(capsys, argv, message)
 

@@ -44,3 +44,55 @@ def test_imports_are_relative_or_standard_library(path):
     # the package promises no runtime dependencies beyond the standard library
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _outside_imports(tree) == [], f"{path.name} imports outside the standard library"
+
+
+# Public names kept with no caller in the package, and why.
+UNCALLED_ALLOWED = {
+    # both wait to be wired into verify suites (ROADMAP open item 4)
+    ("verify", "pr_limit_check"),
+    ("verify", "qybe_spectral_residual"),
+}
+
+
+def _uncalled_public_names(trees):
+    """(module, name) of each public module-level function or class that no module loads.
+
+    trees maps module names to parsed sources.  A name is loaded by a
+    ``from .module import name`` elsewhere, by a ``module.name`` attribute,
+    or by a plain name load in its own module; a store, such as a
+    class-body ``substitute = _inexact``, is not a load.
+    """
+    loaded = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                loaded.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                loaded.add((node.value.id, node.attr))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add((module, node.id))
+    return [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and (module, node.name) not in loaded
+    ]
+
+
+def test_uncalled_names_rule_flags_dead_functions():
+    trees = {name: ast.parse(text) for name, text in {
+        "a": "def used():\n    pass\ndef called():\n    pass\ndef dead():\n    pass\n"
+             "def _private():\n    pass\nclass Stored:\n    dead = _private\n",
+        "b": "from .a import used\nfrom . import a\nx = a.called\nStored = 1\n",
+    }.items()}
+    assert _uncalled_public_names(trees) == [("a", "dead"), ("a", "Stored")]
+
+
+def test_every_public_name_is_loaded_by_the_package():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in MODULES if path.name != "__init__.py"
+    }
+    assert set(_uncalled_public_names(trees)) == UNCALLED_ALLOWED

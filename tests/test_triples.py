@@ -12,16 +12,13 @@ from yangbaxter.triples import (
     BDTriple,
     Root,
     SWedge,
-    check_s0_identities,
     compatible_permutations,
     enumerate_cg_triples,
     enumerate_triples,
-    is_associative,
     is_orientation_preserving,
     is_valid,
     make_structure,
     phi_coboundary,
-    phi_space,
     positive_roots,
     prec_pairs,
     s0_from_structure,
@@ -29,14 +26,18 @@ from yangbaxter.triples import (
     simple_root,
     solve_s_system,
     t_orbit,
-    tilde_t_from_s,
     validate_triple,
 )
 from yangbaxter import triples
-from yangbaxter.tensors import weight_contract
 from yangbaxter.builders import build_R_ggs_general, build_r_ts, s_as_tensor
 
-from conftest import cg_structure, trivial_structures
+from conftest import (
+    cg_structure,
+    check_s0_identities,
+    phi_space,
+    trivial_structures,
+    weight_contract,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -106,7 +107,7 @@ def test_enumeration_counts_match_fixture():
         n = int(n_str)
         ts = enumerate_triples(n)
         assert len(ts) == expected["triples"]
-        assert sum(1 for t in ts if is_associative(t)) == expected["associative"]
+        assert sum(1 for t in ts if compatible_permutations(t)) == expected["associative"]
         assert (
             sum(len(compatible_permutations(t)) for t in ts)
             == expected["structures"]
@@ -456,19 +457,6 @@ def test_phi_space_examples():
             for a, b in t.pairs:
                 assert ones[a - 1] - ones[a] == ones[b - 1] - ones[b]
             assert span  # never empty: contains at least the identity direction
-
-
-def test_tilde_t_reconstruction_roundtrip():
-    for n in (2, 3, 4):
-        for t in enumerate_triples(n):
-            for structure in compatible_permutations(t):
-                s0 = s0_from_structure(structure)
-                assert tilde_t_from_s(s0) == structure.tilde_t
-
-
-def test_tilde_t_reconstruction_rejects_generic_s():
-    with pytest.raises(ValueError):
-        tilde_t_from_s(SWedge(3))  # s = 0 has t' = 0, not +-1/2
 
 
 def test_triple_json_roundtrip(reversing5):

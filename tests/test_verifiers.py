@@ -32,7 +32,7 @@ from yangbaxter.triples import (
     solve_s_system,
 )
 
-from conftest import cg_structure, trivial_structures
+from conftest import cg_structure, embed, perm_diag, trivial_structures, weight_zero_ok
 
 
 def unit2(n, i, j, k, l, c=Fraction(1)):
@@ -150,15 +150,15 @@ def test_spectral_combination_equals_constant_combination():
         particular, _ = solve_s_system(t)
         r = build_r_ts(t, particular)
         rh = hat_r(r)
-        a = rh.embed(12)
-        b = rh.substitute({"Y1": Y1 * Y2}).embed(13)
-        c = rh.substitute({"Y1": Y2}).embed(23)
+        a = embed(rh, 12)
+        b = embed(rh.substitute({"Y1": Y1 * Y2}), 13)
+        c = embed(rh.substitute({"Y1": Y2}), 23)
         lhs = a.mul(b) - c.mul(a) + b.mul(c)
         rc = r.map_scalars(rf)
         rhs = (
-            rc.embed(12).mul(rc.embed(13))
-            - rc.embed(23).mul(rc.embed(12))
-            + rc.embed(13).mul(rc.embed(23))
+            embed(rc, 12).mul(embed(rc, 13))
+            - embed(rc, 23).mul(embed(rc, 12))
+            + embed(rc, 13).mul(embed(rc, 23))
         )
         assert lhs == rhs
 
@@ -260,8 +260,6 @@ def test_obstruction_passes_for_associative():
 
 
 def test_obstruction_reversing5_witness(reversing5):
-    from yangbaxter.tensors import weight_zero_ok
-
     particular, basis = solve_s_system(reversing5)
     for s in [particular] + [particular + b for b in basis]:
         res = verify.lift_obstruction(build_r_ts(reversing5, s))
@@ -387,14 +385,14 @@ def test_pr_limit_n4_structures_and_perturbations():
 def test_pr_limit_unitarity_failure():
     n = 2
     pole = Tensor2.identity(n).scale((1 - X1 ** (-2 * n)) ** -1)
-    bad = pole + Tensor2.perm_diag(n).scale(rf(1) * Y1)
+    bad = pole + perm_diag(n).scale(rf(1) * Y1)
     rep = verify.pr_limit_check(bad)
     assert rep.result == "fail"
 
 
 def test_pr_limit_surviving_pole():
     n = 2
-    r = Tensor2.perm_diag(n).scale((1 - X1 ** (-2 * n)) ** -1)
+    r = perm_diag(n).scale((1 - X1 ** (-2 * n)) ** -1)
     with pytest.raises(PoleOrderError):
         verify.pr_limit_check(r)
 
