@@ -124,30 +124,32 @@ def _select_triple(args):
 
 
 def _structures(t, perm):
-    """t's compatible structures, or only the one a valid --perm names.
+    """t's one compatible structure, or the one a valid --perm names.
 
-    A valid --perm shows t associative, so the listing ((n-1)! structures
-    for the trivial triple) is left out.  An invalid one is a usage error
-    when t has compatible structures at all.
+    Structures are only listed when at most one exists; more without
+    --perm is a usage error, told from their count ((n-1)! for the
+    trivial triple).  An invalid --perm is a usage error when t has
+    compatible structures at all.
     """
     if not perm:
+        count = triples.structure_count(t)
+        if count > 1:
+            raise CliError(f"{count} compatible permutations; pick one with --perm")
         return triples.compatible_permutations(t)
     try:
         return [triples.make_structure(t, tuple(int(x) for x in perm.split(",")))]
     except ValueError as exc:
-        if triples.compatible_permutations(t):
+        if triples.structure_count(t):
             raise CliError(f"bad --perm: {exc}") from exc
         return []
 
 
 def _select_structure(perms, args):
-    """Resolve the CLI selector to one of the compatible structures perms."""
-    if args.perm and args.cg is None:
-        return perms[0], "explicit permutation"
+    """perms[0], the structure to build, with its selector label."""
     if args.cg is not None:  # a CG triple's one compatible permutation
         return perms[0], f"cg m={args.cg}"
-    if len(perms) > 1:
-        raise CliError(f"{len(perms)} compatible permutations; pick one with --perm")
+    if args.perm:
+        return perms[0], "explicit permutation"
     return perms[0], "unique permutation"
 
 

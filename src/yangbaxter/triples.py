@@ -118,13 +118,27 @@ class BDTriple:
         """The triple of a to_json document.
 
         Raises ValueError when doc is not an object with n and a t_map
-        object, or when n or an entry of t_map is not an integer.
+        object, when n or an entry of t_map is not an integer, when t_map
+        names a root twice (as "1" and "01"), or when a stated gamma1 or
+        gamma2 differs from the t_map's.
         """
         try:
             n, items = doc["n"], doc["t_map"].items()
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError("expected an object with n and a t_map object") from exc
-        return cls.make(_json_int(n), {_json_int(a): _json_int(b) for a, b in items})
+        mapping = {}
+        for a, b in items:
+            if _json_int(a) in mapping:
+                raise ValueError(f"t_map names root {_json_int(a)} twice")
+            mapping[_json_int(a)] = _json_int(b)
+        t = cls.make(_json_int(n), mapping)
+        for key in ("gamma1", "gamma2"):
+            stated, derived = doc.get(key), list(getattr(t, key))
+            if stated is not None and (
+                not isinstance(stated, list) or sorted(map(_json_int, stated)) != derived
+            ):
+                raise ValueError(f"{key} {stated!r} differs from the t_map's {derived}")
+        return t
 
 
 def validate_triple(t):
@@ -210,45 +224,24 @@ def enumerate_cg_triples(n):
     return out
 
 
-def _step(t, seg, left):
-    """One application of T to a positive segment; None when it leaves Gamma_1.
-
-    seg is a Root, left its current left-end simple index (tracks
-    orientation).  Returns (segment, left) after mapping every simple
-    summand through T.
-    """
-    tm = t.t_map
-    summands = list(seg.simples())
-    if any(a not in tm for a in summands):
-        return None
-    image = sorted(tm[a] for a in summands)
-    lo = image[0]
-    if image != list(range(lo, lo + len(summands))):
-        raise RuntimeError("image of a segment is not a segment; invalid triple?")
-    return Root(lo, lo + len(summands)), tm[left]
-
-
 def t_orbit(t, alpha):
     """Yield (k, T^k alpha, C) for k = 1, 2, ... while T^k is defined.
 
-    C is the orientation label of T^k on alpha: 0 when the left endpoint
-    maps to the left endpoint, 1 when the segment is reversed.  For
-    length-1 segments C is stored as 0 (the sign exponent |alpha|-1
-    vanishes there anyway).
+    The walk carries the images of alpha's simple summands, in alpha's
+    order.  C is the orientation label of T^k on alpha: 1 when the first
+    image is the right end of the segment (it is reversed), else 0, as for
+    length-1 segments, where the sign exponent |alpha|-1 vanishes anyway.
     """
-    seg, left = alpha, alpha.i
+    tm = t.t_map
+    images = list(alpha.simples())
     for k in range(1, t.n + 1):
-        nxt = _step(t, seg, left)
-        if nxt is None:
+        if any(a not in tm for a in images):
             return
-        seg, left = nxt
-        if alpha.length == 1 or left == seg.i:
-            c = 0
-        elif left == seg.j - 1:
-            c = 1
-        else:
-            raise RuntimeError("orientation tracker left the segment endpoints")
-        yield k, seg, c
+        images = [tm[a] for a in images]
+        lo = min(images)
+        if sorted(images) != list(range(lo, lo + len(images))):
+            raise RuntimeError("image of a segment is not a segment; invalid triple?")
+        yield k, Root(lo, lo + len(images)), int(images[0] != lo)
 
 
 def positive_roots(n):
@@ -316,14 +309,13 @@ class AssocStructure:
 
 
 def _is_n_cycle(images):
-    n = len(images)
-    x, seen = 1, 0
-    for _ in range(n):
+    """Whether the permutation images of 1..n returns 1 only after n steps."""
+    x = 1
+    for _ in range(len(images) - 1):
         x = images[x - 1]
-        seen += 1
         if x == 1:
-            break
-    return x == 1 and seen == n
+            return False
+    return images[x - 1] == 1
 
 
 def tilde_t_constraints(t):
@@ -339,44 +331,50 @@ def tilde_t_constraints(t):
     return forced
 
 
-def compatible_permutations(t):
-    """All associative structures on the triple (empty iff none exist).
+def _chains(t):
+    """The forced partial map of tilde T split into maximal chains.
 
-    The forced partial map is decomposed into chains; every n-cycle
-    extension arranges the chains in a circle, so the count is
-    (#chains - 1)! and reaches (n-1)! for the trivial triple.
+    A forced permutation is read as one chain starting at 1.  Returns
+    None when no n-cycle extends the map: the triple forces a conflict,
+    or a cycle shorter than n.
     """
     forced = tilde_t_constraints(t)
     if forced is None:
-        return []
-    n = t.n
-    has_pred = set(forced.values())
+        return None
+    targets = set(forced.values())
     chains = []
-    for start in range(1, n + 1):
-        if start in has_pred:
-            continue
+    for start in [i for i in range(1, t.n + 1) if i not in targets] or [1]:
         chain = [start]
-        while chain[-1] in forced:
+        while chain[-1] in forced and forced[chain[-1]] != start:
             chain.append(forced[chain[-1]])
         chains.append(chain)
-    covered = sum(len(c) for c in chains)
-    if covered != n:
-        # the forced map already contains a cycle
-        if covered == 0 and len(forced) == n and _is_n_cycle(
-            tuple(forced[i] for i in range(1, n + 1))
-        ):
-            return [make_structure(t, tuple(forced[i] for i in range(1, n + 1)))]
+    return chains if sum(len(c) for c in chains) == t.n else None
+
+
+def structure_count(t):
+    """Number of associative structures on the triple, none of them built.
+
+    Every n-cycle extending the forced map arranges its chains in a
+    circle, so the count is (#chains - 1)! and reaches (n-1)! for the
+    trivial triple.
+    """
+    chains = _chains(t)
+    return 0 if chains is None else math.factorial(len(chains) - 1)
+
+
+def compatible_permutations(t):
+    """All associative structures on the triple (empty iff none exist).
+
+    One per circular arrangement of the forced chains, sorted by tilde T.
+    """
+    chains = _chains(t)
+    if chains is None:
         return []
     out = []
-    first, rest = chains[0], chains[1:]
-    for arrangement in itertools.permutations(rest):
-        order = list(first)
-        for chain in arrangement:
-            order.extend(chain)
-        images = [0] * n
-        for idx, node in enumerate(order):
-            images[node - 1] = order[(idx + 1) % n]
-        out.append(make_structure(t, tuple(images)))
+    for arrangement in itertools.permutations(chains[1:]):
+        order = [node for chain in (chains[0], *arrangement) for node in chain]
+        images = dict(zip(order, order[1:] + order[:1]))
+        out.append(make_structure(t, tuple(images[i] for i in range(1, t.n + 1))))
     out.sort(key=lambda s: s.tilde_t)
     return out
 
@@ -464,58 +462,46 @@ def s0_from_structure(a):
     return SWedge(n, upper)
 
 
-def _row_reduce(rows, rhs):
-    """Exact Gaussian elimination over Fraction.
-
-    Returns (pivots, rows, rhs) in echelon form; rows are mutated copies.
-    """
-    rows = [list(r) for r in rows]
-    rhs = list(rhs)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((k for k in range(r, len(rows)) if rows[k][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        rhs[r] = rhs[r] * inv
-        for k in range(len(rows)):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-                rhs[k] = rhs[k] - f * rhs[r]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots, rows, rhs
+def _minus(row, f, other):
+    """The sparse row row - f * other, exact zeros dropped."""
+    out = dict(row)
+    for c, v in other.items():
+        out[c] = out.get(c, 0) - f * v
+    return {c: v for c, v in out.items() if v}
 
 
 def solve_linear(rows, rhs, ncols):
     """Particular solution and nullspace basis of an exact linear system.
 
-    Returns (particular | None, basis); entries are Fractions.
+    rows are sparse {column: coefficient}, augmented by their right side
+    in column ncols.  Each row in turn is reduced by the pivot rows, pivots
+    on its least column and is eliminated from the other pivot rows.  The
+    result is the reduced row echelon form, which is unique, whatever the
+    row order.  Returns (particular | None, basis); entries are Fractions.
     """
-    pivots, red, rrhs = _row_reduce(rows, rhs)
-    rank = len(pivots)
-    for k in range(rank, len(red)):
-        if rrhs[k]:
+    pivots = {}  # pivot column -> augmented row with coefficient 1 there
+    for row, b in zip(rows, rhs):
+        row = {c: Fraction(v) for c, v in {**row, ncols: b}.items() if v}
+        for c in [c for c in row if c in pivots]:
+            row = _minus(row, row[c], pivots[c])
+        if not row:
+            continue
+        p = min(row)
+        if p == ncols:  # 0 = b with b nonzero
             return None, []
-    particular = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        particular[c] = rrhs[r]
-    free = [c for c in range(ncols) if c not in pivots]
+        row = {c: v / row[p] for c, v in row.items()}
+        for c, prow in pivots.items():
+            if p in prow:
+                pivots[c] = _minus(prow, prow[p], row)
+        pivots[p] = row
+    zero = Fraction(0)
+    particular = [pivots[c].get(ncols, zero) if c in pivots else zero for c in range(ncols)]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(v)
+    for f in range(ncols):
+        if f not in pivots:
+            v = [-pivots[c].get(f, zero) if c in pivots else zero for c in range(ncols)]
+            v[f] = Fraction(1)
+            basis.append(v)
     return particular, basis
 
 
@@ -559,8 +545,7 @@ def solve_s_system(t):
     system indicates an internal error.
     """
     unknowns, rows, rhs = _s_system_rows(t)
-    dense = [[Fraction(row.get(c, 0)) for c in range(len(unknowns))] for row in rows]
-    particular, basis = solve_linear(dense, rhs, len(unknowns))
+    particular, basis = solve_linear(rows, rhs, len(unknowns))
     if particular is None:
         raise RuntimeError("s-system inconsistent for a valid triple")
 
@@ -607,10 +592,10 @@ def phi_from_s(a, s):
 
 def triple_flags(t):
     """Summary flags used by the CLI listing."""
-    perms = compatible_permutations(t)
+    count = structure_count(t)
     return {
         "valid": is_valid(t),
         "orientation_preserving": is_orientation_preserving(t),
-        "associative": bool(perms),
-        "compatible_permutations": len(perms),
+        "associative": count > 0,
+        "compatible_permutations": count,
     }

@@ -16,6 +16,7 @@ import pytest
 from yangbaxter.scalars import LaurentPoly, RatFunc
 from yangbaxter.triples import (
     BDTriple,
+    Root,
     compatible_permutations,
     enumerate_cg_triples,
     simple_root,
@@ -107,10 +108,89 @@ def phi_space(t):
     """Rational basis of {Phi diagonal : (alpha, Phi) = (T alpha, Phi)}."""
     n = t.n
     rows = [
-        [p - q for p, q in zip(simple_root(a).weights(n), simple_root(b).weights(n))]
+        {c: p - q for c, (p, q) in enumerate(zip(simple_root(a).weights(n),
+                                                  simple_root(b).weights(n))) if p != q}
         for a, b in t.pairs
     ]
     return [tuple(v) for v in solve_linear(rows, [Fraction(0)] * len(rows), n)[1]]
+
+
+# --- dense and segment-walk oracles for triples.py --------------------------
+
+
+def dense_solve_linear(rows, rhs, ncols):
+    """Particular solution and nullspace basis by dense Gauss-Jordan elimination.
+
+    rows are full lists of Fractions.  Pivots are taken column by column
+    on the first remaining row that is nonzero there, and each pivot row
+    is cleared from all the others.  Returns (particular | None, basis).
+    """
+    rows = [list(r) for r in rows]
+    rhs = list(rhs)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        rhs[r] = rhs[r] * inv
+        for k in range(len(rows)):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                # skipping the pivot row's zeros keeps the oracle fast enough at n = 16
+                rows[k] = [x - f * y if y else x for x, y in zip(rows[k], rows[r])]
+                rhs[k] = rhs[k] - f * rhs[r]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    if any(rhs[r:]):
+        return None, []
+    particular = [Fraction(0)] * ncols
+    for k, c in enumerate(pivots):
+        particular[c] = rhs[k]
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for k, c in enumerate(pivots):
+            v[c] = -rows[k][f]
+        basis.append(v)
+    return particular, basis
+
+
+def segment_walk(t, alpha):
+    """(k, T^k alpha, C) for k = 1, 2, ..., tracking the image of alpha's left end.
+
+    Each step maps every simple summand of the current segment through T
+    and takes the sorted images as the next segment; C is 0 when the
+    tracked left end lands on the new segment's left end, 1 on its right
+    end.
+    """
+    tm = t.t_map
+    seg, left = alpha, alpha.i
+    for k in range(1, t.n + 1):
+        summands = list(seg.simples())
+        if any(a not in tm for a in summands):
+            return
+        image = sorted(tm[a] for a in summands)
+        lo = image[0]
+        if image != list(range(lo, lo + len(summands))):
+            raise RuntimeError("image of a segment is not a segment")
+        seg, left = Root(lo, lo + len(summands)), tm[left]
+        if alpha.length == 1 or left == seg.i:
+            c = 0
+        elif left == seg.j - 1:
+            c = 1
+        else:
+            raise RuntimeError("the tracked left end left the segment endpoints")
+        yield k, seg, c
 
 
 # --- dense oracles (independent of the sparse engine) ---------------------

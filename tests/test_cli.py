@@ -335,13 +335,52 @@ def test_bad_perm_and_phi_are_usage_errors(capsys, argv, message):
     ('{"n": 3', "Expecting"),
     ('{"n": 3}', "expected an object with n and a t_map object"),
     ('{"n": 3, "t_map": {"1": "two"}}', "invalid literal"),
-], ids=["missing", "not-json", "no-t_map", "non-integer"])
+    ('{"n": 3, "t_map": {"1": 2, "01": 2}}', "t_map names root 1 twice"),
+    ('{"n": 3, "gamma1": [2], "t_map": {"1": 2}}', "gamma1 [2] differs from the t_map's [1]"),
+    ('{"n": 3, "gamma2": [1], "t_map": {"1": 2}}', "gamma2 [1] differs from the t_map's [2]"),
+    ('{"n": 3, "gamma1": 1, "t_map": {"1": 2}}', "gamma1 1 differs from the t_map's [1]"),
+], ids=["missing", "not-json", "no-t_map", "non-integer", "root-twice", "gamma1",
+        "gamma2", "gamma-not-a-list"])
 def test_bad_triple_file_is_a_usage_error(tmp_path, capsys, content, message):
     path = tmp_path / "triple.json"
     if content is not None:
         path.write_text(content)
     argv = ("build", "--n", "3", "--triple-file", str(path), "--target", "classical")
     assert_usage_error(capsys, argv, "bad --triple-file: " + message)
+
+
+def test_self_contradicting_triple_file_is_a_usage_error(tmp_path, capsys):
+    """The keys "1" and "01" name one root, and the stated Gamma_1, Gamma_2
+    contradict the t_map: neither may silently pick a triple."""
+    path = tmp_path / "triple.json"
+    path.write_text('{"n": 4, "gamma1": [3], "gamma2": [1], "t_map": {"1": 3, "01": 2}}')
+    argv = ("build", "--n", "4", "--triple-file", str(path), "--target", "classical")
+    assert_usage_error(capsys, argv, "bad --triple-file: t_map names root 1 twice")
+    path.write_text('{"n": 4, "gamma1": [3], "gamma2": [1], "t_map": {"1": 3}}')
+    assert_usage_error(capsys, argv, "bad --triple-file: gamma1 [3] differs from the t_map's [1]")
+
+
+def test_build_counts_structures_without_listing_them(capsys, monkeypatch):
+    """Without --perm the trivial triple's 11! structures at n = 12 are
+    counted from the forced chains, none of them built."""
+    def refuse(t):
+        raise AssertionError("compatible_permutations called")
+
+    monkeypatch.setattr(triples, "compatible_permutations", refuse)
+    argv = ("build", "--n", "12", "--trivial", "--target", "classical")
+    assert_usage_error(capsys, argv, "39916800 compatible permutations; pick one with --perm")
+
+
+def test_enumerate_flags_count_structures_without_listing_them(capsys, monkeypatch):
+    def refuse(t):
+        raise AssertionError("compatible_permutations called")
+
+    monkeypatch.setattr(triples, "compatible_permutations", refuse)
+    code, doc = run_cli(capsys, "enumerate", "--n", "5")
+    assert code == 0
+    counts = {json.dumps(row["t_map"], sort_keys=True): row["compatible_permutations"]
+              for row in doc["triples"]}
+    assert counts["{}"] == 24 and counts['{"1": 4, "2": 3}'] == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,9 @@
 """Triple combinatorics: validation, enumeration, orderings, s-systems."""
 
+import functools
 import itertools
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +26,9 @@ from yangbaxter.triples import (
     s0_from_structure,
     s_in_solution_space,
     simple_root,
+    solve_linear,
     solve_s_system,
+    structure_count,
     t_orbit,
     validate_triple,
 )
@@ -34,7 +38,9 @@ from yangbaxter.builders import build_R_ggs_general, build_r_ts, s_as_tensor
 from conftest import (
     cg_structure,
     check_s0_identities,
+    dense_solve_linear,
     phi_space,
+    segment_walk,
     trivial_structures,
     weight_contract,
 )
@@ -467,3 +473,75 @@ def test_triple_json_roundtrip(reversing5):
     doc = structure.to_json()
     # a structure document is its triple's document plus tilde T
     assert make_structure(BDTriple.from_json(doc), tuple(doc["tilde_t"])) == structure
+
+
+# --- the sparse solver, the orbit walk and the structure count against
+# --- the dense Gauss-Jordan, the left-end tracker and the listing ---------
+
+
+@functools.cache
+def triples_up_to_7():
+    return tuple(t for n in range(2, 8) for t in enumerate_triples(n, bound=7))
+
+
+def cg_triples(top, m_of=lambda n: range(1, n + 1)):
+    return [t for n in range(2, top + 1) for m, t in enumerate_cg_triples(n) if m in m_of(n)]
+
+
+# the dense oracle takes seconds per CG triple at n = 16, so above n = 12
+# it runs on the two CG triples m = 1 and m = n - 1 of each n
+ORACLE_CG = cg_triples(12) + cg_triples(16, lambda n: (1, n - 1) if n > 12 else ())
+
+
+def test_sparse_solver_matches_the_dense_gauss_jordan():
+    assert len(triples_up_to_7()) == 606 and len(ORACLE_CG) == 53
+    for t in triples_up_to_7() + tuple(ORACLE_CG):
+        unknowns, rows, rhs = triples._s_system_rows(t)
+        dense = [[Fraction(row.get(c, 0)) for c in range(len(unknowns))] for row in rows]
+        got = solve_linear(rows, rhs, len(unknowns))
+        assert got == dense_solve_linear(dense, rhs, len(unknowns)), t
+        particular, basis = got
+        assert all(type(x) is Fraction for v in [particular, *basis] for x in v), t
+
+
+def test_sparse_solver_result_does_not_depend_on_row_order():
+    rng = random.Random(17)
+    for t in [t for t in triples_up_to_7() if t.n <= 5] + cg_triples(9):
+        unknowns, rows, rhs = triples._s_system_rows(t)
+        expected = solve_linear(rows, rhs, len(unknowns))
+        order = list(range(len(rows)))
+        rng.shuffle(order)
+        shuffled = solve_linear([rows[k] for k in order], [rhs[k] for k in order], len(unknowns))
+        assert shuffled == expected, t
+
+
+def test_sparse_solver_reports_an_inconsistent_system():
+    rows = [{0: 1, 1: 1}, {0: 2, 1: 2}]
+    assert solve_linear(rows, [1, 3], 2) == (None, [])
+    assert solve_linear(rows, [1, 2], 2) == ([1, 0], [[-1, 1]])
+    assert solve_linear([{}], [1], 2) == (None, [])
+
+
+def test_orbit_walk_matches_the_left_end_tracker():
+    reversed_images = 0
+    for t in triples_up_to_7() + tuple(cg_triples(16)):
+        for alpha in positive_roots(t.n):
+            walk = list(t_orbit(t, alpha))
+            assert walk == list(segment_walk(t, alpha)), (t, alpha)
+            reversed_images += sum(c for _, _, c in walk)
+    assert reversed_images > 0  # orientation reversals are covered
+
+
+def test_orbit_walk_rejects_an_image_that_is_not_a_segment():
+    # not a valid triple: alpha_1 + alpha_2 would map to alpha_1 + alpha_3
+    t = BDTriple.make(4, {1: 1, 2: 3})
+    with pytest.raises(RuntimeError, match="not a segment"):
+        list(t_orbit(t, Root(1, 3)))
+
+
+def test_structure_count_matches_the_listing():
+    for t in triples_up_to_7():
+        assert structure_count(t) == len(compatible_permutations(t)), t
+    # a Cremmer-Gervais triple forces its one n-cycle
+    assert [structure_count(t) for t in cg_triples(16)] == [1] * len(cg_triples(16))
+    assert structure_count(BDTriple.make(12, {})) == 39916800
