@@ -9,13 +9,12 @@ functions) or numerically (seeded complex sampling).
 __version__ = "0.1.0"
 
 from .scalars import (
-    LatticeError,
     LaurentPoly,
     PoleOrderError,
     RatFunc,
     rf,
 )
-from .series import USeries, expand_in_u
+from .series import expand_in_u
 from .tensors import Tensor2, Tensor3, gauge_conjugate
 from .triples import (
     AssocStructure,

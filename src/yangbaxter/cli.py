@@ -254,14 +254,16 @@ def _listing(n, bound):
 
     Beyond the exhaustive-enumeration bound the listing falls back to the
     triples that exist closed-form for every n: the trivial one and the
-    Cremmer-Gervais family.  There the trivial triple's (n-1)! compatible
+    Cremmer-Gervais family (whose m = 1 member is the trivial one at
+    n = 2, listed once).  There the trivial triple's (n-1)! compatible
     cycles give way to the standard shift cycle, built without listing
     the others.
     """
     if n <= bound:
         listed = triples.enumerate_triples(n, bound=bound)
         return [(t, triples.compatible_permutations(t)) for t in listed]
-    listed = [BDTriple.make(n, {})] + [t for _, t in triples.enumerate_cg_triples(n)]
+    cg = [t for _, t in triples.enumerate_cg_triples(n) if not t.is_trivial]
+    listed = [BDTriple.make(n, {})] + cg
     shift = tuple(i % n + 1 for i in range(1, n + 1))
     return [
         (t, [triples.make_structure(t, shift)] if t.is_trivial
@@ -410,9 +412,10 @@ def build_parser():
 
     p_build = sub.add_parser("build", help="serialize a matrix")
     p_build.add_argument("--n", type=int, required=True)
-    p_build.add_argument("--cg", type=int)
-    p_build.add_argument("--trivial", action="store_true")
-    p_build.add_argument("--triple-file")
+    selector = p_build.add_mutually_exclusive_group()
+    selector.add_argument("--cg", type=int)
+    selector.add_argument("--trivial", action="store_true")
+    selector.add_argument("--triple-file")
     p_build.add_argument("--perm", help='tilde T image list, e.g. "2,3,1"')
     p_build.add_argument("--phi", help="diagonal gauge entries, comma rationals")
     p_build.add_argument("--target", choices=tuple(BUILD_TARGETS), required=True)

@@ -29,15 +29,9 @@ import cmath
 import math
 from fractions import Fraction
 
-NVARS = 4
 VAR_NAMES = ("X1", "X2", "Y1", "Y2")
-VAR_INDEX = {name: i for i, name in enumerate(VAR_NAMES)}
 
 _ZERO_EXPS = (0, 0, 0, 0)
-
-
-class LatticeError(ValueError):
-    """A substitution cannot be carried out exactly in the exponent lattice."""
 
 
 class PoleOrderError(ValueError):
@@ -188,47 +182,17 @@ class LaurentPoly:
             return LaurentPoly(terms)
         return LaurentPoly._make(terms)
 
-    def substitute(self, mapping):
-        """Simultaneously substitute monomials (or zero) for variables.
-
-        mapping: {var index: None | (Fraction coeff, exponent 4-tuple)}.
-        None sets the variable to zero.  Raises LatticeError when the
-        substitution is not exact: zero into a negative power, or a
-        coefficient != 1 raised to a fractional exponent.
+    def substitute(self, slot):
+        """The polynomial at a slot's arguments: for slot ((a, b), (c, d)),
+        X1 -> X1^a X2^b and Y1 -> Y1^c Y2^d, that is u -> a u + b u' and
+        v -> c v + d v'.  Terms that land together are merged.
         """
+        (a, b), (c, d) = slot
         out = {}
-        for exps, c in self.terms.items():
-            coeff = c
-            new = list(exps)
-            for var in mapping:
-                new[var] = 0
-            dead = False
-            for var, target in mapping.items():
-                e = exps[var]
-                if not e:
-                    continue
-                if target is None:
-                    if e > 0:
-                        dead = True
-                        break
-                    raise LatticeError(
-                        "negative power of a symbol substituted by zero"
-                    )
-                tc, texps = target
-                if tc != 1:
-                    if isinstance(e, int):
-                        coeff = coeff * Fraction(tc) ** e
-                    else:
-                        raise LatticeError(
-                            "non-unit coefficient substituted into a fractional exponent"
-                        )
-                for w in range(NVARS):
-                    te = texps[w]
-                    if te:
-                        new[w] = _norm(new[w] + te * e)
-            if dead:
-                continue
-            key = tuple(new)
+        for (x1, x2, y1, y2), coeff in self.terms.items():
+            key = (a * x1, b * x1 + x2, c * y1, d * y1 + y2)
+            if Fraction in map(type, key):
+                key = tuple(map(_norm, key))
             cur = out.get(key)
             cur = coeff if cur is None else cur + coeff
             if cur:
@@ -480,19 +444,10 @@ class RatFunc:
             return self.inverse() ** (-k)
         return RatFunc(self.num**k, self.den**k)
 
-    def substitute(self, assignment):
-        """Exact substitution of monomials (or zero) for named symbols.
-
-        assignment: {"X1": RatFunc, ...}; each value must be zero or a
-        single monomial with rational coefficient.  Raises LatticeError
-        for non-monomial values or when the substituted denominator
-        vanishes.
-        """
-        mapping = monomial_mapping(assignment)
-        den = self.den.substitute(mapping)
-        if not den.terms:
-            raise LatticeError("substitution annihilates a denominator")
-        return RatFunc(self.num.substitute(mapping), den)
+    def substitute(self, slot):
+        """Numerator and denominator at a slot's arguments (LaurentPoly.substitute);
+        a denominator that vanishes there raises ZeroDivisionError."""
+        return RatFunc(self.num.substitute(slot), self.den.substitute(slot))
 
     def evaluate(self, logs, powers=None):
         """Numeric value with variable i set to exp(logs[i]); powers as
@@ -530,29 +485,6 @@ X1 = monomial_rf(x1=1)
 X2 = monomial_rf(x2=1)
 Y1 = monomial_rf(y1=1)
 Y2 = monomial_rf(y2=1)
-
-
-def monomial_mapping(assignment):
-    """The mapping LaurentPoly.substitute takes for a named assignment.
-
-    assignment: {"X1": value, ...}, each value zero or a single monomial
-    with rational coefficient (a number, LaurentPoly or RatFunc).  Raises
-    LatticeError for any other value.
-    """
-    mapping = {}
-    for name, value in assignment.items():
-        var = VAR_INDEX[name]
-        value = rf(value)
-        if value.den != _ONE_POLY or len(value.num.terms) > 1:
-            raise LatticeError(
-                f"substitution for {name} must be a monomial or zero"
-            )
-        if not value.num.terms:
-            mapping[var] = None
-        else:
-            ((exps, c),) = value.num.terms.items()
-            mapping[var] = (c, exps)
-    return mapping
 
 
 def q_power(n, exponent):

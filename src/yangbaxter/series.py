@@ -1,7 +1,7 @@
 """Truncated Laurent expansion in u around u = 0.
 
-A USeries holds exact coefficients of u^-1, u^0, ..., u^order for a
-function of X1 = exp(u/(2n)) and Y1 = exp(v); coefficients are RatFunc
+expand_in_u gives the exact coefficients of u^-1, u^0, ..., u^order of
+a function of X1 = exp(u/(2n)) and Y1 = exp(v), as a tuple of RatFunc
 values in Y1 only.  At most a simple pole at u = 0 is representable;
 anything worse raises PoleOrderError.
 """
@@ -12,37 +12,6 @@ from fractions import Fraction
 from math import factorial
 
 from .scalars import LaurentPoly, PoleOrderError, RatFunc, rf
-
-
-class USeries:
-    """Coefficients of u^-1 .. u^order, each a RatFunc in Y1."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order, coeffs):
-        if order < 0:
-            raise ValueError("series order must be >= 0")
-        coeffs = [rf(c) for c in coeffs]
-        if len(coeffs) != order + 2:
-            raise ValueError("need exactly order + 2 coefficients (from u^-1)")
-        self.order = order
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def zero(cls, order):
-        return cls(order, [RatFunc.zero()] * (order + 2))
-
-    def coeff(self, k):
-        """Coefficient of u^k, for -1 <= k <= order."""
-        if k < -1 or k > self.order:
-            raise IndexError(f"u^{k} not tracked at order {self.order}")
-        return self.coeffs[k + 1]
-
-    def __str__(self):
-        parts = [f"u^{k}: {self.coeff(k)}" for k in range(-1, self.order + 1)]
-        return "; ".join(parts)
-
-    __repr__ = __str__
 
 
 def _exp_series(poly, n, upto):
@@ -71,12 +40,15 @@ def expand_in_u(f, n, order):
     """Expand a RatFunc of X1, Y1 as a Laurent series in u at u = 0.
 
     Substitutes X1 = exp(u/(2n)) and returns the exact coefficients of
-    u^-1 .. u^order as rational functions in Y1.  Raises PoleOrderError
-    when f has a pole of order > 1 at u = 0 (i.e. at X1 = 1).
+    u^-1 .. u^order, in that order, as a tuple of rational functions in
+    Y1.  Raises PoleOrderError when f has a pole of order > 1 at u = 0
+    (i.e. at X1 = 1), and ValueError for an order below 0.
     """
+    if order < 0:
+        raise ValueError("series order must be >= 0")
     f = rf(f)
     if f.is_zero():
-        return USeries.zero(order)
+        return (RatFunc.zero(),) * (order + 2)
     # A nonzero combination sum_a c_a(Y1) exp(a*u/(2n)) with t distinct
     # rates vanishes at u = 0 to order at most t - 1 (Vandermonde), which
     # bounds how far we must look for the leading coefficient.
@@ -109,8 +81,7 @@ def expand_in_u(f, n, order):
         for i in range(m + 1):
             acc = acc + nreg[i] * inv[m - i]
         quot.append(acc)
-    coeffs = []
-    for m in range(-1, order + 1):
-        idx = m + pole
-        coeffs.append(quot[idx] if 0 <= idx <= top else RatFunc.zero())
-    return USeries(order, coeffs)
+    return tuple(
+        quot[m + pole] if 0 <= m + pole <= top else RatFunc.zero()
+        for m in range(-1, order + 1)
+    )

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 from operator import itemgetter
 
-from .scalars import VAR_NAMES, LaurentPoly, RatFunc, monomial_mapping, monomial_rf, rf
+from .scalars import VAR_NAMES, LaurentPoly, RatFunc, monomial_rf, rf
 
 
 def _prune(d):
@@ -270,15 +270,13 @@ def _sparse_tensor(nlegs):
         def map_scalars(self, fn):
             return _adopt(Tensor, self.n, {k: fn(v) for k, v in self.coeffs.items()})
 
-        def substitute(self, assignment):
-            """Entrywise exact substitution for symbolic tensors.
+        def substitute(self, slot):
+            """Every entry at a slot's arguments (LaurentPoly.substitute).
 
             A LaurentPoly entry stays a LaurentPoly; any other becomes a RatFunc.
             """
-            mapping = monomial_mapping(assignment)
             return self.map_scalars(
-                lambda v: v.substitute(mapping) if isinstance(v, LaurentPoly)
-                else rf(v).substitute(assignment)
+                lambda v: (v if isinstance(v, LaurentPoly) else rf(v)).substitute(slot)
             )
 
         def cleared(self):

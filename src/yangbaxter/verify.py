@@ -21,27 +21,26 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import X1, X2, Y1, Y2, PoleOrderError, log_point, monomial_mapping, rf
+from .scalars import X1, PoleOrderError, log_point, rf
 from .series import expand_in_u
 from .tensors import Tensor2, Tensor3, apply_product, unit_vector, variables_used
 from .builders import build_r_ts, hat_r
 
 # Slots, keyed by their (u, v) arguments.  The input matrix carries (u, v)
-# as (X1, Y1).  Symbolic mode makes a slot by exact monomial substitution;
-# numeric mode evaluates the input at the shifted arguments, computed from
-# the sample point (u, u', v, v').
+# as (X1, Y1).  A slot's row ((a, b), (c, d)) shifts the arguments to
+# (a u + b u', c v + d v'): symbolic mode substitutes X1 -> X1^a X2^b and
+# Y1 -> Y1^c Y2^d (LaurentPoly.substitute), numeric mode evaluates the
+# input at the shifted arguments of the sample point (_slot_arguments).
 SLOTS = {
-    "u,v": ({}, lambda u, up, v, vp: (u, v)),
-    "u,-v": ({"Y1": Y1**-1}, lambda u, up, v, vp: (u, -v)),
-    "-u,-v": ({"X1": X1**-1, "Y1": Y1**-1}, lambda u, up, v, vp: (-u, -v)),
-    "-u',v": ({"X1": X2**-1}, lambda u, up, v, vp: (-up, v)),
-    "u',v'": ({"X1": X2, "Y1": Y2}, lambda u, up, v, vp: (up, vp)),
-    "u,v'": ({"Y1": Y2}, lambda u, up, v, vp: (u, vp)),
-    "u,v+v'": ({"Y1": Y1 * Y2}, lambda u, up, v, vp: (u, v + vp)),
-    "u+u',v'": ({"X1": X1 * X2, "Y1": Y2}, lambda u, up, v, vp: (u + up, vp)),
-    "u+u',v+v'": (
-        {"X1": X1 * X2, "Y1": Y1 * Y2}, lambda u, up, v, vp: (u + up, v + vp)
-    ),
+    "u,v": ((1, 0), (1, 0)),
+    "u,-v": ((1, 0), (-1, 0)),
+    "-u,-v": ((-1, 0), (-1, 0)),
+    "-u',v": ((0, -1), (1, 0)),
+    "u',v'": ((0, 1), (0, 1)),
+    "u,v'": ((1, 0), (0, 1)),
+    "u,v+v'": ((1, 0), (1, 1)),
+    "u+u',v'": ((1, 1), (0, 1)),
+    "u+u',v+v'": ((1, 1), (1, 1)),
 }
 # r(v), r(v+v'), r(v') on legs 12, 13, 23 of the spectral CYBE and QYBE
 SPECTRAL_SLOTS = ("u,v", "u,v+v'", "u,v'")
@@ -184,11 +183,7 @@ def _unitarity(direct, reflected, x=None):
 
 def _symbolic_slots(t, labels):
     """The symbolic slots of t named by labels."""
-    out = []
-    for label in labels:
-        sub = SLOTS[label][0]
-        out.append(t.substitute(sub) if sub else t.map_scalars(rf))
-    return out
+    return [t.substitute(SLOTS[label]) for label in labels]
 
 
 def cybe_residual(r):
@@ -219,9 +214,8 @@ def _cleared_cybe_spectral(r):
     dc are nonzero.
     """
     num, den = r.cleared()
-    subs = [SLOTS[label][0] for label in SPECTRAL_SLOTS]
-    slots = [num.substitute(sub) for sub in subs]
-    weights = [den.substitute(monomial_mapping(sub)) for sub in subs]
+    slots = [num.substitute(SLOTS[label]) for label in SPECTRAL_SLOTS]
+    weights = [den.substitute(SLOTS[label]) for label in SPECTRAL_SLOTS]
     return _cybe(*slots, weights=weights)[0]
 
 
@@ -263,12 +257,15 @@ def lift_obstruction(r):
 
 
 def u_coefficients(r, powers, order=0):
-    """Tensors of the u^p coefficients of r, p in powers, expanding each entry once."""
+    """Tensors of the u^p coefficients of r, p in powers, expanding each entry once;
+    ValueError for a power outside -1 .. order."""
+    if not all(-1 <= power <= order for power in powers):
+        raise ValueError(f"powers {powers} are not all in -1 .. {order}")
     outs = [{} for _ in powers]
     for key, value in r.coeffs.items():
         series = expand_in_u(rf(value), r.n, order)
         for out, power in zip(outs, powers):
-            c = series.coeff(power)
+            c = series[power + 1]
             if c:
                 out[key] = c
     return [Tensor2(r.n, out) for out in outs]
@@ -364,6 +361,19 @@ def _clear_point(rng):
     )
 
 
+def _slot_arguments(slot, point):
+    """The slot's (u, v) at a sample point (u, u', v, v'): a u + b u' and c v + d v'.
+
+    Only the nonzero terms are summed, u before u', and a coefficient of
+    1 or -1 only sets the sign, so the floats are those of the written-out sum.
+    """
+    out = []
+    for coeffs, args in zip(slot, (point[:2], point[2:])):
+        terms = [z if c == 1 else -z if c == -1 else c * z for c, z in zip(coeffs, args) if c]
+        out.append(sum(terms[1:], terms[0]))
+    return out
+
+
 def _numeric_row(identity):
     if identity not in NUMERIC_IDENTITIES:
         raise ValueError(f"unknown numeric identity {identity!r}")
@@ -385,7 +395,7 @@ def _numeric_tensors(identity, tensors, n, point, x):
     evaluated = {}
     for label in labels:
         if label not in evaluated:
-            uu, vv = SLOTS[label][1](*point)
+            uu, vv = _slot_arguments(SLOTS[label], point)
             evaluated[label] = tensors[key].evaluate(log_point(uu, up, vv, vp, n))
     residual, parts = formula(u, (x, {}), *(evaluated[label] for label in labels))
     return residual, max(part.max_abs() for part in parts)

@@ -20,7 +20,7 @@ from yangbaxter.builders import (
     q_minus_qinv,
     s_as_tensor,
 )
-from yangbaxter.scalars import Y1, Y2, rf
+from yangbaxter.scalars import Y1, rf
 from yangbaxter.tensors import Tensor2, gauge_conjugate
 from yangbaxter.triples import (
     BDTriple,
@@ -183,14 +183,14 @@ def test_criterion_08_gauge_covariance():
 def test_criterion_09_baxterization_equation():
     with criterion(9, "Baxterization functional equation and K=-1"):
         fv = f_v()
-        fvp = fv.substitute({"Y1": Y2})
-        fsum = fv.substitute({"Y1": Y1 * Y2})
+        fvp = fv.substitute(verify.SLOTS["u,v'"])
+        fsum = fv.substitute(verify.SLOTS["u,v+v'"])
         assert rf(fsum * (1 + fv + fvp) - fv * fvp).is_zero()
         # unitarity constraint at K = -1: 1/(e^{-v}-1) + 1/(e^{v}-1) = -1
         k_term = (Y1**-1 - 1) ** -1 + (Y1 - 1) ** -1 + 1
         assert rf(k_term).is_zero()
         # and e^v/(1-e^v) is the K = -1 family member: f + f(-v) = -1
-        assert rf(fv + fv.substitute({"Y1": Y1**-1}) + 1).is_zero()
+        assert rf(fv + fv.substitute(verify.SLOTS["u,-v"]) + 1).is_zero()
 
 
 def test_criterion_10_numeric_kernel():

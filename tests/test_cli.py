@@ -193,6 +193,17 @@ def test_structures_beyond_the_bound_list_no_trivial_cycles(monkeypatch):
     assert cg == [(t, compatible(t)) for _, t in triples.enumerate_cg_triples(16)]
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_listing_beyond_the_bound_holds_the_trivial_triple_once(capsys, n):
+    """Cremmer-Gervais m = 1 is the trivial triple at n <= 2; past --bound
+    it is listed once, as within it."""
+    listed = [t for t, _ in cli._listing(n, 0)]
+    assert listed == [triples.BDTriple.make(n, {})]
+    beyond = run_cli(capsys, "verify", "--n", "2", "--bound", "1", "--suite", "unitarity")
+    within = run_cli(capsys, "verify", "--n", "2", "--bound", "6", "--suite", "unitarity")
+    assert beyond == within and beyond[1]["summary"]["total"] == 1
+
+
 def test_build_with_a_valid_perm_lists_no_structures(capsys, monkeypatch):
     """A valid --perm is built directly: listing the trivial triple's 11!
     compatible cycles at n = 12 is out of reach."""
@@ -347,6 +358,24 @@ def test_bad_triple_file_is_a_usage_error(tmp_path, capsys, content, message):
         path.write_text(content)
     argv = ("build", "--n", "3", "--triple-file", str(path), "--target", "classical")
     assert_usage_error(capsys, argv, "bad --triple-file: " + message)
+
+
+@pytest.mark.parametrize("selectors", [
+    ("--trivial", "--cg", "1"),
+    ("--cg", "1", "--triple-file", "missing.json"),
+    ("--triple-file", "missing.json", "--trivial"),
+], ids=["trivial-cg", "cg-file", "file-trivial"])
+def test_conflicting_triple_selectors_are_a_usage_error(capsys, selectors):
+    """Two of --cg, --trivial and --triple-file: argparse exits 2 naming
+    both, before any matrix is built or any file read."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["build", "--n", "3", *selectors, "--target", "classical"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    named = [arg for arg in selectors if arg.startswith("--")]
+    assert "not allowed with argument" in captured.err
+    assert all(name in captured.err for name in named)
 
 
 def test_self_contradicting_triple_file_is_a_usage_error(tmp_path, capsys):

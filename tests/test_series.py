@@ -5,8 +5,10 @@ from math import factorial
 
 import pytest
 
+from yangbaxter import verify
 from yangbaxter.scalars import PoleOrderError, X1, Y1, rf
-from yangbaxter.series import USeries, expand_in_u
+from yangbaxter.series import expand_in_u
+from yangbaxter.tensors import Tensor2
 
 
 def taylor_inverse_one_minus_exp_neg(order):
@@ -46,35 +48,42 @@ def test_oracle_matches_frozen_values():
     assert taylor_inverse_one_minus_exp_neg(3) == ORACLE_COEFFS
 
 
+def expansion(f, n, order):
+    """expand_in_u's coefficients keyed by their power of u, -1 .. order."""
+    coeffs = expand_in_u(f, n, order)
+    assert len(coeffs) == order + 2
+    return dict(zip(range(-1, order + 1), coeffs))
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_expand_simple_pole_kernel(n):
     f = (1 - X1 ** (-2 * n)) ** -1  # 1/(1 - e^-u)
-    s = expand_in_u(f, n, 3)
+    s = expansion(f, n, 3)
     for k in range(-1, 4):
-        assert s.coeff(k) == ORACLE_COEFFS[k]
+        assert s[k] == ORACLE_COEFFS[k]
 
 
 def test_expand_exponential():
-    s = expand_in_u(rf(1) * X1**4, 2, 2)  # e^u at n=2
-    assert s.coeff(-1) == 0
-    assert s.coeff(0) == 1
-    assert s.coeff(1) == 1
-    assert s.coeff(2) == Fraction(1, 2)
+    s = expansion(rf(1) * X1**4, 2, 2)  # e^u at n=2
+    assert s[-1] == 0
+    assert s[0] == 1
+    assert s[1] == 1
+    assert s[2] == Fraction(1, 2)
 
 
 def test_expand_u_independent():
-    s = expand_in_u(Y1 / (1 - Y1), 3, 1)
-    assert s.coeff(-1).is_zero()
-    assert s.coeff(0) == Y1 / (1 - Y1)
-    assert s.coeff(1).is_zero()
+    s = expansion(Y1 / (1 - Y1), 3, 1)
+    assert s[-1].is_zero()
+    assert s[0] == Y1 / (1 - Y1)
+    assert s[1].is_zero()
 
 
 def test_expand_mixed_xy():
     # e^{-u/2}/(1 - e^{-u}) at n=2: pole 1, constant 0, linear u/24... check
     f = (rf(1) * X1**-2) * (1 - X1**-4) ** -1
-    s = expand_in_u(f, 2, 1)
-    assert s.coeff(-1) == 1
-    assert s.coeff(0) == 0
+    s = expansion(f, 2, 1)
+    assert s[-1] == 1
+    assert s[0] == 0
 
 
 def test_higher_order_pole_rejected():
@@ -83,30 +92,34 @@ def test_higher_order_pole_rejected():
 
 
 def test_zero_at_origin():
-    s = expand_in_u(1 - X1**-4, 2, 2)  # 1 - e^-u = u - u^2/2 + ...
-    assert s.coeff(-1) == 0
-    assert s.coeff(0) == 0
-    assert s.coeff(1) == 1
-    assert s.coeff(2) == Fraction(-1, 2)
+    s = expansion(1 - X1**-4, 2, 2)  # 1 - e^-u = u - u^2/2 + ...
+    assert s[-1] == 0
+    assert s[0] == 0
+    assert s[1] == 1
+    assert s[2] == Fraction(-1, 2)
 
 
 def test_expansion_multiplicative():
     n = 3
     f = (1 - X1 ** (-2 * n)) ** -1
     g = (rf(1) * X1 ** (2 * n)) * Y1 / (1 - Y1)
-    sf = expand_in_u(f, n, 3)
-    sg = expand_in_u(g, n, 3)
-    direct = expand_in_u(f * g, n, 3)
+    sf = expansion(f, n, 3)
+    sg = expansion(g, n, 3)
+    direct = expansion(f * g, n, 3)
     # g is regular at u = 0, so the Cauchy product is exact up to u^2
     for k in range(-1, 3):
-        prod = sum((sf.coeff(i) * sg.coeff(k - i) for i in range(-1, k + 1)), rf(0))
-        assert direct.coeff(k) == prod
+        prod = sum((sf[i] * sg[k - i] for i in range(-1, k + 1)), rf(0))
+        assert direct[k] == prod
 
 
-def test_useries_equality_and_coeff_range():
-    a = USeries(1, [rf(1), rf(0), rf(1)])
-    assert a.order == 1 and a.coeff(1) == 1
-    assert a.coeffs == USeries(1, [rf(1), rf(0), rf(1)]).coeffs
-    assert a.coeffs != USeries(1, [rf(0), rf(0), rf(1)]).coeffs
-    with pytest.raises(IndexError):
-        a.coeff(2)
+def test_expansion_tuple_and_coefficient_range():
+    coeffs = expand_in_u(1 - X1**-4, 2, 1)
+    assert isinstance(coeffs, tuple) and coeffs == (0, 0, 1)
+    assert expand_in_u(rf(0), 2, 1) == (0, 0, 0)
+    with pytest.raises(ValueError):
+        expand_in_u(rf(1), 2, -1)
+    r = Tensor2(2, {(1, 1, 1, 1): (1 - X1**-4) ** -1})
+    assert verify.u_coefficients(r, (-1, 1), order=1)[0] == Tensor2(2, {(1, 1, 1, 1): rf(1)})
+    for power in (-2, 2):
+        with pytest.raises(ValueError):
+            verify.u_coefficients(r, (0, power), order=1)

@@ -138,7 +138,8 @@ def _missing_names(names):
     """The names, sorted, that do not resolve in the yangbaxter package.
 
     A class member must be defined by the class itself, as the tracer
-    names each wrapped method after the class that defines it.
+    names each wrapped method after the class that defines it.  The walk
+    stops at the first attribute that does not resolve.
     """
     missing = []
     for name in sorted(names):
@@ -147,6 +148,8 @@ def _missing_names(names):
         for attr in attrs:
             obj = vars(obj).get(attr, missing) if isinstance(obj, type) else getattr(
                 obj, attr, missing)
+            if obj is missing:
+                break
         if obj is missing:
             missing.append(name)
     return missing
@@ -156,17 +159,19 @@ def test_benchmark_names_rule_flags_missing_names():
     groups = {"triples.walk": ("triples.t_orbit", "triples.no_such_walk"),
               "tensors.mul": ("tensors.Tensor2.mul", "tensors.Tensor2.no_such_method"),
               # inherited from ValueError, so the tracer never wraps it under this name
-              "scalars.init": ("scalars.LatticeError.__init__",)}
+              "scalars.init": ("scalars.PoleOrderError.__init__",),
+              # the class is missing; its member must not resolve through the sentinel
+              "scalars.gone": ("scalars.NoSuchClass.__init__",)}
     worker = "t = triples.BDTriple.make(2, {})\nbuilders.gone(t)\npackage.cli.main()\nx.y\n"
     names = _benchmark_names(groups, worker)
     assert names == {
         "triples.t_orbit", "triples.no_such_walk", "tensors.Tensor2.mul",
         "tensors.Tensor2.no_such_method", "triples.BDTriple", "triples.BDTriple.make",
-        "builders.gone", "scalars.LatticeError.__init__",
+        "builders.gone", "scalars.PoleOrderError.__init__", "scalars.NoSuchClass.__init__",
     }
     assert _missing_names(names) == [
-        "builders.gone", "scalars.LatticeError.__init__", "tensors.Tensor2.no_such_method",
-        "triples.no_such_walk",
+        "builders.gone", "scalars.NoSuchClass.__init__", "scalars.PoleOrderError.__init__",
+        "tensors.Tensor2.no_such_method", "triples.no_such_walk",
     ]
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from yangbaxter.scalars import X1, Y1, Y2, LaurentPoly, rf
+from yangbaxter.scalars import X1, Y1, Y2, LaurentPoly, RatFunc, rf
 from yangbaxter.tensors import (
     Tensor2,
     Tensor3,
@@ -12,6 +12,7 @@ from yangbaxter.tensors import (
     gauge_conjugate,
     unit_vector,
 )
+from yangbaxter.verify import SLOTS
 
 from conftest import (
     dense2,
@@ -423,12 +424,16 @@ def test_cleared_numerators_over_one_int_denominator():
 
 def test_substitute_keeps_laurent_entries_laurent():
     t = Tensor2(1, {(1, 1, 1, 1): LaurentPoly({(0, 0, 1, 0): 2, (0, 0, 0, 0): -1})})
-    out = t.substitute({"Y1": Y1 * Y2})
+    out = t.substitute(SLOTS["u,v+v'"])
     assert out.coeffs == {(1, 1, 1, 1): LaurentPoly({(0, 0, 1, 1): 2, (0, 0, 0, 0): -1})}
     assert isinstance(out.coeffs[(1, 1, 1, 1)], LaurentPoly)
-    assert t.map_scalars(rf).substitute({"Y1": Y1 * Y2}).coeffs == {
+    assert t.map_scalars(rf).substitute(SLOTS["u,v+v'"]).coeffs == {
         (1, 1, 1, 1): rf(2) * Y1 * Y2 - 1
     }
+    # a number goes through rf
+    number = Tensor2(1, {(1, 1, 1, 1): Fraction(3, 2)}).substitute(SLOTS["-u,-v"])
+    assert type(number.coeffs[(1, 1, 1, 1)]) is RatFunc
+    assert number.coeffs == {(1, 1, 1, 1): rf(Fraction(3, 2))}
 
 
 def test_three_leg_pretty_and_repr():

@@ -20,7 +20,7 @@ from yangbaxter.builders import (
     hat_r,
     q_minus_qinv,
 )
-from yangbaxter.scalars import PoleOrderError, X1, Y1, Y2, rf
+from yangbaxter.scalars import PoleOrderError, X1, Y1, rf
 from yangbaxter.series import expand_in_u
 from yangbaxter.tensors import Tensor2, Tensor3, gauge_conjugate, variables_used
 from yangbaxter.triples import (
@@ -151,8 +151,8 @@ def test_spectral_combination_equals_constant_combination():
         r = build_r_ts(t, particular)
         rh = hat_r(r)
         a = embed(rh, 12)
-        b = embed(rh.substitute({"Y1": Y1 * Y2}), 13)
-        c = embed(rh.substitute({"Y1": Y2}), 23)
+        b = embed(rh.substitute(verify.SLOTS["u,v+v'"]), 13)
+        c = embed(rh.substitute(verify.SLOTS["u,v'"]), 23)
         lhs = a.mul(b) - c.mul(a) + b.mul(c)
         rc = r.map_scalars(rf)
         rhs = (
@@ -240,7 +240,7 @@ def test_aybe_commutator_identity():
     """[r12(-u',v), r13(u+u',v+v')] + [r12(u,v), r23(u+u',v')] + [r13(u,v+v'), r23(u',v')]
     vanishes for a unitary solution (it is AYBE minus the reversed products)."""
     r = build_r_uv(cg_structure(3), formula="kernel")
-    a, b, c, d, e, f = (r.substitute(verify.SLOTS[label][0]) for label in verify.AYBE_SLOTS)
+    a, b, c, d, e, f = (r.substitute(verify.SLOTS[label]) for label in verify.AYBE_SLOTS)
     commutators = (
         a.mul(b, legs=(12, 13)) - b.mul(a, legs=(13, 12))
         + d.mul(c, legs=(12, 23)) - c.mul(d, legs=(23, 12))
@@ -333,10 +333,10 @@ def _projection_first_rbar(r):
     projected = r.map_scalars(rf).project_traceless((1, 2))
     out = {}
     for key, value in projected.coeffs.items():
-        series = expand_in_u(value, r.n, 0)
-        assert not series.coeff(-1)
-        if series.coeff(0):
-            out[key] = series.coeff(0)
+        pole, const = expand_in_u(value, r.n, 0)
+        assert not pole
+        if const:
+            out[key] = const
     return Tensor2(r.n, out)
 
 
@@ -528,7 +528,7 @@ def test_numeric_formulas_match_symbolic():
 
     def unitarity(r):
         # written out here, independently of the slot table
-        return r.map_scalars(rf) + r.flip21().substitute({"X1": X1**-1, "Y1": Y1**-1})
+        return r.map_scalars(rf) + r.flip21().substitute(((-1, 0), (-1, 0)))
 
     cases = {
         "aybe": ({"r": r_uv}, verify.aybe_residual),
@@ -731,6 +731,31 @@ def test_numeric_products_apply_each_shared_factor_once(monkeypatch):
         assert len(calls) == expected[identity], identity
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_every_slot_means_the_same_in_both_modes(n):
+    """A slot's symbolic substitution, evaluated at a sample point, equals
+    the input evaluated at the slot's arguments, as numeric mode does."""
+    from yangbaxter.builders import build_R_ggs_assoc
+    from yangbaxter.scalars import log_point
+
+    st = cg_structure(n)
+    s0 = s0_from_structure(st)
+    inputs = (build_r_uv(st, s0, formula="kernel"), build_R_ggs_assoc(st, s0))
+    rng = random.Random(n)
+    for _ in range(3):
+        point, _ = verify._clear_point(rng)
+        u, up, v, vp = point
+        for label, slot in verify.SLOTS.items():
+            uu, vv = verify._slot_arguments(slot, point)
+            for t in inputs:
+                symbolic = t.substitute(slot).evaluate(log_point(*point, n))
+                numeric = t.float_form().evaluate(log_point(uu, up, vv, vp, n))
+                assert symbolic.coeffs.keys() == numeric.coeffs.keys(), label
+                for k, value in numeric.coeffs.items():
+                    assert cmath.isclose(symbolic.coeffs[k], value, rel_tol=1e-12), (label, k)
+    assert len(verify.SLOTS) == 9
+
+
 def _applied_afresh(vector, factors, applied):
     """Reference route: every factor of every product applied to the vector anew."""
     for t, legs in reversed(factors):
@@ -757,7 +782,7 @@ def test_numeric_sharing_keeps_the_bits_of_the_unshared_route(monkeypatch):
         residual, scale = verify._numeric_tensors(identity, {key: t.float_form()}, 4, point, x)
         slots = []
         for label in labels:
-            uu, vv = verify.SLOTS[label][1](*point)
+            uu, vv = verify._slot_arguments(verify.SLOTS[label], point)
             logs = log_point(uu, up, vv, vp, 4)
             slots.append(t.map_scalars(lambda c: c.float_form().evaluate(logs)))
         with monkeypatch.context() as patched:
