@@ -26,7 +26,6 @@ workers; every operation returns a fresh value.
 from __future__ import annotations
 
 import cmath
-import math
 from fractions import Fraction
 
 VAR_NAMES = ("X1", "X2", "Y1", "Y2")
@@ -101,10 +100,12 @@ class LaurentPoly:
         return LaurentPoly._make({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        # the common operand first: isinstance against Fraction is slow
+        if type(other) is not LaurentPoly:
+            if isinstance(other, (int, Fraction)):
+                other = LaurentPoly.const(other)
+            elif not isinstance(other, LaurentPoly):
+                return NotImplemented
         big, small = self.terms, other.terms
         if len(big) < len(small):
             big, small = small, big
@@ -134,10 +135,11 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if type(other) is not LaurentPoly:
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
+            if not isinstance(other, LaurentPoly):
+                return NotImplemented
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
@@ -199,21 +201,6 @@ class LaurentPoly:
                 out[key] = cur
             elif key in out:
                 del out[key]
-        return LaurentPoly._make(out)
-
-    def coeff_denominator(self):
-        """The least positive int m such that m * self has int coefficients."""
-        return math.lcm(*(c.denominator for c in self.terms.values()))
-
-    def integral_multiple(self, m):
-        """m * self with every coefficient an int; m must be a multiple of
-        self.coeff_denominator()."""
-        out = {}
-        for e, c in self.terms.items():
-            q, rem = divmod(m, c.denominator)
-            if rem:
-                raise ValueError(f"{m} is not a multiple of the denominator of {c}")
-            out[e] = c.numerator * q
         return LaurentPoly._make(out)
 
     def evaluate(self, logs, powers=None):
@@ -300,8 +287,7 @@ class _FloatPoly(LaurentPoly):
         raise TypeError("a float form is for evaluate only")
 
     __eq__ = __neg__ = __add__ = __radd__ = __sub__ = __rsub__ = _inexact
-    __mul__ = __rmul__ = __pow__ = scale = shift = substitute = _inexact
-    integral_multiple = __str__ = _inexact
+    __mul__ = __rmul__ = __pow__ = scale = shift = substitute = __str__ = _inexact
 
 
 _ONE_POLY = LaurentPoly.const(1)
@@ -321,11 +307,12 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
+        # the common operands, LaurentPolys, first: isinstance against Fraction is slow
+        if type(num) is not LaurentPoly and isinstance(num, (int, Fraction)):
             num = LaurentPoly.const(num)
         if den is None:
             den = _ONE_POLY
-        elif isinstance(den, (int, Fraction)):
+        elif type(den) is not LaurentPoly and isinstance(den, (int, Fraction)):
             den = LaurentPoly.const(den)
         if not den.terms:
             raise ZeroDivisionError("RatFunc with zero denominator")
@@ -384,10 +371,11 @@ class RatFunc:
         return out
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RatFunc(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
+        if type(other) is not RatFunc:
+            if isinstance(other, (int, Fraction, LaurentPoly)):
+                other = RatFunc(other)
+            elif not isinstance(other, RatFunc):
+                return NotImplemented
         if self.den.terms == other.den.terms:
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(
@@ -407,17 +395,18 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return RatFunc.zero()
-            out = RatFunc.__new__(RatFunc)
-            out.num = self.num.scale(other)
-            out.den = self.den
-            return out
-        if isinstance(other, LaurentPoly):
-            other = RatFunc(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
+        if type(other) is not RatFunc:
+            if isinstance(other, (int, Fraction)):
+                if not other:
+                    return RatFunc.zero()
+                out = RatFunc.__new__(RatFunc)
+                out.num = self.num.scale(other)
+                out.den = self.den
+                return out
+            if isinstance(other, LaurentPoly):
+                other = RatFunc(other)
+            elif not isinstance(other, RatFunc):
+                return NotImplemented
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -62,8 +62,9 @@ def _subtracted(a, b):
     return out
 
 
-def _contract(left, right, left_cols, right_rows, pick, sort_by=None):
-    """Sum of the products ca * cb over the entry pairs that meet.
+def _contract(left, right, left_cols, right_rows, pick, sort_by=None, out=None):
+    """Sum of the products ca * cb over the entry pairs that meet, added
+    into the dict out when it is given.
 
     Entry (lk, ca) of left meets entry (rk, cb) of right when
     left_cols(lk) == right_rows(rk); the product lands at pick(lk + rk).
@@ -78,7 +79,8 @@ def _contract(left, right, left_cols, right_rows, pick, sort_by=None):
     buckets = {}
     for rk, cb in items:
         buckets.setdefault(right_rows(rk), []).append((rk, cb))
-    out = {}
+    if out is None:
+        out = {}
     get = out.get
     for lk, ca in left.items():
         for rk, cb in buckets.get(left_cols(lk), ()):
@@ -193,6 +195,11 @@ def _sparse_tensor(nlegs):
             of the embedded factors (the embed oracle in tests/conftest.py),
             but build no embedding.
             """
+            result, getters = self._placed(other, legs)
+            return _adopt(result, self.n, _contract(self.coeffs, other.coeffs, *getters))
+
+        def _placed(self, other, legs):
+            """The class of self.mul(other, legs) and _contract's getters for it."""
             factor, result, getters = _PRODUCTS.get((nlegs, legs), _UNKNOWN_PLACEMENT)
             if not isinstance(other, _TENSORS[factor]):
                 raise TypeError(
@@ -202,7 +209,7 @@ def _sparse_tensor(nlegs):
                 raise ValueError("tensor size mismatch")
             if getters is None:
                 raise ValueError(f"Tensor{nlegs}.mul cannot place a factor on legs {legs!r}")
-            return _adopt(_TENSORS[result], self.n, _contract(self.coeffs, other.coeffs, *getters))
+            return _TENSORS[result], getters
 
         if nlegs == 2:
 
@@ -246,7 +253,11 @@ def _sparse_tensor(nlegs):
                 return y
 
         def project_traceless(self, legs):
-            """Apply M -> M - (tr M / n) 1 on each selected leg (1, 2, ...)."""
+            """Apply M -> M - (tr M / n) 1 on each selected leg (1, 2, ...).
+
+            An int coefficient is divided exactly: it stays an int when n
+            divides it, and becomes a Fraction otherwise.
+            """
             n = self.n
             out = self
             for leg in legs:
@@ -258,7 +269,10 @@ def _sparse_tensor(nlegs):
                 for key, v in src.items():
                     if key[base] != key[base + 1]:
                         continue
-                    frac = v / n
+                    if type(v) is int:
+                        frac = v // n if v % n == 0 else Fraction(v, n)
+                    else:
+                        frac = v / n
                     head, tail = key[:base], key[base + 2:]
                     for m in range(1, n + 1):
                         nk = head + (m, m) + tail
@@ -279,29 +293,37 @@ def _sparse_tensor(nlegs):
                 lambda v: (v if isinstance(v, LaurentPoly) else rf(v)).substitute(slot)
             )
 
-        def cleared(self):
-            """(N, d) with self = N / d entrywise, all coefficients int.
+        def graded(self):
+            """(grades, den) with self = sum_e m_e grades[e] / sum_e den[e] m_e.
 
-            d is the product of the distinct entry denominators, and each
-            entry of N is its numerator times the other denominators; then
-            N and d are scaled by the lcm of their coefficient denominators.
+            m_e is the monomial with exponent tuple e.  Each grades[e] is a
+            tensor with int coefficients and each den[e] an int: the
+            denominator is the product of the distinct entry denominators,
+            each entry's numerator is multiplied by the others, and both
+            are scaled by the lcm of their coefficient denominators.  A
+            constant tensor has the one grade (0, 0, 0, 0).
             """
             entries = {k: rf(v) for k, v in self.coeffs.items()}
             dens = []
             for v in entries.values():
                 if len(v.den.terms) > 1 and v.den not in dens:
                     dens.append(v.den)
-            num = {}
+            nums = {}
             for k, v in entries.items():
                 x = v.num
                 for d in dens:
                     if d != v.den:
                         x = x * d
-                num[k] = x
+                nums[k] = x
             den = math.prod(dens, start=LaurentPoly.const(1))
-            m = math.lcm(den.coeff_denominator(), *(x.coeff_denominator() for x in num.values()))
-            num = {k: x.integral_multiple(m) for k, x in num.items()}
-            return _adopt(Tensor, self.n, num), den.integral_multiple(m)
+            polys = (den, *nums.values())
+            m = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+            grades = {}
+            for k, x in nums.items():
+                for e, c in x.terms.items():
+                    grades.setdefault(e, {})[k] = c.numerator * (m // c.denominator)
+            weights = {e: c.numerator * (m // c.denominator) for e, c in den.terms.items()}
+            return {e: _adopt(Tensor, self.n, g) for e, g in grades.items()}, weights
 
         def float_form(self):
             """Every scalar in float form (LaurentPoly.float_form), a number
@@ -397,6 +419,21 @@ def _terms_key(v):
     if isinstance(v, LaurentPoly):
         return (tuple(v.terms.items()),)
     return None
+
+
+def product_sum(terms):
+    """The sum of c x.mul(y, legs=legs) over the terms (c, x, y, legs).
+
+    There must be at least one term, and all products of one class and
+    size.  Each product is added into one dict as it is contracted, x
+    scaled by c first, so no product or partial sum is kept on its own.
+    """
+    out = {}
+    for c, x, y, legs in terms:
+        result, getters = x._placed(y, legs)
+        left = x.coeffs if c == 1 else {k: c * v for k, v in x.coeffs.items()}
+        _contract(left, y.coeffs, *getters, out=out)
+    return _adopt(result, x.n, out)
 
 
 def apply_product(x, factors, applied=None):

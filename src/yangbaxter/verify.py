@@ -17,13 +17,16 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import X1, PoleOrderError, log_point, rf
 from .series import expand_in_u
-from .tensors import Tensor2, Tensor3, apply_product, unit_vector, variables_used
+from .tensors import (
+    Tensor2, Tensor3, apply_product, product_sum, unit_vector, variables_used,
+)
 from .builders import build_r_ts, hat_r
 
 # Slots, keyed by their (u, v) arguments.  The input matrix carries (u, v)
@@ -128,23 +131,26 @@ def _product(x, *factors):
     return out
 
 
-def _cybe(a, b, c, weights=None, x=None):
-    """[a12, b13] + [a12, c23] + [b13, c23].
+# The CYBE and the associative formula as signed products of two of three
+# slots a, b, c (0, 1, 2), each factor (slot, legs): the terms that
+# _graded_zero sums by grade.
+# [a12, b13] + [a12, c23] + [b13, c23]
+CYBE_TERMS = (
+    (1, (0, 12), (1, 13)), (-1, (1, 13), (0, 12)),
+    (1, (0, 12), (2, 23)), (-1, (2, 23), (0, 12)),
+    (1, (1, 13), (2, 23)), (-1, (2, 23), (1, 13)),
+)
+# a12 b13 - c23 a12 + b13 c23
+ASSOC_TERMS = ((1, (0, 12), (1, 13)), (-1, (2, 23), (0, 12)), (1, (1, 13), (2, 23)))
 
-    With weights (wa, wb, wc), the commutators are scaled by wc, wb and wa:
-    each by the weight of the slot it leaves out.
-    """
-    parts = (
-        _product(x, (a, 12), (b, 13)), _product(x, (b, 13), (a, 12)),
-        _product(x, (a, 12), (c, 23)), _product(x, (c, 23), (a, 12)),
-        _product(x, (b, 13), (c, 23)), _product(x, (c, 23), (b, 13)),
+
+def _cybe(a, b, c, x=None):
+    """[a12, b13] + [a12, c23] + [b13, c23], the products of CYBE_TERMS."""
+    slots = (a, b, c)
+    parts = tuple(
+        _product(x, (slots[i], ab), (slots[j], cd)) for _, (i, ab), (j, cd) in CYBE_TERMS
     )
-
-    def bracket(k):
-        t = parts[2 * k] - parts[2 * k + 1]
-        return t if weights is None else t.scale(weights[2 - k])
-
-    return bracket(0) + bracket(1) + bracket(2), parts
+    return (parts[0] - parts[1]) + (parts[2] - parts[3]) + (parts[4] - parts[5]), parts
 
 
 def _qybe(a, b, c, x=None):
@@ -186,8 +192,50 @@ def _symbolic_slots(t, labels):
     return [t.substitute(SLOTS[label]) for label in labels]
 
 
+def _at_slot(exps, slot):
+    """The exponent tuple of a monomial at a slot's arguments, as
+    LaurentPoly.substitute maps it."""
+    (a, b), (c, d) = slot
+    x1, x2, y1, y2 = exps
+    return (a * x1, b * x1 + x2, c * y1, d * y1 + y2)
+
+
+def _graded_zero(r, labels, terms, project=()):
+    """Whether the residual sum_t sign x_i y_j over the slots a, b, c of r
+    named by labels is zero, after the traceless projection of the legs
+    in project.
+
+    Decided by grade on int constant tensors: with r = N / d split by
+    monomial (Tensor.graded), da db dc times the residual is the sum over
+    the terms of sign dk Ni Nj, k the slot a term leaves out.  The slots
+    used here, "u,v" and the spectral ones on an input in Y1 only, keep
+    da, db and dc nonzero.  Each product of a grade of Ni, a grade of Nj
+    and a term of dk lands on one monomial, and monomials are linearly
+    independent, so the residual is zero exactly when the sum on every
+    monomial is.  Every formula here is quadratic in r, so d is first
+    divided by the gcd of its coefficients, which scales the residual by
+    a nonzero constant.  So does the factor n per projected leg, which
+    keeps the projection's division by n in int.
+    """
+    grades, den = r.graded()
+    g = math.gcd(*den.values())
+    scale = r.n ** len(project)
+    slots = [[(_at_slot(e, SLOTS[label]), t) for e, t in grades.items()] for label in labels]
+    weights = [[(_at_slot(e, SLOTS[label]), c // g) for e, c in den.items()] for label in labels]
+    sums = {}
+    for sign, (i, ab), (j, cd) in terms:
+        for ei, ti in slots[i]:
+            for ej, tj in slots[j]:
+                for ek, c in weights[3 - i - j]:
+                    grade = tuple(map(sum, zip(ei, ej, ek)))
+                    sums.setdefault(grade, []).append((sign * c * scale, ti, tj, (ab, cd)))
+    return all(product_sum(s).project_traceless(project).is_zero() for s in sums.values())
+
+
 def cybe_residual(r):
     """[r12, r13] + [r12, r23] + [r13, r23] for a constant r."""
+    if _graded_zero(r, ("u,v",) * 3, CYBE_TERMS):
+        return Tensor3(r.n)
     return _cybe(r, r, r)[0]
 
 
@@ -195,28 +243,15 @@ def cybe_spectral_residual(r):
     """Spectral CYBE residual for r = r(Y1).
 
     Slots carry arguments x, x+y, y realized as Y1, Y1*Y2, Y2; the input
-    must not involve the other formal symbols.
+    must not involve the other formal symbols.  The zero test is made by
+    grade (_graded_zero); only a nonzero residual is built over RatFunc.
     """
     extra = variables_used(r) - {"Y1"}
     if extra:
         raise ValueError(f"spectral CYBE input must depend on Y1 only, found {sorted(extra)}")
-    if _cleared_cybe_spectral(r).is_zero():
+    if _graded_zero(r, SPECTRAL_SLOTS, CYBE_TERMS):
         return Tensor3(r.n)
     return _cybe(*_symbolic_slots(r, SPECTRAL_SLOTS))[0]
-
-
-def _cleared_cybe_spectral(r):
-    """da db dc times the spectral CYBE residual of r = N / d.
-
-    Na, Nb, Nc and da, db, dc are the slots of N and d.  The result has
-    LaurentPoly entries with int coefficients, and it is zero exactly when
-    the residual is: a slot substitutes a monomial for Y1, so da, db and
-    dc are nonzero.
-    """
-    num, den = r.cleared()
-    slots = [num.substitute(SLOTS[label]) for label in SPECTRAL_SLOTS]
-    weights = [den.substitute(SLOTS[label]) for label in SPECTRAL_SLOTS]
-    return _cybe(*slots, weights=weights)[0]
 
 
 def unitarity_check(r, kind, provenance=None):
@@ -252,7 +287,11 @@ def lift_obstruction(r):
     """Fully traceless projection of r12 r13 - r23 r12 + r13 r23.
 
     Zero exactly when the constant matrix admits a two-parameter lift.
+    The zero test is made by grade (_graded_zero); only a nonzero
+    obstruction is built over the input's own scalars.
     """
+    if _graded_zero(r, ("u,v",) * 3, ASSOC_TERMS, project=(1, 2, 3)):
+        return Tensor3(r.n)
     return _assoc(r, r, r, r, r, r)[0].project_traceless((1, 2, 3))
 
 

@@ -79,6 +79,13 @@ GOLDEN = {
     "verify --n 4 --suite cybe": (
         0, "b893848a7b74f5eb56b3d0fc5a7b819d44225912848fd43817194c3b055ff2aa"
     ),
+    "verify --n 5 --suite cybe": (
+        0, "eaa5c7debca335c7258b6c0b02f35a405231219ad8cbbdb36d35847c6a3752ca"
+    ),
+    # exits 1 by design: the witnesses of the two non-associative triples
+    "verify --n 5 --suite obstruction,cybe --include-nonassociative --bound 5": (
+        1, "b61d247e1c15132ee0b48dd0a3025df7715a69a88ef411c50297ae03160851bd"
+    ),
     # every suite on the trivial+CG listing beyond the enumeration bound
     "verify --n 4 --suite all --bound 3": (
         0, "573b8fee77b8f0abb87ea225015f1dbcec53a7d69886877df8504d733003c9ed"

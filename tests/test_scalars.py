@@ -252,24 +252,6 @@ def test_integral_coefficients_enter_as_int():
     assert _coeff_types(LaurentPoly({e: 3}).scale(Fraction(2, 1))) == {int}
 
 
-def test_coeff_denominator_is_the_lcm_of_the_coefficient_denominators():
-    assert LaurentPoly.zero().coeff_denominator() == 1
-    assert LaurentPoly({(0, 0, 1, 0): 3, (0, 0, 0, 0): -2}).coeff_denominator() == 1
-    p = LaurentPoly({(0, 0, 1, 0): Fraction(1, 4), (0, 0, 0, 0): Fraction(-5, 6), (1, 0, 0, 0): 7})
-    assert p.coeff_denominator() == 12
-
-
-def test_integral_multiple_has_int_coefficients():
-    p = LaurentPoly({(0, 0, 1, 0): Fraction(1, 4), (0, 0, 0, 0): Fraction(-5, 6), (1, 0, 0, 0): 7})
-    for m in (12, 24):
-        q = p.integral_multiple(m)
-        assert q == p.scale(m)
-        assert _coeff_types(q) == {int}
-    assert LaurentPoly.zero().integral_multiple(5).is_zero()
-    with pytest.raises(ValueError):
-        p.integral_multiple(6)
-
-
 # --- differential check against a plain dict-of-Fraction reference --------
 
 _VALUES = [Fraction(k) for k in range(-2, 3)] + [

@@ -10,6 +10,7 @@ from yangbaxter.tensors import (
     Tensor3,
     apply_product,
     gauge_conjugate,
+    product_sum,
     unit_vector,
 )
 from yangbaxter.verify import SLOTS
@@ -398,7 +399,7 @@ def test_variables_used():
     assert variables_used(spectral) == {"X1", "Y1"}
 
 
-def test_cleared_numerators_over_one_int_denominator():
+def test_graded_split_has_int_grades_over_one_int_denominator():
     y = rf(1) - Y1
     t = Tensor2(2, {
         (1, 1, 1, 1): Fraction(1, 2) / y,
@@ -406,20 +407,22 @@ def test_cleared_numerators_over_one_int_denominator():
         (2, 2, 1, 1): Fraction(3, 4),
         (2, 1, 1, 2): rf(Y1) ** -1,
     })
-    num, den = t.cleared()
+    grades, den = t.graded()
     # the distinct denominators Y1 - 1 and (Y1 - 1)^2, times the lcm 12 of
     # the numerators' coefficient denominators
-    assert den == ((LaurentPoly.monomial((0, 0, 1, 0)) - 1) ** 3).scale(12)
-    assert {type(c) for c in den.terms.values()} == {int}
-    assert set(num.coeffs) == set(t.coeffs)
+    den_poly = LaurentPoly(den)
+    assert den_poly == ((LaurentPoly.monomial((0, 0, 1, 0)) - 1) ** 3).scale(12)
+    assert {type(c) for c in den.values()} == {int}
+    assert {type(c) for g in grades.values() for c in g.coeffs.values()} == {int}
+    assert set().union(*(g.coeffs for g in grades.values())) == set(t.coeffs)
     for key, value in t.coeffs.items():
-        entry = num.coeffs[key]
-        assert isinstance(entry, LaurentPoly)
-        assert {type(c) for c in entry.terms.values()} == {int}
-        assert rf(entry) / den == value
-    const, one = Tensor2.perm(2).cleared()
-    assert one == LaurentPoly.const(1)
-    assert const.coeffs == {k: LaurentPoly.const(1) for k in Tensor2.perm(2).coeffs}
+        num = LaurentPoly({e: g.coeffs[key] for e, g in grades.items() if key in g.coeffs})
+        assert rf(num) / den_poly == value
+    # a constant tensor has one grade, over the lcm of its denominators
+    grades, den = Tensor2.perm(2).scale(Fraction(1, 2)).graded()
+    assert den == {(0, 0, 0, 0): 2}
+    assert list(grades) == [(0, 0, 0, 0)] and grades[(0, 0, 0, 0)] == Tensor2.perm(2, 1)
+    assert Tensor2(2).graded() == ({}, {(0, 0, 0, 0): 1})
 
 
 def test_substitute_keeps_laurent_entries_laurent():
@@ -472,6 +475,31 @@ def test_three_leg_project_traceless_examples():
     assert embed(Tensor2.perm(2), 12).project_traceless((1, 2)).coeffs == want
     # projecting leg 3 as well removes its identity factor, leaving zero
     assert embed(Tensor2.perm(2), 12).project_traceless((1, 2, 3)).is_zero()
+
+
+def test_project_traceless_keeps_int_coefficients_exact():
+    # an int coefficient is divided exactly, never as a float
+    got = Tensor2.perm(3, 1).project_traceless((1, 2))
+    assert got == Tensor2.perm(3).project_traceless((1, 2))
+    assert Fraction(2, 3) in got.coeffs.values()
+    assert not any(isinstance(v, float) for v in got.coeffs.values())
+    cube = embed(Tensor2.perm(3, 1), 12).project_traceless((1, 2, 3))
+    assert not any(isinstance(v, float) for v in cube.coeffs.values())
+    # a multiple of n stays an int
+    assert {type(v) for v in Tensor2.perm(3, 3).project_traceless((1,)).coeffs.values()} == {int}
+
+
+def test_product_sum_is_the_sum_of_the_scaled_products(rng):
+    for n in (2, 3):
+        x, y, z = (random_sparse_tensor2(n, rng, nnz=6) for _ in range(3))
+        terms = [(1, x, y, (12, 13)), (-2, y, x, (13, 12)), (3, z, x, (23, 12))]
+        want = x.mul(y, legs=(12, 13)) - y.mul(x, legs=(13, 12)).scale(2)
+        want = want + z.mul(x, legs=(23, 12)).scale(3)
+        assert product_sum(terms) == want
+        # terms that cancel leave no zero coefficient behind
+        assert product_sum([(1, x, y, None), (-1, x, y, None)]).coeffs == {}
+    with pytest.raises(ValueError):
+        product_sum([(1, x, y, 12)])
 
 
 def test_project_traceless_rejects_missing_legs():

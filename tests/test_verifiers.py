@@ -20,7 +20,7 @@ from yangbaxter.builders import (
     hat_r,
     q_minus_qinv,
 )
-from yangbaxter.scalars import PoleOrderError, X1, Y1, rf
+from yangbaxter.scalars import PoleOrderError, X1, Y1, LaurentPoly, rf
 from yangbaxter.series import expand_in_u
 from yangbaxter.tensors import Tensor2, Tensor3, gauge_conjugate, variables_used
 from yangbaxter.triples import (
@@ -115,7 +115,7 @@ HALF_PERM_WITNESS = {
 
 def _ratfunc_cybe_spectral(r):
     """The spectral CYBE residual over RatFunc slots: the oracle for the
-    cleared-numerator zero test."""
+    graded zero test."""
     return verify._cybe(*verify._symbolic_slots(r, verify.SPECTRAL_SLOTS))[0]
 
 
@@ -136,11 +136,66 @@ def test_cybe_spectral_cleared_verdicts_match_ratfunc_oracle():
         verdicts = (verify.cybe_spectral_residual(rh).is_zero(), _ratfunc_cybe_spectral(rh).is_zero())
         assert verdicts == (True, True)
         bad = _perturbed(rh)
+        assert not verify._graded_zero(bad, verify.SPECTRAL_SLOTS, verify.CYBE_TERMS)
         residual, oracle = verify.cybe_spectral_residual(bad), _ratfunc_cybe_spectral(bad)
         assert not oracle.is_zero()
         (key, value), (okey, ovalue) = residual.lex_witness(), oracle.lex_witness()
         assert (key, str(value)) == (okey, str(ovalue))
     assert count == 45
+
+
+def _constant_family(nmax, reversing5):
+    """r_{T,s} at the particular s and at particular + each basis vector,
+    for every triple with n <= nmax and for the orientation-reversing n = 5
+    triple."""
+    triples = [t for n in range(2, nmax + 1) for t in enumerate_triples(n)] + [reversing5]
+    for t in triples:
+        particular, basis = solve_s_system(t)
+        for s in [particular] + [particular + b for b in basis]:
+            yield build_r_ts(t, s)
+
+
+# constant CYBE and the lift obstruction: the graded zero test's arguments
+# and the Fraction oracle, the formula over the input's own scalars
+CONSTANT_CHECKS = {
+    "cybe": (verify.cybe_residual, verify.CYBE_TERMS, (), lambda r: verify._cybe(r, r, r)[0]),
+    "obstruction": (
+        verify.lift_obstruction, verify.ASSOC_TERMS, (1, 2, 3),
+        lambda r: verify._assoc(r, r, r, r, r, r)[0].project_traceless((1, 2, 3)),
+    ),
+}
+
+
+@pytest.mark.parametrize("check", list(CONSTANT_CHECKS))
+def test_constant_graded_verdicts_match_fraction_oracle(check, reversing5):
+    public, terms, project, oracle = CONSTANT_CHECKS[check]
+    slots = ("u,v",) * 3
+    verdicts = []
+    for r in _constant_family(4, reversing5):
+        want = oracle(r)
+        assert verify._graded_zero(r, slots, terms, project) == want.is_zero()
+        assert public(r) == want
+        verdicts.append(want.is_zero())
+        bad = _perturbed(r)
+        want = oracle(bad)
+        assert not want.is_zero()
+        assert not verify._graded_zero(bad, slots, terms, project)
+        got = public(bad)
+        (key, value), (okey, ovalue) = got.lex_witness(), want.lex_witness()
+        assert (key, str(value)) == (okey, str(ovalue))
+    # 45 matrices with n <= 4 and 4 of the reversing triple; every one
+    # solves the CYBE, and the obstruction vanishes at 10 of them, so both
+    # verdicts are cross-checked
+    assert len(verdicts) == 49
+    assert verdicts.count(True) == (10 if check == "obstruction" else 49)
+
+
+def test_slot_exponents_are_those_of_substitution():
+    exps = [(0, 0, 0, 0), (1, 0, 2, 0), (-3, 2, 1, -1), (Fraction(1, 2), 0, Fraction(-3, 4), 1)]
+    for slot in verify.SLOTS.values():
+        for e in exps:
+            (got,) = LaurentPoly.monomial(e).substitute(slot).terms
+            assert verify._at_slot(e, slot) == got
 
 
 def test_spectral_combination_equals_constant_combination():
