@@ -88,18 +88,23 @@ def build_r_ts(t, s):
 
 
 def hat_r(r):
-    """Spectral lift (r + e^v r^21) / (1 - e^v) of a constant solution."""
-    y1 = LaurentPoly.monomial((0, 0, 1, 0))
-    den = LaurentPoly.const(1) - y1
+    """Spectral lift (r + e^v r^21) / (1 - e^v) of a constant solution.
+
+    Each entry is -(r + Y1 r^21) / (Y1 - 1), the form RatFunc's
+    constructor gives (r + Y1 r^21) / (1 - Y1): its denominator made
+    monic, and 1 where the numerator equals it.  It is built in that form
+    directly, over one denominator.
+    """
+    one, y1 = (0, 0, 0, 0), (0, 0, 1, 0)
+    den = LaurentPoly({one: -1, y1: 1})
     flip = r.flip21()
     out = {}
     for key in set(r.coeffs) | set(flip.coeffs):
-        num = LaurentPoly.const(r.coeffs.get(key, 0)) + y1.scale(
-            Fraction(flip.coeffs.get(key, 0))
-        )
-        val = RatFunc(num, den)
-        if val:
-            out[key] = val
+        num = LaurentPoly({one: -r.coeffs.get(key, 0), y1: -flip.coeffs.get(key, 0)})
+        if num.terms == den.terms:
+            out[key] = RatFunc(1)
+        elif num.terms:
+            out[key] = RatFunc.in_normal_form(num, den)
     return Tensor2(r.n, out)
 
 

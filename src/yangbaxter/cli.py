@@ -184,8 +184,10 @@ class _Matrices:
     matrices need the associative structure.
     """
 
-    def __init__(self, triple, s, structure=None):
+    def __init__(self, triple, s, structure=None, catalogues=None):
         self.triple, self.s, self.structure = triple, s, structure
+        # shared by the holders of one verify run (verify.aybe_residual)
+        self.catalogues = catalogues
 
     @cached_property
     def r_ts(self):
@@ -322,7 +324,7 @@ SYMBOLIC_CHECKS = (
     ("cross-formula", _residual("cross-formula-ggs", lambda m: (
         builders.build_R_ggs_general(m.triple, m.s) - m.R_assoc))),
     ("cross-formula", _residual("cross-formula-ruv", lambda m: m.r_quantum - m.r_kernel)),
-    ("aybe", _residual("aybe", lambda m: verify.aybe_residual(m.r_quantum))),
+    ("aybe", _residual("aybe", lambda m: verify.aybe_residual(m.r_quantum, m.catalogues))),
     ("unitarity", lambda m, prov: verify.unitarity_check(m.r_quantum, "associative", prov)),
     ("lift", lambda m, prov: verify.check_lift(m.r_quantum, m.triple, m.s, prov)),
     ("central", _residual("central", lambda m: (
@@ -352,6 +354,7 @@ def _verify(args):
         if not (math.isfinite(args.tolerance) and args.tolerance > 0):
             raise CliError("--tolerance must be a finite number > 0")
     reports = []
+    catalogues = {}
     for t, structures in _listing(args.n, args.bound):
         base_prov = {"triple": t.to_json()}
         per_s = set() if numeric else suites
@@ -362,7 +365,7 @@ def _verify(args):
         family = _s_family(t, base_prov) if rows else []
         reports += [check(m, prov) for checks in rows for m, prov in family for check in checks]
         for structure in structures:
-            m = _Matrices(t, triples.s0_from_structure(structure), structure)
+            m = _Matrices(t, triples.s0_from_structure(structure), structure, catalogues)
             prov = dict(base_prov, tilde_t=list(structure.tilde_t), s="s0")
             if not numeric:
                 reports += [check(m, prov) for suite, check in SYMBOLIC_CHECKS if suite in suites]

@@ -26,6 +26,7 @@ workers; every operation returns a fresh value.
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 
 VAR_NAMES = ("X1", "X2", "Y1", "Y2")
@@ -236,6 +237,66 @@ class LaurentPoly:
             {tuple(map(float, exps)): float(c) for exps, c in self.terms.items()}
         )
 
+    def associate(self):
+        """(c, e, p) with self = c X^e p, for a nonzero self.
+
+        p is the associate of self whose lex-least exponent tuple is 0 and
+        whose lex-greatest term has coefficient 1; self times any unit
+        c' X^e' of this Laurent ring has the same p.
+        """
+        lo = min(self.terms)
+        c = self.terms[max(self.terms)]
+        p = self.shift(tuple(-x for x in lo)) if any(lo) else self
+        if c != 1:
+            p = p.scale(Fraction(1) / c)
+        return c, lo, p
+
+    def binomial_quotient(self, w, c):
+        """self / (X^w - c) when the division is exact, else None; w != 0.
+
+        The terms of self fall into the lines e + Z w.  On each line self
+        is a monomial times a polynomial in t = X^w, which X^w - c divides
+        exactly when it vanishes at t = c; the quotient is read off by
+        synthetic division from the top.
+        """
+        i = next(idx for idx, x in enumerate(w) if x)
+        lines = {}
+        for e, a in self.terms.items():
+            j = e[i] // w[i]
+            lines.setdefault(tuple(x - j * y for x, y in zip(e, w)), {})[j] = a
+        out = {}
+        for base, coeffs in lines.items():
+            lo = min(coeffs)
+            carry = 0
+            for j in range(max(coeffs), lo, -1):
+                carry = coeffs.get(j, 0) + c * carry
+                if carry:
+                    out[tuple(x + (j - 1) * y for x, y in zip(base, w))] = carry
+            if coeffs.get(lo, 0) + c * carry:
+                return None
+        return LaurentPoly(out)
+
+    def factors(self):
+        """(c, e, factors) with self = c X^e prod(factors), for a nonzero self.
+
+        Each factor is an associate (associate()).  Binomials X^w - c are
+        split off one at a time (_binomial_divisor); what no such binomial
+        divides is the last factor, unless it is 1.  Each split lowers the
+        greatest exponent tuple, and the loop stops after as many splits
+        as self has terms.
+        """
+        c, e, p = self.associate()
+        out = []
+        for _ in range(len(self.terms)):
+            split = _binomial_divisor(p) if len(p.terms) > 2 else None
+            if split is None:
+                break
+            w, root, p = split
+            out.append(LaurentPoly({w: 1, _ZERO_EXPS: -root}))
+        if len(p.terms) > 1:
+            out.append(p)
+        return c, e, out
+
     def exponents_of(self, var):
         return {e[var] for e in self.terms}
 
@@ -271,6 +332,24 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self})"
+
+
+def _binomial_divisor(p):
+    """(w, c, p / (X^w - c)) for a binomial X^w - c that divides p, or None.
+
+    p is an associate (LaurentPoly.associate).  w runs over the steps
+    from its greatest exponent tuple to the others, and c over 1 and the
+    other term's coefficient negated.
+    """
+    hi = max(p.terms)
+    for x, a in sorted(p.terms.items()):
+        w = tuple(y - z for y, z in zip(hi, x))
+        if any(w):
+            for root in dict.fromkeys((1, -a)):
+                q = p.binomial_quotient(w, root)
+                if q is not None:
+                    return w, root, q
+    return None
 
 
 class _FloatPoly(LaurentPoly):
@@ -342,6 +421,15 @@ class RatFunc:
                 num, den = _ONE_POLY, _ONE_POLY
         self.num = num
         self.den = den
+
+    @classmethod
+    def in_normal_form(cls, num, den):
+        """num / den taken as given, for a num and den already in the form
+        the constructor leaves them in; that is not checked."""
+        out = cls.__new__(cls)
+        out.num = num
+        out.den = den
+        return out
 
     @classmethod
     def zero(cls):
@@ -457,6 +545,42 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
+
+
+def kronecker_ints(polys, cmax):
+    """Each polynomial with int coefficients as one int, for deciding int
+    combinations of them.
+
+    The monomials met are numbered in order, and p becomes the int
+    sum_i p[m_i] 2^(B i), B a multiple of 8.  B is chosen so that for any
+    ints c_j with |c_j| <= cmax, sum_j c_j ints[j] is zero exactly when
+    sum_j c_j polys[j] is: each monomial's coefficient in the sum is then
+    below 2^(B - 1) in size, so a nonzero one cannot be cancelled by the
+    others.
+    Polynomials with Fraction coefficients are all first scaled by the lcm
+    of their denominators, which keeps every such verdict.
+    """
+    scale = math.lcm(*(
+        c.denominator for p in polys for c in p.terms.values() if type(c) is not int
+    ))
+    index = {}
+    total = {}
+    for p in polys:
+        for e, c in p.terms.items():
+            index.setdefault(e, len(index))
+            total[e] = total.get(e, 0) + abs(c)
+    bits = (math.ceil(cmax * scale * max(total.values(), default=0))).bit_length() + 1
+    # whole bytes per monomial: the digits of each sign are written as bytes
+    width = -(-bits // 8)
+    out = []
+    for p in polys:
+        digits = (bytearray(width * len(index)), bytearray(width * len(index)))
+        for e, c in p.terms.items():
+            c = c * scale if scale != 1 else c
+            at = width * index[e]
+            digits[c < 0][at:at + width] = int(abs(c)).to_bytes(width, "little")
+        out.append(int.from_bytes(digits[0], "little") - int.from_bytes(digits[1], "little"))
+    return out
 
 
 def rf(value):

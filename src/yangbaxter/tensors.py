@@ -25,11 +25,15 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
 
 from .scalars import VAR_NAMES, LaurentPoly, RatFunc, monomial_rf, rf
+
+
+_ONE_TERMS = {(0, 0, 0, 0): 1}
 
 
 def _prune(d):
@@ -281,6 +285,14 @@ def _sparse_tensor(nlegs):
                 out = _adopt(Tensor, n, acc)
             return out
 
+        def split_diagonal(self):
+            """(diagonal, rest): the entries e_ii (x) e_kk ... diagonal on
+            every leg, and the others."""
+            parts = ({}, {})
+            for k, v in self.coeffs.items():
+                parts[k[0::2] != k[1::2]][k] = v
+            return tuple(_adopt(Tensor, self.n, part) for part in parts)
+
         def map_scalars(self, fn):
             return _adopt(Tensor, self.n, {k: fn(v) for k, v in self.coeffs.items()})
 
@@ -293,29 +305,55 @@ def _sparse_tensor(nlegs):
                 lambda v: (v if isinstance(v, LaurentPoly) else rf(v)).substitute(slot)
             )
 
+        def cleared(self):
+            """(factors, nums) with self = nums[k] / prod f^m over (f, m) in factors.
+
+            The common denominator is the least common multiple of the
+            entry denominators over their factors (LaurentPoly.factors):
+            each factor to the highest power one entry has it.  Each
+            nums[k] is the entry's numerator times its cofactor, a
+            LaurentPoly; an entry that is not a RatFunc has denominator 1.
+            """
+            dens = {}
+            factors = {}
+            most = Counter()
+            entries = []
+            for k, v in self.coeffs.items():
+                v = rf(v)
+                key = tuple(v.den.terms.items())
+                if key not in dens:
+                    c, e, fs = v.den.factors()
+                    powers = Counter()
+                    for f in fs:
+                        fkey = tuple(sorted(f.terms.items()))
+                        factors[fkey] = f
+                        powers[fkey] += 1
+                    most |= powers
+                    dens[key] = (c, e, powers)
+                entries.append((k, v.num, key))
+            cofactors = {}
+            for key, (c, e, powers) in dens.items():
+                cof = LaurentPoly.monomial(tuple(-x for x in e), Fraction(1) / c)
+                for fkey, m in (most - powers).items():
+                    cof = cof * factors[fkey] ** m
+                cofactors[key] = cof
+            nums = {}
+            for k, num, key in entries:
+                cof = cofactors[key]
+                nums[k] = num if cof.terms == _ONE_TERMS else num * cof
+            return tuple((factors[fkey], most[fkey]) for fkey in sorted(most)), nums
+
         def graded(self):
             """(grades, den) with self = sum_e m_e grades[e] / sum_e den[e] m_e.
 
             m_e is the monomial with exponent tuple e.  Each grades[e] is a
             tensor with int coefficients and each den[e] an int: the
-            denominator is the product of the distinct entry denominators,
-            each entry's numerator is multiplied by the others, and both
-            are scaled by the lcm of their coefficient denominators.  A
-            constant tensor has the one grade (0, 0, 0, 0).
+            denominator and numerators are those of cleared(), scaled by
+            the lcm of their coefficient denominators.  A constant tensor
+            has the one grade (0, 0, 0, 0).
             """
-            entries = {k: rf(v) for k, v in self.coeffs.items()}
-            dens = []
-            for v in entries.values():
-                if len(v.den.terms) > 1 and v.den not in dens:
-                    dens.append(v.den)
-            nums = {}
-            for k, v in entries.items():
-                x = v.num
-                for d in dens:
-                    if d != v.den:
-                        x = x * d
-                nums[k] = x
-            den = math.prod(dens, start=LaurentPoly.const(1))
+            factors, nums = self.cleared()
+            den = math.prod((f ** m for f, m in factors), start=LaurentPoly.const(1))
             polys = (den, *nums.values())
             m = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
             grades = {}
@@ -324,6 +362,33 @@ def _sparse_tensor(nlegs):
                     grades.setdefault(e, {})[k] = c.numerator * (m // c.denominator)
             weights = {e: c.numerator * (m // c.denominator) for e, c in den.terms.items()}
             return {e: _adopt(Tensor, self.n, g) for e, g in grades.items()}, weights
+
+        def catalogue(self):
+            """(factors, functions) with self = sum_f f A_f / prod g^m, over
+            (f, A_f) in functions and (g, m) in factors.
+
+            factors and the numerators are those of cleared().  Numerators
+            that are rational multiples of one polynomial share one f, and
+            A_f holds each one's multiple: the f are the scalar functions of
+            self, and each A_f is a tensor with int coefficients, with f
+            divided by the lcm of the multiples' denominators to make it so.
+            """
+            factors, nums = self.cleared()
+            groups = {}
+            for k, p in nums.items():
+                lead = p.terms[max(p.terms)]
+                if lead != 1:
+                    p = p.scale(Fraction(1) / lead)
+                groups.setdefault(tuple(sorted(p.terms.items())), {})[k] = lead
+            functions = []
+            for key, multiples in sorted(groups.items()):
+                m = math.lcm(*(Fraction(c).denominator for c in multiples.values()))
+                f = LaurentPoly(dict(key))
+                if m != 1:
+                    f = f.scale(Fraction(1, m))
+                coeffs = {k: int(c * m) for k, c in multiples.items()}
+                functions.append((f, _adopt(Tensor, self.n, coeffs)))
+            return factors, tuple(functions)
 
         def float_form(self):
             """Every scalar in float form (LaurentPoly.float_form), a number
@@ -425,13 +490,26 @@ def product_sum(terms):
     """The sum of c x.mul(y, legs=legs) over the terms (c, x, y, legs).
 
     There must be at least one term, and all products of one class and
-    size.  Each product is added into one dict as it is contracted, x
-    scaled by c first, so no product or partial sum is kept on its own.
+    size.  The terms that share one y and legs are contracted once, on
+    the sum of their c x, and each product is added into one dict as it
+    is contracted, so no product or partial sum is kept on its own.
+    Coefficients are summed in another order than term by term, so this
+    is for exact scalars.
     """
-    out = {}
+    groups = {}
     for c, x, y, legs in terms:
-        result, getters = x._placed(y, legs)
-        left = x.coeffs if c == 1 else {k: c * v for k, v in x.coeffs.items()}
+        key = (id(y), legs)
+        if key not in groups:
+            groups[key] = (x._placed(y, legs), y, [])
+        groups[key][2].append((c, x))
+    out = {}
+    for (result, getters), y, scaled in groups.values():
+        (c, x), *rest = scaled
+        left = x.coeffs if c == 1 and not rest else {k: c * v for k, v in x.coeffs.items()}
+        get = left.get
+        for c, x in rest:
+            for k, v in x.coeffs.items():
+                left[k] = get(k, 0) + c * v
         _contract(left, y.coeffs, *getters, out=out)
     return _adopt(result, x.n, out)
 

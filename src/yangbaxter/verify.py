@@ -19,10 +19,11 @@ import cmath
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import X1, PoleOrderError, log_point, rf
+from .scalars import X1, LaurentPoly, PoleOrderError, kronecker_ints, log_point, rf
 from .series import expand_in_u
 from .tensors import (
     Tensor2, Tensor3, apply_product, product_sum, unit_vector, variables_used,
@@ -142,6 +143,10 @@ CYBE_TERMS = (
 )
 # a12 b13 - c23 a12 + b13 c23
 ASSOC_TERMS = ((1, (0, 12), (1, 13)), (-1, (2, 23), (0, 12)), (1, (1, 13), (2, 23)))
+# the same products over six slots: a12 b13 - c23 d12 + e13 f23 (_assoc)
+AYBE_TERMS = tuple(
+    (sign, (2 * k, ab), (2 * k + 1, cd)) for k, (sign, (_, ab), (_, cd)) in enumerate(ASSOC_TERMS)
+)
 
 
 def _cybe(a, b, c, x=None):
@@ -212,24 +217,137 @@ def _graded_zero(r, labels, terms, project=()):
     da, db and dc nonzero.  Each product of a grade of Ni, a grade of Nj
     and a term of dk lands on one monomial, and monomials are linearly
     independent, so the residual is zero exactly when the sum on every
-    monomial is.  Every formula here is quadratic in r, so d is first
-    divided by the gcd of its coefficients, which scales the residual by
-    a nonzero constant.  So does the factor n per projected leg, which
-    keeps the projection's division by n in int.
+    monomial is.  In a commutator, a term x y whose negated swap y x is
+    also a term, the entries of x and of y diagonal on both legs commute
+    and cancel, so each such term forms only x_diag y_rest + x_rest y
+    (Tensor.split_diagonal).  Every formula here is quadratic in r, so d
+    is first divided by the gcd of its coefficients, which scales the
+    residual by a nonzero constant.  So does the factor n per projected
+    leg, which keeps the projection's division by n in int.
     """
     grades, den = r.graded()
     g = math.gcd(*den.values())
     scale = r.n ** len(project)
-    slots = [[(_at_slot(e, SLOTS[label]), t) for e, t in grades.items()] for label in labels]
+    split = {e: t.split_diagonal() for e, t in grades.items()}
+    slots = [[(_at_slot(e, SLOTS[label]), e) for e in grades] for label in labels]
     weights = [[(_at_slot(e, SLOTS[label]), c // g) for e, c in den.items()] for label in labels]
     sums = {}
     for sign, (i, ab), (j, cd) in terms:
-        for ei, ti in slots[i]:
-            for ej, tj in slots[j]:
-                for ek, c in weights[3 - i - j]:
+        commutator = (-sign, (j, cd), (i, ab)) in terms
+        for ei, gi in slots[i]:
+            for ej, gj in slots[j]:
+                if commutator:
+                    (xd, xo), (_, yo) = split[gi], split[gj]
+                    pairs = ((xd, yo), (xo, grades[gj]))
+                    pairs = [(x, y) for x, y in pairs if x.coeffs and y.coeffs]
+                else:
+                    pairs = [(grades[gi], grades[gj])]
+                for ek, c in weights[3 - i - j] if pairs else ():
                     grade = tuple(map(sum, zip(ei, ej, ek)))
-                    sums.setdefault(grade, []).append((sign * c * scale, ti, tj, (ab, cd)))
+                    sums.setdefault(grade, []).extend(
+                        (sign * c * scale, x, y, (ab, cd)) for x, y in pairs
+                    )
     return all(product_sum(s).project_traceless(project).is_zero() for s in sums.values())
+
+
+def _slot_weights(factors, labels, terms):
+    """The weight L / (Di Dj) of each term, signed, or None when a factor
+    of D vanishes at a slot.
+
+    Di is the product of factors (f, m) at slot i.  There each f is a
+    unit times an associate (LaurentPoly.associate), so Di Dj is a unit
+    times a product of associates, and L, the least common multiple of
+    these products over the terms, is each associate to the highest power
+    one term has.
+    """
+    polys = {}
+    dens = []
+    for label in labels:
+        unit, counts = LaurentPoly.const(1), Counter()
+        for f, m in factors:
+            f = f.substitute(SLOTS[label])
+            if not f:
+                return None
+            c, e, p = f.associate()
+            unit = unit * LaurentPoly.monomial(e, c) ** m
+            key = tuple(sorted(p.terms.items()))
+            polys[key] = p
+            counts[key] += m
+        dens.append((unit, counts))
+    pairs = [
+        (sign, dens[i][0] * dens[j][0], dens[i][1] + dens[j][1])
+        for sign, (i, _), (j, _) in terms
+    ]
+    top = {key: max(counts[key] for _, _, counts in pairs) for key in polys}
+    weights = []
+    for sign, unit, counts in pairs:
+        ((e, c),) = unit.terms.items()
+        weight = LaurentPoly.monomial(tuple(-x for x in e), Fraction(sign) / c)
+        for key, m in top.items():
+            if m > counts[key]:
+                weight = weight * polys[key] ** (m - counts[key])
+        weights.append(weight)
+    return weights
+
+
+def _catalogue_polys(factors, functions, labels, terms):
+    """The h = (L / Di Dj) sign f(slot i) g(slot j) of every term and pair
+    of functions (f, g), in that order, or None as for _slot_weights."""
+    weights = _slot_weights(factors, labels, terms)
+    if weights is None:
+        return None
+    at_slot = [[f.substitute(SLOTS[label]) for f, _ in functions] for label in labels]
+    hs = []
+    for weight, (_, (i, _), (j, _)) in zip(weights, terms):
+        for fi in at_slot[i]:
+            left = weight * fi
+            hs += [left * gj for gj in at_slot[j]]
+    return hs
+
+
+def _catalogue_zero(r, labels, terms, catalogues=None):
+    """Whether the residual sum_t sign x_i y_j over the slots of r named by
+    labels is zero, or None when a slot's denominator vanishes.
+
+    Decided on the scalar catalogue of r (Tensor.catalogue): r = sum_f f
+    A_f / D, each A_f a tensor with int coefficients.  L times the
+    residual (_slot_weights) is sum_t sum_(f, g) h C, with the constant
+    C = (A_f)_ab (A_g)_cd on the term's legs and the polynomial
+    h = (L / Di Dj) sign f(slot i) g(slot j).  Monomials are linearly
+    independent, so the residual is zero exactly when, at every monomial,
+    the sum of the C weighted by the h's coefficients is.  Each h is
+    packed into one int (kronecker_ints), so one int sum, made by
+    tensors.product_sum, decides every monomial.
+
+    The h depend only on D and the catalogue's functions, which matrices
+    of one n share.  catalogues, if given, is a dict the caller keeps for
+    one run of checks: it holds the h and their ints per catalogue, so a
+    catalogue seen before costs only the products.
+    """
+    factors, functions = r.catalogue()
+    key = (labels, terms, tuple((tuple(f.terms.items()), m) for f, m in factors),
+           tuple(tuple(f.terms.items()) for f, _ in functions))
+    if catalogues is None:
+        catalogues = {}
+    if key not in catalogues:
+        catalogues[key] = (_catalogue_polys(factors, functions, labels, terms), 0, None)
+    hs, cmax, ints = catalogues[key]
+    if hs is None:
+        return None
+    # an entry of a product C sums at most n products of two entries
+    need = r.n * max((abs(v) for _, a in functions for v in a.coeffs.values()), default=0) ** 2
+    if need > cmax:
+        ints = kronecker_ints(hs, need)
+        catalogues[key] = (hs, need, ints)
+    flat = iter(ints)
+    products = [
+        (c, a, b, (ab, cd))
+        for _, (_, ab), (_, cd) in terms
+        for _, a in functions
+        for _, b in functions
+        if (c := next(flat))
+    ]
+    return not products or product_sum(products).is_zero()
 
 
 def cybe_residual(r):
@@ -278,8 +396,15 @@ def hecke_residual(R):
     return _hecke(R.map_scalars(rf), rf(1) * X1**n, rf(1) * X1**-n, Fraction(1))[0]
 
 
-def aybe_residual(r):
-    """r12(-u',v) r13(u+u',v+v') - r23(u+u',v') r12(u,v) + r13(u,v+v') r23(u',v')."""
+def aybe_residual(r, catalogues=None):
+    """r12(-u',v) r13(u+u',v+v') - r23(u+u',v') r12(u,v) + r13(u,v+v') r23(u',v').
+
+    The zero test is made on the scalar catalogue of r (_catalogue_zero,
+    which also says what catalogues holds); only a nonzero residual is
+    built over RatFunc, for its witness.
+    """
+    if _catalogue_zero(r, AYBE_SLOTS, AYBE_TERMS, catalogues):
+        return Tensor3(r.n)
     return _assoc(*_symbolic_slots(r, AYBE_SLOTS))[0]
 
 

@@ -120,6 +120,42 @@ def test_hat_r_unitary():
             assert verify.unitarity_check(hat_r(r), "classical").passed
 
 
+def _constructed_hat_r(r):
+    """hat_r through RatFunc's constructor on every entry: its oracle."""
+    y1 = LaurentPoly.monomial((0, 0, 1, 0))
+    den = LaurentPoly.const(1) - y1
+    flip = r.flip21()
+    out = {}
+    for key in set(r.coeffs) | set(flip.coeffs):
+        num = LaurentPoly.const(r.coeffs.get(key, 0)) + y1.scale(
+            Fraction(flip.coeffs.get(key, 0))
+        )
+        val = RatFunc(num, den)
+        if val:
+            out[key] = val
+    return out
+
+
+def test_hat_r_entries_are_in_the_constructors_form():
+    """Every entry's terms, in order, are those RatFunc's constructor
+    gives, on every r_{T,s} of the families with n <= 5, and an entry
+    whose numerator equals its denominator is 1."""
+    collapsed = 0
+    for n in range(2, 6):
+        for t in enumerate_triples(n):
+            particular, basis = solve_s_system(t)
+            for s in [particular] + [particular + b for b in basis]:
+                r = build_r_ts(t, s)
+                got, want = hat_r(r), _constructed_hat_r(r)
+                assert list(got.coeffs) == list(want)
+                for key, value in want.items():
+                    entry = got.coeffs[key]
+                    assert list(entry.num.terms.items()) == list(value.num.terms.items())
+                    assert list(entry.den.terms.items()) == list(value.den.terms.items())
+                    collapsed += value.den.terms == {(0, 0, 0, 0): 1}
+    assert collapsed > 0
+
+
 def test_R_st_hecke_and_trivial_ggs():
     for n in (2, 3, 4):
         assert verify.hecke_residual(build_R_st(n)).is_zero()

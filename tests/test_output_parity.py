@@ -86,6 +86,13 @@ GOLDEN = {
     "verify --n 5 --suite obstruction,cybe --include-nonassociative --bound 5": (
         1, "b61d247e1c15132ee0b48dd0a3025df7715a69a88ef411c50297ae03160851bd"
     ),
+    # AYBE of r(u,v) on every n = 4 and n = 5 structure
+    "verify --n 4 --suite aybe": (
+        0, "542b131c28906e36e6c04e0fd021dd0062aa190b19407507855fbdb4c3f0dea3"
+    ),
+    "verify --n 5 --suite aybe": (
+        0, "cb37609c4473683be2f4f2a73a602b91c04a4590ff7690aebc94931e42965cde"
+    ),
     # every suite on the trivial+CG listing beyond the enumeration bound
     "verify --n 4 --suite all --bound 3": (
         0, "573b8fee77b8f0abb87ea225015f1dbcec53a7d69886877df8504d733003c9ed"

@@ -1,5 +1,6 @@
 """Exact Laurent/rational arithmetic: spec examples and ring properties."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -340,3 +341,94 @@ def test_ring_operations_agree_with_a_fraction_reference(rng):
         sub = a.substitute(slot)
         assert _coeff_types(sub) <= {int, Fraction}
         assert sub.terms == _ref_substitute(ra, slot)
+
+
+def _poly(terms):
+    return LaurentPoly({tuple(e): c for e, c in terms})
+
+
+Y_ = LaurentPoly.monomial((0, 0, 1, 0))
+X8 = LaurentPoly.monomial((8, 0, 0, 0))
+
+
+def test_associate_is_the_same_for_every_unit_multiple():
+    p = (Y_ - 1) * (X8 - 1)
+    c, e, a = p.associate()
+    assert min(a.terms) == (0, 0, 0, 0) and a.terms[max(a.terms)] == 1
+    assert p == a.shift(e).scale(c)
+    for unit in (LaurentPoly.monomial((-3, 0, Fraction(1, 2), 0), Fraction(-2, 3)),
+                 LaurentPoly.monomial((1, 2, 3, 4), 5)):
+        c, e, b = (p * unit).associate()
+        assert b.terms == a.terms
+        assert p * unit == b.shift(e).scale(c)
+
+
+def test_binomial_quotient_divides_exactly_or_says_none():
+    p = (Y_ - 1) * (X8 - 1) * LaurentPoly.monomial((Fraction(-1, 2), 0, 2, 0), 3)
+    assert p.binomial_quotient((0, 0, 1, 0), 1) * (Y_ - 1) == p
+    assert p.binomial_quotient((8, 0, 0, 0), 1) * (X8 - 1) == p
+    assert p.binomial_quotient((0, 0, 1, 0), -1) is None
+    assert p.binomial_quotient((8, 0, 1, 0), 1) is None
+    # lines along a fractional step: X1^(1/2) - 2 divides X1 - 4
+    half = LaurentPoly.monomial((Fraction(1, 2), 0, 0, 0))
+    q = (half * half - 4).binomial_quotient((Fraction(1, 2), 0, 0, 0), 2)
+    assert q == half + 2
+
+
+def test_factors_split_binomials_and_keep_the_rest():
+    cases = [
+        ((Y_ - 1) * (X8 - 1), 2),
+        ((Y_ - 1) * (Y_ - 1), 2),  # a repeated factor: Y1 - 1 twice
+        (X8 - 1, 1),
+        ((Y_ - 2) * (X8 * Y_ - 1), 2),
+        ((Y_ - 1) * (Y_ * Y_ + Y_ + X8), 2),  # one binomial, and a trinomial left
+        (Y_ * Y_ + Y_ + X8, 1),
+        (LaurentPoly.monomial((1, 0, 2, 0), -3), 0),
+    ]
+    for p, count in cases:
+        unit = LaurentPoly.monomial((Fraction(3, 4), -1, 2, 0), Fraction(-5, 2))
+        c, e, fs = (p * unit).factors()
+        assert len(fs) == count
+        assert math.prod(fs, start=LaurentPoly.monomial(e, c)) == p * unit
+        for f in fs:
+            assert f.associate()[2].terms == f.terms
+    assert [f.terms for f in ((Y_ - 1) * (Y_ - 1)).factors()[2]] == [(Y_ - 1).terms] * 2
+
+
+def test_kronecker_ints_decide_int_combinations(rng):
+    """sum c_j ints_j == 0 exactly when sum c_j polys_j == 0, for |c_j| <= cmax,
+    even where the coefficients of one monomial nearly cancel."""
+    from yangbaxter.scalars import kronecker_ints
+
+    a = _poly([((0, 0, 0, 0), 3), ((1, 0, 0, 0), -2), ((0, 0, 1, 0), 5)])
+    b = _poly([((0, 0, 0, 0), -3), ((1, 0, 0, 0), 2), ((0, 0, 1, 0), -5)])
+    c = _poly([((1, 0, 0, 0), 7), ((0, 0, 1, 0), Fraction(1, 2))])
+    polys = [a, b, c, LaurentPoly.zero()]
+    ints = kronecker_ints(polys, 4)
+    assert ints[3] == 0
+    for coeffs in [(1, 1, 0, 0), (2, 2, 0, 3), (1, -1, 0, 0), (4, 3, 0, 0), (0, 0, 4, 0)]:
+        packed = sum(k * i for k, i in zip(coeffs, ints))
+        poly = sum((p.scale(k) for k, p in zip(coeffs, polys)), LaurentPoly.zero())
+        assert (packed == 0) == poly.is_zero()
+    # X - 256 is not zero, though X's digit is the one above 1's: 8-bit
+    # digits would carry 256 ones into it
+    one, x = LaurentPoly.const(1), LaurentPoly.monomial((1, 0, 0, 0))
+    ints = kronecker_ints([one, x], 256)
+    assert ints[1] - 256 * ints[0] != 0
+    # random combinations at the bound cmax
+    polys = [
+        _poly([((rng.randrange(4), 0, rng.randrange(3), 0), rng.randint(-9, 9)) for _ in range(5)])
+        for _ in range(8)
+    ]
+    ints = kronecker_ints(polys, 3)
+    for _ in range(300):
+        coeffs = [rng.randint(-3, 3) for _ in polys]
+        poly = sum((p.scale(k) for k, p in zip(coeffs, polys)), LaurentPoly.zero())
+        assert (sum(k * i for k, i in zip(coeffs, ints)) == 0) == poly.is_zero()
+
+
+def test_in_normal_form_keeps_num_and_den():
+    num, den = LaurentPoly.const(-1), LaurentPoly({(0, 0, 0, 0): -1, (0, 0, 1, 0): 1})
+    f = RatFunc.in_normal_form(num, den)
+    assert f.num is num and f.den is den
+    assert f == RatFunc(num, den)

@@ -408,10 +408,11 @@ def test_graded_split_has_int_grades_over_one_int_denominator():
         (2, 1, 1, 2): rf(Y1) ** -1,
     })
     grades, den = t.graded()
-    # the distinct denominators Y1 - 1 and (Y1 - 1)^2, times the lcm 12 of
-    # the numerators' coefficient denominators
+    # the lcm (Y1 - 1)^2 of the denominators Y1 - 1 and (Y1 - 1)^2, not
+    # their product, times the lcm 12 of the numerators' coefficient
+    # denominators
     den_poly = LaurentPoly(den)
-    assert den_poly == ((LaurentPoly.monomial((0, 0, 1, 0)) - 1) ** 3).scale(12)
+    assert den_poly == ((LaurentPoly.monomial((0, 0, 1, 0)) - 1) ** 2).scale(12)
     assert {type(c) for c in den.values()} == {int}
     assert {type(c) for g in grades.values() for c in g.coeffs.values()} == {int}
     assert set().union(*(g.coeffs for g in grades.values())) == set(t.coeffs)
@@ -496,6 +497,9 @@ def test_product_sum_is_the_sum_of_the_scaled_products(rng):
         want = x.mul(y, legs=(12, 13)) - y.mul(x, legs=(13, 12)).scale(2)
         want = want + z.mul(x, legs=(23, 12)).scale(3)
         assert product_sum(terms) == want
+        # terms sharing a right factor and legs are contracted once, on their sum
+        terms.append((5, z, y, (12, 13)))
+        assert product_sum(terms) == want + z.mul(y, legs=(12, 13)).scale(5)
         # terms that cancel leave no zero coefficient behind
         assert product_sum([(1, x, y, None), (-1, x, y, None)]).coeffs == {}
     with pytest.raises(ValueError):
@@ -507,3 +511,61 @@ def test_project_traceless_rejects_missing_legs():
     for t, leg in ((Tensor2.perm(2), 3), (Tensor2.perm(2), 0), (embed(Tensor2.perm(2), 12), 0)):
         with pytest.raises(ValueError):
             t.project_traceless((leg,))
+
+
+def test_split_diagonal_parts_sum_to_the_tensor(rng):
+    for n in (2, 3):
+        t = random_sparse_tensor2(n, rng, nnz=8) + Tensor2.identity(n)
+        diag, rest = t.split_diagonal()
+        assert diag + rest == t
+        assert all(i == j and k == l for i, j, k, l in diag.coeffs)
+        assert not any(i == j and k == l for i, j, k, l in rest.coeffs)
+
+
+def _r_quantum(n):
+    from yangbaxter.builders import build_r_uv
+
+    from conftest import cg_structure
+
+    return build_r_uv(cg_structure(n), formula="quantum")
+
+
+def test_cleared_over_the_lcm_of_the_binomial_factors():
+    """r(u,v) clears over (Y1 - 1)(X1^(2n) - 1), not over the product of
+    its distinct entry denominators, which holds that lcm's factors twice."""
+    from yangbaxter.scalars import X1 as x1
+
+    for n in (2, 3, 4):
+        r = _r_quantum(n)
+        factors, nums = r.cleared()
+        y, x = (rf(Y1).num - 1), (rf(x1 ** (2 * n)).num - 1)
+        assert sorted(f.terms.items() for f, _ in factors) == sorted(
+            p.terms.items() for p in (y, x)
+        )
+        assert [m for _, m in factors] == [1, 1]
+        den = y * x
+        assert set(nums) == set(r.coeffs)
+        for key, value in r.coeffs.items():
+            assert rf(nums[key]) / rf(den) == value
+        grades, gden = r.graded()
+        assert LaurentPoly(gden).associate()[2] == den.associate()[2]
+
+
+def test_catalogue_sums_back_to_the_tensor():
+    for n in (2, 3, 4):
+        r = _r_quantum(n)
+        factors, functions = r.catalogue()
+        den = rf(1)
+        for f, m in factors:
+            den = den * rf(f) ** m
+        total = {}
+        for f, a in functions:
+            assert {type(c) for c in a.coeffs.values()} == {int}
+            for key, c in a.coeffs.items():
+                total[key] = total.get(key, rf(0)) + rf(f.scale(c))
+        assert set(total) == set(r.coeffs)
+        for key, value in r.coeffs.items():
+            assert total[key] / den == value
+        # the numerators merge into few functions, each named once
+        keys = [tuple(f.terms.items()) for f, _ in functions]
+        assert len(set(keys)) == len(keys) < len(r.coeffs)

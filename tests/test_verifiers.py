@@ -1,6 +1,7 @@
 """Residual verifiers: positive certificates, engineered failures, numerics."""
 
 import cmath
+import math
 import random
 import sys
 from fractions import Fraction
@@ -20,7 +21,7 @@ from yangbaxter.builders import (
     hat_r,
     q_minus_qinv,
 )
-from yangbaxter.scalars import PoleOrderError, X1, Y1, LaurentPoly, rf
+from yangbaxter.scalars import PoleOrderError, X1, X2, Y1, LaurentPoly, rf
 from yangbaxter.series import expand_in_u
 from yangbaxter.tensors import Tensor2, Tensor3, gauge_conjugate, variables_used
 from yangbaxter.triples import (
@@ -305,6 +306,157 @@ def test_aybe_commutator_identity():
     assert not a.mul(b, legs=(12, 13)).is_zero()  # the products themselves do not vanish
 
 
+def _ratfunc_aybe(r):
+    """The AYBE residual over RatFunc slots: the oracle for the catalogue
+    zero test."""
+    return verify._assoc(*verify._symbolic_slots(r, verify.AYBE_SLOTS))[0]
+
+
+def _catalogue_aybe(r, catalogues=None):
+    return verify._catalogue_zero(r, verify.AYBE_SLOTS, verify.AYBE_TERMS, catalogues)
+
+
+def _plus_one_at(t, key):
+    coeffs = dict(t.coeffs)
+    coeffs[key] = coeffs.get(key, 0) + 1
+    return Tensor2(t.n, coeffs)
+
+
+# g(u, v) e12 (x) e12 solves the AYBE for any scalar g: each of its three
+# products meets e12 e12 = 0 on a leg; g e11 (x) e11 does not.  These g
+# have denominators that are no product of binomials.
+NON_BINOMIAL = (
+    rf(1) / (1 + X1 + Y1 * Y1),
+    (Y1 - 3) / (2 - Y1 + X1 ** 4 * Y1 ** 2),
+)
+
+
+def _aybe_inputs():
+    """(name, r) of the AYBE inputs of the catalogue cross-check."""
+    for n in (2, 3, 4):
+        for t in enumerate_triples(n):
+            for idx, st in enumerate(compatible_permutations(t)):
+                for formula in ("quantum", "kernel"):
+                    yield f"{formula} n={n} {t.t_map} #{idx}", build_r_uv(st, formula=formula)
+    for n in (2, 3):
+        for idx, st in enumerate(trivial_structures(n) + [cg_structure(n)]):
+            yield f"y n={n} #{idx}", build_y(st)
+    r = build_r_uv(cg_structure(3), formula="kernel")
+    for phi in [(Fraction(1, 2),) * 3, (1, 0, -1), (1, Fraction(1, 3), Fraction(-1, 3))]:
+        yield f"gauge {phi}", gauge_conjugate(r, phi)
+    (a2,) = trivial_structures(2)
+    y = build_y(a2)
+    yield "baxterization good", y + Tensor2.perm(2).scale(f_v())
+    yield "baxterization bad", y + Tensor2.perm(2).map_scalars(rf)
+    for idx, g in enumerate(NON_BINOMIAL):
+        yield f"non-binomial #{idx}", Tensor2(3, {(1, 2, 1, 2): g})
+        yield f"non-binomial bad #{idx}", Tensor2(2, {(1, 1, 1, 1): g})
+
+
+def _same_entries(a, b):
+    """Whether two RatFunc tensors hold the same numerators and denominators."""
+    return a.coeffs.keys() == b.coeffs.keys() and all(
+        v.num.terms == b.coeffs[k].num.terms and v.den.terms == b.coeffs[k].den.terms
+        for k, v in a.coeffs.items()
+    )
+
+
+def test_aybe_catalogue_verdicts_match_ratfunc_oracle():
+    """The catalogue zero test and the RatFunc residual agree on every
+    input, and each input with +1 at three of its entries fails both.
+    aybe_residual returns the RatFunc residual for each input, and for
+    each perturbed one below n = 4 (above, that would only build the
+    oracle's residual a second time)."""
+    verdicts = {}
+    for name, r in _aybe_inputs():
+        want = _ratfunc_aybe(r)
+        assert _catalogue_aybe(r) == want.is_zero(), name
+        assert _same_entries(verify.aybe_residual(r), want), name
+        verdicts[name] = want.is_zero()
+        # the diagonal keys too, where g e12 (x) e12 has no entry
+        keys = sorted(r.coeffs.keys() | Tensor2.identity(r.n).coeffs.keys())
+        for key in (keys[0], keys[len(keys) // 2], keys[-1]):
+            bad = _plus_one_at(r, key)
+            want = _ratfunc_aybe(bad)
+            assert not want.is_zero(), (name, key)
+            assert _catalogue_aybe(bad) is False, (name, key)
+            if r.n < 4:
+                assert _same_entries(verify.aybe_residual(bad), want), (name, key)
+    assert len(verdicts) == 2 * (1 + 4 + 14) + 5 + 3 + 2 + 4
+    failing = [name for name, ok in verdicts.items() if not ok]
+    assert failing == ["baxterization bad", "non-binomial bad #0", "non-binomial bad #1"]
+
+
+def test_aybe_catalogue_shared_across_inputs_keeps_verdicts():
+    """One catalogues dict kept across inputs, as a verify run keeps it,
+    gives each input the verdict it gets alone; an input whose constant
+    tensors are larger repacks the catalogue's ints first."""
+    catalogues = {}
+    inputs = [r for _, r in _aybe_inputs() if r.n == 3][:8]
+    big = inputs[0].scale(7)  # same functions, entries 7 times larger
+    for r in inputs + [big, _plus_one_at(big, min(big.coeffs)), inputs[0]]:
+        assert _catalogue_aybe(r, catalogues) == _catalogue_aybe(r)
+    assert 0 < len(catalogues) < 8
+    assert max(entry[1] for entry in catalogues.values()) >= 3 * 49
+
+
+def test_aybe_catalogue_denominator_vanishing_at_a_slot():
+    # X1 / X2 - 1 is 0 at the slot u',v', where X1 -> X2: both routes refuse it
+    r = Tensor2(2, {(1, 1, 1, 1): rf(1) / (X1 / X2 - 1)})
+    assert _catalogue_aybe(r) is None
+    with pytest.raises(ZeroDivisionError):
+        verify.aybe_residual(r)
+
+
+def test_passing_aybe_makes_no_ratfunc_products(monkeypatch):
+    from yangbaxter.scalars import RatFunc
+
+    r = build_r_uv(cg_structure(3), formula="quantum")
+    calls = []
+    mul = RatFunc.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(RatFunc, "__mul__", counted)
+    monkeypatch.setattr(RatFunc, "__rmul__", counted)
+    assert verify.aybe_residual(r).is_zero()
+    assert calls == []
+    # the counter counts: a failing input builds its RatFunc witness
+    assert not verify.aybe_residual(_perturbed(r)).is_zero()
+    assert calls
+
+
+def test_aybe_slot_weights_are_two_binomials_each():
+    """For r(u,v) over D = (Y1 - 1)(X1^(2n) - 1), L / (Di Dj) is, up to a
+    unit, (q - q^-1)(X1)(1 - Y2), (q - q^-1)(X2)(1 - Y1 Y2) and
+    (q - q^-1)(X1 X2)(1 - Y1) with q = X1^n, and weight times Di Dj is
+    the same L for every term."""
+    n = 3
+    factors, _ = build_r_uv(cg_structure(n), formula="quantum").catalogue()
+    weights = verify._slot_weights(factors, verify.AYBE_SLOTS, verify.AYBE_TERMS)
+    x1, x2 = LaurentPoly.monomial((1, 0, 0, 0)), LaurentPoly.monomial((0, 1, 0, 0))
+    y1, y2 = LaurentPoly.monomial((0, 0, 1, 0)), LaurentPoly.monomial((0, 0, 0, 1))
+    binomials = [
+        (x1 ** (2 * n) - 1) * (y2 - 1),
+        (x2 ** (2 * n) - 1) * (y1 * y2 - 1),
+        ((x1 * x2) ** (2 * n) - 1) * (y1 - 1),
+    ]
+    for weight, want in zip(weights, binomials):
+        assert weight.associate()[2] == want.associate()[2]
+    one = LaurentPoly.const(1)
+    dens = [
+        math.prod((f.substitute(verify.SLOTS[label]) ** m for f, m in factors), start=one)
+        for label in verify.AYBE_SLOTS
+    ]
+    products = [
+        weight * dens[i] * dens[j] * sign
+        for weight, (sign, (i, _), (j, _)) in zip(weights, verify.AYBE_TERMS)
+    ]
+    assert products[0] == products[1] == products[2]
+
+
 # --- lift obstruction and necessity -----------------------------------------------------
 
 
@@ -558,10 +710,7 @@ def test_numeric_engine_matches_dense_oracle():
 
 def _perturbed(t):
     """t with 1 added to its lexicographically least coefficient."""
-    coeffs = dict(t.coeffs)
-    key = min(coeffs)
-    coeffs[key] = coeffs[key] + 1
-    return Tensor2(t.n, coeffs)
+    return _plus_one_at(t, min(t.coeffs))
 
 
 def test_numeric_formulas_match_symbolic():
