@@ -186,7 +186,7 @@ class _Matrices:
 
     def __init__(self, triple, s, structure=None, catalogues=None):
         self.triple, self.s, self.structure = triple, s, structure
-        # shared by the holders of one verify run (verify.aybe_residual)
+        # shared by the holders of one verify run (verify._catalogue_zero)
         self.catalogues = catalogues
 
     @cached_property
@@ -274,12 +274,14 @@ def _listing(n, bound):
     ]
 
 
-def _s_family(t, base_prov):
+def _s_family(t, base_prov, catalogues):
     """Holders at the particular s of t and at particular + each basis vector."""
     particular, basis = triples.solve_s_system(t)
     family = [(particular, "particular")]
     family += [(particular + b, f"particular+basis{idx}") for idx, b in enumerate(basis)]
-    return [(_Matrices(t, s), dict(base_prov, s=label)) for s, label in family]
+    return [
+        (_Matrices(t, s, catalogues=catalogues), dict(base_prov, s=label)) for s, label in family
+    ]
 
 
 def _exponent_report(m, prov):
@@ -310,15 +312,17 @@ def _residual(identity, formula):
 # run at every s of a triple's family, one suite over the whole family before
 # the next; the obstruction only for a triple with no compatible permutation.
 PER_S_CHECKS = (
-    ("cybe", (_residual("cybe", lambda m: verify.cybe_residual(m.r_ts)),
+    ("cybe", (_residual("cybe", lambda m: verify.cybe_residual(m.r_ts, m.catalogues)),
               _residual("cybe_spectral", lambda m: verify.cybe_spectral_residual(
-                  builders.hat_r(m.r_ts))))),
+                  builders.hat_r(m.r_ts), m.catalogues)))),
     ("exponent", (_exponent_report,)),
-    ("obstruction", (_residual("obstruction", lambda m: verify.lift_obstruction(m.r_ts)),)),
+    ("obstruction", (_residual("obstruction", lambda m: verify.lift_obstruction(
+        m.r_ts, m.catalogues)),)),
 )
 # Symbolic rows of one associative structure at s0: (suite, check).
 SYMBOLIC_CHECKS = (
-    ("obstruction", _residual("obstruction", lambda m: verify.lift_obstruction(m.r_ts))),
+    ("obstruction", _residual("obstruction", lambda m: verify.lift_obstruction(
+        m.r_ts, m.catalogues))),
     ("qybe", _residual("qybe", lambda m: verify.qybe_residual(m.R_assoc))),
     ("hecke", _residual("hecke", lambda m: verify.hecke_residual(m.R_assoc))),
     ("cross-formula", _residual("cross-formula-ggs", lambda m: (
@@ -362,7 +366,7 @@ def _verify(args):
             # per s, the obstruction is shown only for a triple with no structure
             per_s = per_s - {"obstruction"}
         rows = [checks for suite, checks in PER_S_CHECKS if suite in per_s]
-        family = _s_family(t, base_prov) if rows else []
+        family = _s_family(t, base_prov, catalogues) if rows else []
         reports += [check(m, prov) for checks in rows for m, prov in family for check in checks]
         for structure in structures:
             m = _Matrices(t, triples.s0_from_structure(structure), structure, catalogues)

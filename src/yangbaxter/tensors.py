@@ -343,26 +343,6 @@ def _sparse_tensor(nlegs):
                 nums[k] = num if cof.terms == _ONE_TERMS else num * cof
             return tuple((factors[fkey], most[fkey]) for fkey in sorted(most)), nums
 
-        def graded(self):
-            """(grades, den) with self = sum_e m_e grades[e] / sum_e den[e] m_e.
-
-            m_e is the monomial with exponent tuple e.  Each grades[e] is a
-            tensor with int coefficients and each den[e] an int: the
-            denominator and numerators are those of cleared(), scaled by
-            the lcm of their coefficient denominators.  A constant tensor
-            has the one grade (0, 0, 0, 0).
-            """
-            factors, nums = self.cleared()
-            den = math.prod((f ** m for f, m in factors), start=LaurentPoly.const(1))
-            polys = (den, *nums.values())
-            m = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
-            grades = {}
-            for k, x in nums.items():
-                for e, c in x.terms.items():
-                    grades.setdefault(e, {})[k] = c.numerator * (m // c.denominator)
-            weights = {e: c.numerator * (m // c.denominator) for e, c in den.terms.items()}
-            return {e: _adopt(Tensor, self.n, g) for e, g in grades.items()}, weights
-
         def catalogue(self):
             """(factors, functions) with self = sum_f f A_f / prod g^m, over
             (f, A_f) in functions and (g, m) in factors.
@@ -376,17 +356,20 @@ def _sparse_tensor(nlegs):
             factors, nums = self.cleared()
             groups = {}
             for k, p in nums.items():
-                lead = p.terms[max(p.terms)]
-                if lead != 1:
-                    p = p.scale(Fraction(1) / lead)
-                groups.setdefault(tuple(sorted(p.terms.items())), {})[k] = lead
+                top = max(p.terms)
+                lead = p.terms[top]
+                if len(p.terms) == 1:  # lead times its monomial
+                    key = ((top, 1),)
+                else:
+                    key = tuple(sorted((e, Fraction(c, lead)) for e, c in p.terms.items()))
+                groups.setdefault(key, {})[k] = lead
             functions = []
             for key, multiples in sorted(groups.items()):
-                m = math.lcm(*(Fraction(c).denominator for c in multiples.values()))
+                m = math.lcm(*(c.denominator for c in multiples.values()))
                 f = LaurentPoly(dict(key))
                 if m != 1:
                     f = f.scale(Fraction(1, m))
-                coeffs = {k: int(c * m) for k, c in multiples.items()}
+                coeffs = {k: c.numerator * (m // c.denominator) for k, c in multiples.items()}
                 functions.append((f, _adopt(Tensor, self.n, coeffs)))
             return factors, tuple(functions)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import json
-import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -134,7 +133,7 @@ def _product(x, *factors):
 
 # The CYBE and the associative formula as signed products of two of three
 # slots a, b, c (0, 1, 2), each factor (slot, legs): the terms that
-# _graded_zero sums by grade.
+# _catalogue_zero decides.
 # [a12, b13] + [a12, c23] + [b13, c23]
 CYBE_TERMS = (
     (1, (0, 12), (1, 13)), (-1, (1, 13), (0, 12)),
@@ -197,59 +196,6 @@ def _symbolic_slots(t, labels):
     return [t.substitute(SLOTS[label]) for label in labels]
 
 
-def _at_slot(exps, slot):
-    """The exponent tuple of a monomial at a slot's arguments, as
-    LaurentPoly.substitute maps it."""
-    (a, b), (c, d) = slot
-    x1, x2, y1, y2 = exps
-    return (a * x1, b * x1 + x2, c * y1, d * y1 + y2)
-
-
-def _graded_zero(r, labels, terms, project=()):
-    """Whether the residual sum_t sign x_i y_j over the slots a, b, c of r
-    named by labels is zero, after the traceless projection of the legs
-    in project.
-
-    Decided by grade on int constant tensors: with r = N / d split by
-    monomial (Tensor.graded), da db dc times the residual is the sum over
-    the terms of sign dk Ni Nj, k the slot a term leaves out.  The slots
-    used here, "u,v" and the spectral ones on an input in Y1 only, keep
-    da, db and dc nonzero.  Each product of a grade of Ni, a grade of Nj
-    and a term of dk lands on one monomial, and monomials are linearly
-    independent, so the residual is zero exactly when the sum on every
-    monomial is.  In a commutator, a term x y whose negated swap y x is
-    also a term, the entries of x and of y diagonal on both legs commute
-    and cancel, so each such term forms only x_diag y_rest + x_rest y
-    (Tensor.split_diagonal).  Every formula here is quadratic in r, so d
-    is first divided by the gcd of its coefficients, which scales the
-    residual by a nonzero constant.  So does the factor n per projected
-    leg, which keeps the projection's division by n in int.
-    """
-    grades, den = r.graded()
-    g = math.gcd(*den.values())
-    scale = r.n ** len(project)
-    split = {e: t.split_diagonal() for e, t in grades.items()}
-    slots = [[(_at_slot(e, SLOTS[label]), e) for e in grades] for label in labels]
-    weights = [[(_at_slot(e, SLOTS[label]), c // g) for e, c in den.items()] for label in labels]
-    sums = {}
-    for sign, (i, ab), (j, cd) in terms:
-        commutator = (-sign, (j, cd), (i, ab)) in terms
-        for ei, gi in slots[i]:
-            for ej, gj in slots[j]:
-                if commutator:
-                    (xd, xo), (_, yo) = split[gi], split[gj]
-                    pairs = ((xd, yo), (xo, grades[gj]))
-                    pairs = [(x, y) for x, y in pairs if x.coeffs and y.coeffs]
-                else:
-                    pairs = [(grades[gi], grades[gj])]
-                for ek, c in weights[3 - i - j] if pairs else ():
-                    grade = tuple(map(sum, zip(ei, ej, ek)))
-                    sums.setdefault(grade, []).extend(
-                        (sign * c * scale, x, y, (ab, cd)) for x, y in pairs
-                    )
-    return all(product_sum(s).project_traceless(project).is_zero() for s in sums.values())
-
-
 def _slot_weights(factors, labels, terms):
     """The weight L / (Di Dj) of each term, signed, or None when a factor
     of D vanishes at a slot.
@@ -305,9 +251,10 @@ def _catalogue_polys(factors, functions, labels, terms):
     return hs
 
 
-def _catalogue_zero(r, labels, terms, catalogues=None):
+def _catalogue_zero(r, labels, terms, project=(), catalogues=None):
     """Whether the residual sum_t sign x_i y_j over the slots of r named by
-    labels is zero, or None when a slot's denominator vanishes.
+    labels is zero, after the traceless projection of the legs in
+    project, or None when a slot's denominator vanishes.
 
     Decided on the scalar catalogue of r (Tensor.catalogue): r = sum_f f
     A_f / D, each A_f a tensor with int coefficients.  L times the
@@ -317,7 +264,13 @@ def _catalogue_zero(r, labels, terms, catalogues=None):
     independent, so the residual is zero exactly when, at every monomial,
     the sum of the C weighted by the h's coefficients is.  Each h is
     packed into one int (kronecker_ints), so one int sum, made by
-    tensors.product_sum, decides every monomial.
+    tensors.product_sum, decides every monomial.  The projection is
+    linear, so it is applied to that sum, with each h scaled by n per
+    projected leg to keep its division by n in int.  In a commutator, a
+    term x y whose negated swap y x is also a term, the entries of A_f
+    and A_g diagonal on both legs commute and cancel, so each such term
+    forms only (A_f)_diag (A_g)_rest + (A_f)_rest A_g
+    (Tensor.split_diagonal).
 
     The h depend only on D and the catalogue's functions, which matrices
     of one n share.  catalogues, if given, is a dict the caller keeps for
@@ -334,40 +287,52 @@ def _catalogue_zero(r, labels, terms, catalogues=None):
     hs, cmax, ints = catalogues[key]
     if hs is None:
         return None
-    # an entry of a product C sums at most n products of two entries
-    need = r.n * max((abs(v) for _, a in functions for v in a.coeffs.values()), default=0) ** 2
+    # an entry of a product C sums at most n products of two entries, and
+    # n times a leg's projection is at most 2n times an entry's size
+    n = r.n
+    top = max((abs(v) for _, a in functions for v in a.coeffs.values()), default=0)
+    need = n * top ** 2 * (2 * n) ** len(project)
     if need > cmax:
         ints = kronecker_ints(hs, need)
         catalogues[key] = (hs, need, ints)
+    scale = n ** len(project)
+    tensors = [(a, *a.split_diagonal()) for _, a in functions]
     flat = iter(ints)
-    products = [
-        (c, a, b, (ab, cd))
-        for _, (_, ab), (_, cd) in terms
-        for _, a in functions
-        for _, b in functions
-        if (c := next(flat))
-    ]
-    return not products or product_sum(products).is_zero()
+    products = []
+    for sign, (i, ab), (j, cd) in terms:
+        commutator = (-sign, (j, cd), (i, ab)) in terms
+        for a, a_diag, a_rest in tensors:
+            for b, _, b_rest in tensors:
+                c = next(flat) * scale
+                pairs = ((a_diag, b_rest), (a_rest, b)) if commutator else ((a, b),)
+                products += [(c, x, y, (ab, cd)) for x, y in pairs if c and x.coeffs and y.coeffs]
+    return not products or product_sum(products).project_traceless(project).is_zero()
 
 
-def cybe_residual(r):
-    """[r12, r13] + [r12, r23] + [r13, r23] for a constant r."""
-    if _graded_zero(r, ("u,v",) * 3, CYBE_TERMS):
+def cybe_residual(r, catalogues=None):
+    """[r12, r13] + [r12, r23] + [r13, r23] for a constant r.
+
+    The zero test is made on the scalar catalogue of r (_catalogue_zero,
+    which also says what catalogues holds); only a nonzero residual is
+    built over the input's own scalars.
+    """
+    if _catalogue_zero(r, ("u,v",) * 3, CYBE_TERMS, catalogues=catalogues):
         return Tensor3(r.n)
     return _cybe(r, r, r)[0]
 
 
-def cybe_spectral_residual(r):
+def cybe_spectral_residual(r, catalogues=None):
     """Spectral CYBE residual for r = r(Y1).
 
     Slots carry arguments x, x+y, y realized as Y1, Y1*Y2, Y2; the input
-    must not involve the other formal symbols.  The zero test is made by
-    grade (_graded_zero); only a nonzero residual is built over RatFunc.
+    must not involve the other formal symbols.  The zero test is made on
+    the scalar catalogue of r (_catalogue_zero, which also says what
+    catalogues holds); only a nonzero residual is built over RatFunc.
     """
     extra = variables_used(r) - {"Y1"}
     if extra:
         raise ValueError(f"spectral CYBE input must depend on Y1 only, found {sorted(extra)}")
-    if _graded_zero(r, SPECTRAL_SLOTS, CYBE_TERMS):
+    if _catalogue_zero(r, SPECTRAL_SLOTS, CYBE_TERMS, catalogues=catalogues):
         return Tensor3(r.n)
     return _cybe(*_symbolic_slots(r, SPECTRAL_SLOTS))[0]
 
@@ -403,19 +368,20 @@ def aybe_residual(r, catalogues=None):
     which also says what catalogues holds); only a nonzero residual is
     built over RatFunc, for its witness.
     """
-    if _catalogue_zero(r, AYBE_SLOTS, AYBE_TERMS, catalogues):
+    if _catalogue_zero(r, AYBE_SLOTS, AYBE_TERMS, catalogues=catalogues):
         return Tensor3(r.n)
     return _assoc(*_symbolic_slots(r, AYBE_SLOTS))[0]
 
 
-def lift_obstruction(r):
+def lift_obstruction(r, catalogues=None):
     """Fully traceless projection of r12 r13 - r23 r12 + r13 r23.
 
     Zero exactly when the constant matrix admits a two-parameter lift.
-    The zero test is made by grade (_graded_zero); only a nonzero
-    obstruction is built over the input's own scalars.
+    The zero test is made on the scalar catalogue of r (_catalogue_zero,
+    which also says what catalogues holds); only a nonzero obstruction is
+    built over the input's own scalars.
     """
-    if _graded_zero(r, ("u,v",) * 3, ASSOC_TERMS, project=(1, 2, 3)):
+    if _catalogue_zero(r, ("u,v",) * 3, ASSOC_TERMS, (1, 2, 3), catalogues):
         return Tensor3(r.n)
     return _assoc(r, r, r, r, r, r)[0].project_traceless((1, 2, 3))
 

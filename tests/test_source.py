@@ -17,6 +17,18 @@ def test_package_modules_found():
     assert "verify.py" in {path.name for path in MODULES}
 
 
+# ROADMAP item 6's ceiling: the package may not grow past this
+MAX_NONBLANK_LINES = 2765
+
+
+def test_package_fits_its_line_ceiling():
+    lines = sum(
+        1 for path in MODULES for line in path.read_text(encoding="utf-8").splitlines()
+        if line.strip()
+    )
+    assert lines <= MAX_NONBLANK_LINES, f"{lines} non-blank lines in src/yangbaxter"
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_assert_statements(path):
     # python -O strips assert, so no check may rely on one

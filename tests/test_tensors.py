@@ -399,33 +399,6 @@ def test_variables_used():
     assert variables_used(spectral) == {"X1", "Y1"}
 
 
-def test_graded_split_has_int_grades_over_one_int_denominator():
-    y = rf(1) - Y1
-    t = Tensor2(2, {
-        (1, 1, 1, 1): Fraction(1, 2) / y,
-        (1, 2, 2, 1): Fraction(2, 3) * Y1 / (y * y),
-        (2, 2, 1, 1): Fraction(3, 4),
-        (2, 1, 1, 2): rf(Y1) ** -1,
-    })
-    grades, den = t.graded()
-    # the lcm (Y1 - 1)^2 of the denominators Y1 - 1 and (Y1 - 1)^2, not
-    # their product, times the lcm 12 of the numerators' coefficient
-    # denominators
-    den_poly = LaurentPoly(den)
-    assert den_poly == ((LaurentPoly.monomial((0, 0, 1, 0)) - 1) ** 2).scale(12)
-    assert {type(c) for c in den.values()} == {int}
-    assert {type(c) for g in grades.values() for c in g.coeffs.values()} == {int}
-    assert set().union(*(g.coeffs for g in grades.values())) == set(t.coeffs)
-    for key, value in t.coeffs.items():
-        num = LaurentPoly({e: g.coeffs[key] for e, g in grades.items() if key in g.coeffs})
-        assert rf(num) / den_poly == value
-    # a constant tensor has one grade, over the lcm of its denominators
-    grades, den = Tensor2.perm(2).scale(Fraction(1, 2)).graded()
-    assert den == {(0, 0, 0, 0): 2}
-    assert list(grades) == [(0, 0, 0, 0)] and grades[(0, 0, 0, 0)] == Tensor2.perm(2, 1)
-    assert Tensor2(2).graded() == ({}, {(0, 0, 0, 0): 1})
-
-
 def test_substitute_keeps_laurent_entries_laurent():
     t = Tensor2(1, {(1, 1, 1, 1): LaurentPoly({(0, 0, 1, 0): 2, (0, 0, 0, 0): -1})})
     out = t.substitute(SLOTS["u,v+v'"])
@@ -547,13 +520,23 @@ def test_cleared_over_the_lcm_of_the_binomial_factors():
         assert set(nums) == set(r.coeffs)
         for key, value in r.coeffs.items():
             assert rf(nums[key]) / rf(den) == value
-        grades, gden = r.graded()
-        assert LaurentPoly(gden).associate()[2] == den.associate()[2]
+
+
+def _mixed_denominators():
+    """Entries over Y1 - 1, (Y1 - 1)^2, 1 and Y1, with Fraction coefficients."""
+    y = rf(1) - Y1
+    return Tensor2(2, {
+        (1, 1, 1, 1): Fraction(1, 2) / y,
+        (1, 2, 2, 1): Fraction(2, 3) * Y1 / (y * y),
+        (2, 2, 1, 1): Fraction(3, 4),
+        (2, 1, 1, 2): rf(Y1) ** -1,
+    })
 
 
 def test_catalogue_sums_back_to_the_tensor():
-    for n in (2, 3, 4):
-        r = _r_quantum(n)
+    inputs = [_r_quantum(n) for n in (2, 3, 4)]
+    inputs += [_mixed_denominators(), Tensor2.perm(2).scale(Fraction(1, 2)), Tensor2(2)]
+    for r in inputs:
         factors, functions = r.catalogue()
         den = rf(1)
         for f, m in factors:
@@ -566,6 +549,17 @@ def test_catalogue_sums_back_to_the_tensor():
         assert set(total) == set(r.coeffs)
         for key, value in r.coeffs.items():
             assert total[key] / den == value
+    for r in inputs[:3]:
         # the numerators merge into few functions, each named once
-        keys = [tuple(f.terms.items()) for f, _ in functions]
+        keys = [tuple(f.terms.items()) for f, _ in r.catalogue()[1]]
         assert len(set(keys)) == len(keys) < len(r.coeffs)
+    # over (Y1 - 1)^2, the lcm of Y1 - 1 and (Y1 - 1)^2, not their product
+    factors, _ = _mixed_denominators().catalogue()
+    assert [(f.associate()[2], m) for f, m in factors] == [
+        ((LaurentPoly.monomial((0, 0, 1, 0)) - 1).associate()[2], 2)
+    ]
+    # a constant tensor is one function, 1 over the lcm of its denominators
+    assert Tensor2.perm(2).scale(Fraction(1, 2)).catalogue() == (
+        (), ((LaurentPoly.const(Fraction(1, 2)), Tensor2.perm(2, 1)),)
+    )
+    assert Tensor2(2).catalogue() == ((), ())

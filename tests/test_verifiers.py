@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -116,48 +117,44 @@ HALF_PERM_WITNESS = {
 
 def _ratfunc_cybe_spectral(r):
     """The spectral CYBE residual over RatFunc slots: the oracle for the
-    graded zero test."""
+    catalogue zero test."""
     return verify._cybe(*verify._symbolic_slots(r, verify.SPECTRAL_SLOTS))[0]
 
 
-def _hat_r_family(nmax):
-    """hat_r(r_{T,s}) at the particular s and at particular + each basis
-    vector, for every triple with n <= nmax."""
-    for n in range(2, nmax + 1):
-        for t in enumerate_triples(n):
-            particular, basis = solve_s_system(t)
-            for s in [particular] + [particular + b for b in basis]:
-                yield hat_r(build_r_ts(t, s))
+def _s_points(t):
+    """The particular s of t and particular + each basis vector."""
+    particular, basis = solve_s_system(t)
+    return [particular] + [particular + b for b in basis]
 
 
-def test_cybe_spectral_cleared_verdicts_match_ratfunc_oracle():
-    count = 0
-    for rh in _hat_r_family(4):
-        count += 1
+def _constant_family(nmax, reversing5):
+    """r_{T,s} at every s-point of every triple with n <= nmax and of the
+    orientation-reversing n = 5 triple."""
+    triples = [t for n in range(2, nmax + 1) for t in enumerate_triples(n)] + [reversing5]
+    for t in triples:
+        for s in _s_points(t):
+            yield build_r_ts(t, s)
+
+
+def test_cybe_spectral_cleared_verdicts_match_ratfunc_oracle(reversing5):
+    sizes = []
+    for r in _constant_family(4, reversing5):
+        rh = hat_r(r)
+        sizes.append(rh.n)
         verdicts = (verify.cybe_spectral_residual(rh).is_zero(), _ratfunc_cybe_spectral(rh).is_zero())
         assert verdicts == (True, True)
         bad = _perturbed(rh)
-        assert not verify._graded_zero(bad, verify.SPECTRAL_SLOTS, verify.CYBE_TERMS)
+        assert verify._catalogue_zero(bad, verify.SPECTRAL_SLOTS, verify.CYBE_TERMS) is False
         residual, oracle = verify.cybe_spectral_residual(bad), _ratfunc_cybe_spectral(bad)
         assert not oracle.is_zero()
         (key, value), (okey, ovalue) = residual.lex_witness(), oracle.lex_witness()
         assert (key, str(value)) == (okey, str(ovalue))
-    assert count == 45
+    # 45 matrices with n <= 4 and 4 of the reversing triple
+    assert (len(sizes), sizes.count(5)) == (45 + 4, 4)
 
 
-def _constant_family(nmax, reversing5):
-    """r_{T,s} at the particular s and at particular + each basis vector,
-    for every triple with n <= nmax and for the orientation-reversing n = 5
-    triple."""
-    triples = [t for n in range(2, nmax + 1) for t in enumerate_triples(n)] + [reversing5]
-    for t in triples:
-        particular, basis = solve_s_system(t)
-        for s in [particular] + [particular + b for b in basis]:
-            yield build_r_ts(t, s)
-
-
-# constant CYBE and the lift obstruction: the graded zero test's arguments
-# and the Fraction oracle, the formula over the input's own scalars
+# constant CYBE and the lift obstruction: the catalogue zero test's
+# arguments and the Fraction oracle, the formula over the input's own scalars
 CONSTANT_CHECKS = {
     "cybe": (verify.cybe_residual, verify.CYBE_TERMS, (), lambda r: verify._cybe(r, r, r)[0]),
     "obstruction": (
@@ -174,13 +171,13 @@ def test_constant_graded_verdicts_match_fraction_oracle(check, reversing5):
     verdicts = []
     for r in _constant_family(4, reversing5):
         want = oracle(r)
-        assert verify._graded_zero(r, slots, terms, project) == want.is_zero()
+        assert verify._catalogue_zero(r, slots, terms, project) == want.is_zero()
         assert public(r) == want
         verdicts.append(want.is_zero())
         bad = _perturbed(r)
         want = oracle(bad)
         assert not want.is_zero()
-        assert not verify._graded_zero(bad, slots, terms, project)
+        assert verify._catalogue_zero(bad, slots, terms, project) is False
         got = public(bad)
         (key, value), (okey, ovalue) = got.lex_witness(), want.lex_witness()
         assert (key, str(value)) == (okey, str(ovalue))
@@ -191,12 +188,52 @@ def test_constant_graded_verdicts_match_fraction_oracle(check, reversing5):
     assert verdicts.count(True) == (10 if check == "obstruction" else 49)
 
 
-def test_slot_exponents_are_those_of_substitution():
-    exps = [(0, 0, 0, 0), (1, 0, 2, 0), (-3, 2, 1, -1), (Fraction(1, 2), 0, Fraction(-3, 4), 1)]
-    for slot in verify.SLOTS.values():
-        for e in exps:
-            (got,) = LaurentPoly.monomial(e).substitute(slot).terms
-            assert verify._at_slot(e, slot) == got
+# the exact checks of a verify run as _catalogue_zero's (labels, terms, project)
+EXACT_CHECKS = {
+    "cybe": (("u,v",) * 3, verify.CYBE_TERMS, ()),
+    "cybe_spectral": (verify.SPECTRAL_SLOTS, verify.CYBE_TERMS, ()),
+    "obstruction": (("u,v",) * 3, verify.ASSOC_TERMS, (1, 2, 3)),
+    "aybe": (verify.AYBE_SLOTS, verify.AYBE_TERMS, ()),
+}
+
+
+def test_one_catalogues_dict_across_the_exact_checks_keeps_verdicts(reversing5):
+    """One catalogues dict kept across constant CYBE, spectral CYBE and
+    the obstruction at every s-point, and AYBE at every structure, in the
+    order of a verify run, gives each input the verdict it gets alone,
+    and still fails perturbed inputs once it holds every catalogue."""
+    catalogues = {}
+    verdicts = Counter()
+    passing = {}  # the last input each check passes
+
+    def check(name, r):
+        labels, terms, project = EXACT_CHECKS[name]
+        got = verify._catalogue_zero(r, labels, terms, project, catalogues)
+        assert got == verify._catalogue_zero(r, labels, terms, project), name
+        verdicts[name, got] += 1
+        if got:
+            passing[name] = r
+
+    triples = [t for n in (2, 3, 4) for t in enumerate_triples(n)] + [reversing5]
+    for t in triples:
+        family = [build_r_ts(t, s) for s in _s_points(t)]
+        for r in family:
+            check("cybe", r)
+            check("cybe_spectral", hat_r(r))
+        for r in family:
+            check("obstruction", r)
+        for structure in compatible_permutations(t):
+            s0 = s0_from_structure(structure)
+            check("aybe", build_r_uv(structure, s0, formula="quantum"))
+    assert verdicts == {
+        ("cybe", True): 49, ("cybe_spectral", True): 49,
+        ("obstruction", True): 10, ("obstruction", False): 39, ("aybe", True): 19,
+    }
+    # one entry per check and catalogue, against 185 checks
+    assert len(catalogues) <= 12
+    for name, r in passing.items():
+        labels, terms, project = EXACT_CHECKS[name]
+        assert verify._catalogue_zero(_perturbed(r), labels, terms, project, catalogues) is False
 
 
 def test_spectral_combination_equals_constant_combination():
@@ -313,7 +350,7 @@ def _ratfunc_aybe(r):
 
 
 def _catalogue_aybe(r, catalogues=None):
-    return verify._catalogue_zero(r, verify.AYBE_SLOTS, verify.AYBE_TERMS, catalogues)
+    return verify._catalogue_zero(r, verify.AYBE_SLOTS, verify.AYBE_TERMS, catalogues=catalogues)
 
 
 def _plus_one_at(t, key):
