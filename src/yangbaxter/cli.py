@@ -376,7 +376,7 @@ def _verify(args):
                 continue
             for suite, identity, matrix in NUMERIC_CHECKS:
                 if suite in suites:
-                    key = verify.NUMERIC_IDENTITIES[identity][0]
+                    key = verify.NUMERIC_IDENTITIES[identity]
                     reports.append(verify.numeric_residual(
                         identity, {key: matrix(m)}, n=structure.n, samples=args.samples,
                         tolerance=args.tolerance, seed=args.seed, provenance=prov,

@@ -476,8 +476,8 @@ def product_sum(terms):
     size.  The terms that share one y and legs are contracted once, on
     the sum of their c x, and each product is added into one dict as it
     is contracted, so no product or partial sum is kept on its own.
-    Coefficients are summed in another order than term by term, so this
-    is for exact scalars.
+    Coefficients are summed in another order than term by term, with no
+    sort_by (_contract), so this is for exact scalars.
     """
     groups = {}
     for c, x, y, legs in terms:
@@ -493,7 +493,7 @@ def product_sum(terms):
         for c, x in rest:
             for k, v in x.coeffs.items():
                 left[k] = get(k, 0) + c * v
-        _contract(left, y.coeffs, *getters, out=out)
+        _contract(left, y.coeffs, *getters[:3], out=out)
     return _adopt(result, x.n, out)
 
 

@@ -1,16 +1,16 @@
 """Residual computation for every identity in the workbench.
 
-Symbolic mode produces identically-zero certificates: each residual is a
-sparse tensor of exact rational functions, and "pass" means every
-coefficient is exactly zero.  Numeric mode evaluates the same formulas
-at seeded random complex sample points, applies each residual to a
-seeded random vector with entries of modulus 1 (Freivalds' check) and
-reports the largest entry of the result.  Each identity is written
-once, as a formula over its slots (copies of the input matrix at
-shifted arguments); the two modes differ in how they make the slots,
-and in whether the formula's products are formed or applied to the
-vector.  Verifiers never mutate their inputs; failure reports carry the
-lexicographically least nonzero coefficient as a witness.
+Each identity but Hecke is a row of IDENTITIES: signed products of one
+to three slots, the input matrix at shifted arguments (SLOTS), read in
+both modes by one evaluator, _formula.  Symbolic mode certifies exact
+zero: rows of two-factor products (CYBE, AYBE, the lift obstruction) are
+decided on int tensors (_catalogue_zero), and a residual over exact
+rational functions is built only when that fails, or for another row.
+Numeric mode applies the residual at seeded random complex sample points
+to a seeded random vector with entries of modulus 1 (Freivalds' check)
+and reports the largest entry.  Hecke, (PR - q)(PR + q^-1), is the one
+formula written by hand.  Verifiers never mutate their inputs; failure
+reports carry the lexicographically least nonzero coefficient as a witness.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ from .builders import build_r_ts, hat_r
 # Slots, keyed by their (u, v) arguments.  The input matrix carries (u, v)
 # as (X1, Y1).  A slot's row ((a, b), (c, d)) shifts the arguments to
 # (a u + b u', c v + d v'): symbolic mode substitutes X1 -> X1^a X2^b and
-# Y1 -> Y1^c Y2^d (LaurentPoly.substitute), numeric mode evaluates the
-# input at the shifted arguments of the sample point (_slot_arguments).
+# Y1 -> Y1^c Y2^d (LaurentPoly.substitute), except at u,v, which is the
+# input itself; numeric mode evaluates the input at the shifted arguments
+# of the sample point (_slot_arguments).
 SLOTS = {
     "u,v": ((1, 0), (1, 0)),
     "u,-v": ((1, 0), (-1, 0)),
@@ -45,13 +46,35 @@ SLOTS = {
     "u+u',v'": ((1, 1), (0, 1)),
     "u+u',v+v'": ((1, 1), (1, 1)),
 }
-# r(v), r(v+v'), r(v') on legs 12, 13, 23 of the spectral CYBE and QYBE
-SPECTRAL_SLOTS = ("u,v", "u,v+v'", "u,v'")
-# r12(-u',v) r13(u+u',v+v') - r23(u+u',v') r12(u,v) + r13(u,v+v') r23(u',v')
-AYBE_SLOTS = ("-u',v", "u+u',v+v'", "u+u',v'", "u,v", "u,v+v'", "u',v'")
-# r(u,v) + r^21 at the reflected arguments
-UNITARITY_SLOTS = {"classical": ("u,v", "u,-v"), "associative": ("u,v", "-u,-v")}
 
+# Each identity but Hecke as signed products of its slots a, b, c, ...
+# (0, 1, 2, ...): name -> (slot labels, terms, traceless legs).  A term is
+# (sign, factor, ...), a factor (slot, legs) with legs as for _product, or
+# 21 for the slot with its two legs swapped.
+# [a12, b13] + [a12, c23] + [b13, c23]
+_CYBE = (
+    (1, (0, 12), (1, 13)), (-1, (1, 13), (0, 12)),
+    (1, (0, 12), (2, 23)), (-1, (2, 23), (0, 12)),
+    (1, (1, 13), (2, 23)), (-1, (2, 23), (1, 13)),
+)
+# a12 b13 c23 - c23 b13 a12
+_QYBE = ((1, (0, 12), (1, 13), (2, 23)), (-1, (2, 23), (1, 13), (0, 12)))
+_UNITARITY = ((1, (0, None)), (1, (1, 21)))  # a + b^21
+IDENTITIES = {
+    "cybe": (("u,v",) * 3, _CYBE, ()),
+    "cybe_spectral": (("u,v", "u,v+v'", "u,v'"), _CYBE, ()),
+    # r12 r13 - r23 r12 + r13 r23, zero exactly when r lifts
+    "obstruction": (("u,v",) * 3, (
+        (1, (0, 12), (1, 13)), (-1, (2, 23), (0, 12)), (1, (1, 13), (2, 23))), (1, 2, 3)),
+    # r12(-u',v) r13(u+u',v+v') - r23(u+u',v') r12(u,v) + r13(u,v+v') r23(u',v')
+    "aybe": (("-u',v", "u+u',v+v'", "u+u',v'", "u,v", "u,v+v'", "u',v'"), (
+        (1, (0, 12), (1, 13)), (-1, (2, 23), (3, 12)), (1, (4, 13), (5, 23))), ()),
+    "qybe": (("u,v",) * 3, _QYBE, ()),
+    "qybe_spectral": (("u,v", "u,v+v'", "u,v'"), _QYBE, ()),
+    # r(v) + r^21(-v) and r(u,v) + r^21(-u,-v)
+    "unitarity_classical": (("u,v", "u,-v"), _UNITARITY, ()),
+    "unitarity_assoc": (("u,v", "-u,-v"), _UNITARITY, ()),
+}
 
 @dataclass
 class VerifyReport:
@@ -100,7 +123,7 @@ def report_from_residual(identity, residual, provenance=None):
 
 
 # ---------------------------------------------------------------------------
-# identities, each written once over its slots
+# evaluating the identities
 #
 # A formula returns the residual and the tensors it combined into it; the
 # latter give numeric mode its scale.  Numeric mode passes a sample x, a
@@ -131,49 +154,25 @@ def _product(x, *factors):
     return out
 
 
-# The CYBE and the associative formula as signed products of two of three
-# slots a, b, c (0, 1, 2), each factor (slot, legs): the terms that
-# _catalogue_zero decides.
-# [a12, b13] + [a12, c23] + [b13, c23]
-CYBE_TERMS = (
-    (1, (0, 12), (1, 13)), (-1, (1, 13), (0, 12)),
-    (1, (0, 12), (2, 23)), (-1, (2, 23), (0, 12)),
-    (1, (1, 13), (2, 23)), (-1, (2, 23), (1, 13)),
-)
-# a12 b13 - c23 a12 + b13 c23
-ASSOC_TERMS = ((1, (0, 12), (1, 13)), (-1, (2, 23), (0, 12)), (1, (1, 13), (2, 23)))
-# the same products over six slots: a12 b13 - c23 d12 + e13 f23 (_assoc)
-AYBE_TERMS = tuple(
-    (sign, (2 * k, ab), (2 * k + 1, cd)) for k, (sign, (_, ab), (_, cd)) in enumerate(ASSOC_TERMS)
-)
+def _formula(terms, slots, x=None):
+    """The signed sum of the terms' products over slots (a row of
+    IDENTITIES), and the products.
 
-
-def _cybe(a, b, c, x=None):
-    """[a12, b13] + [a12, c23] + [b13, c23], the products of CYBE_TERMS."""
-    slots = (a, b, c)
-    parts = tuple(
-        _product(x, (slots[i], ab), (slots[j], cd)) for _, (i, ab), (j, cd) in CYBE_TERMS
-    )
-    return (parts[0] - parts[1]) + (parts[2] - parts[3]) + (parts[4] - parts[5]), parts
-
-
-def _qybe(a, b, c, x=None):
-    """a12 b13 c23 - c23 b13 a12."""
-    parts = (
-        _product(x, (a, 12), (b, 13), (c, 23)),
-        _product(x, (c, 23), (b, 13), (a, 12)),
-    )
-    return parts[0] - parts[1], parts
-
-
-def _assoc(a, b, c, d, e, f, x=None):
-    """a12 b13 - c23 d12 + e13 f23."""
-    parts = (
-        _product(x, (a, 12), (b, 13)),
-        _product(x, (c, 23), (d, 12)),
-        _product(x, (e, 13), (f, 23)),
-    )
-    return parts[0] - parts[1] + parts[2], parts
+    The terms are summed in consecutive pairs, (t0 +- t1) + (t2 +- t3)
+    + ..., each pair opening with a + term, which fixes the order of
+    every float and RatFunc sum.
+    """
+    parts = [
+        _product(x, *((slots[i].flip21(), None) if legs == 21 else (slots[i], legs)
+                      for i, legs in factors))
+        for _, *factors in terms
+    ]
+    pairs = [
+        parts[k] if k + 1 == len(parts)
+        else parts[k] + parts[k + 1] if terms[k + 1][0] > 0 else parts[k] - parts[k + 1]
+        for k in range(0, len(parts), 2)
+    ]
+    return sum(pairs[1:], pairs[0]), parts
 
 
 def _hecke(R, q, qinv, one, x=None):
@@ -183,17 +182,6 @@ def _hecke(R, q, qinv, one, x=None):
     factors = (m - ident.scale(q), m + ident.scale(qinv))
     parts = tuple(_product(x, (f, None)) for f in factors)
     return _product(x, (factors[0], None), (factors[1], None)), parts
-
-
-def _unitarity(direct, reflected, x=None):
-    """direct + reflected^21."""
-    parts = (_product(x, (direct, None)), _product(x, (reflected.flip21(), None)))
-    return parts[0] + parts[1], parts
-
-
-def _symbolic_slots(t, labels):
-    """The symbolic slots of t named by labels."""
-    return [t.substitute(SLOTS[label]) for label in labels]
 
 
 def _slot_weights(factors, labels, terms):
@@ -309,50 +297,55 @@ def _catalogue_zero(r, labels, terms, project=(), catalogues=None):
     return not products or product_sum(products).project_traceless(project).is_zero()
 
 
-def cybe_residual(r, catalogues=None):
-    """[r12, r13] + [r12, r23] + [r13, r23] for a constant r.
+def _residual(identity, t, catalogues=None):
+    """The residual of a row of IDENTITIES at t.
 
-    The zero test is made on the scalar catalogue of r (_catalogue_zero,
-    which also says what catalogues holds); only a nonzero residual is
-    built over the input's own scalars.
+    A row whose products all have two factors is first tested on the
+    scalar catalogue of t (_catalogue_zero, which also says what
+    catalogues holds), and a zero there is returned as the zero tensor;
+    otherwise the residual is built over the slots of t, for its witness.
     """
-    if _catalogue_zero(r, ("u,v",) * 3, CYBE_TERMS, catalogues=catalogues):
-        return Tensor3(r.n)
-    return _cybe(r, r, r)[0]
+    labels, terms, project = IDENTITIES[identity]
+    two_factor = all(len(term) == 3 for term in terms)
+    if two_factor and _catalogue_zero(t, labels, terms, project, catalogues):
+        return Tensor3(t.n)
+    slots = [t if label == "u,v" else t.substitute(SLOTS[label]) for label in labels]
+    return _formula(terms, slots)[0].project_traceless(project)
+
+
+def cybe_residual(r, catalogues=None):
+    """[r12, r13] + [r12, r23] + [r13, r23] for a constant r (_residual)."""
+    return _residual("cybe", r, catalogues)
 
 
 def cybe_spectral_residual(r, catalogues=None):
-    """Spectral CYBE residual for r = r(Y1).
+    """Spectral CYBE residual for r = r(Y1) (_residual).
 
     Slots carry arguments x, x+y, y realized as Y1, Y1*Y2, Y2; the input
-    must not involve the other formal symbols.  The zero test is made on
-    the scalar catalogue of r (_catalogue_zero, which also says what
-    catalogues holds); only a nonzero residual is built over RatFunc.
+    must not involve the other formal symbols.
     """
     extra = variables_used(r) - {"Y1"}
     if extra:
         raise ValueError(f"spectral CYBE input must depend on Y1 only, found {sorted(extra)}")
-    if _catalogue_zero(r, SPECTRAL_SLOTS, CYBE_TERMS, catalogues=catalogues):
-        return Tensor3(r.n)
-    return _cybe(*_symbolic_slots(r, SPECTRAL_SLOTS))[0]
+    return _residual("cybe_spectral", r, catalogues)
 
 
 def unitarity_check(r, kind, provenance=None):
     """Classical r(v) + r^21(-v) = 0, associative r(u,v) + r^21(-u,-v) = 0."""
-    if kind not in UNITARITY_SLOTS:
+    identity = {"classical": "unitarity_classical", "associative": "unitarity_assoc"}.get(kind)
+    if identity is None:
         raise ValueError("kind must be 'classical' or 'associative'")
-    residual, _ = _unitarity(*_symbolic_slots(r, UNITARITY_SLOTS[kind]))
-    return report_from_residual(f"unitarity_{kind}", residual, provenance)
+    return report_from_residual(f"unitarity_{kind}", _residual(identity, r), provenance)
 
 
 def qybe_residual(R):
     """R12 R13 R23 - R23 R13 R12 for a constant quantum matrix."""
-    return _qybe(R, R, R)[0]
+    return _residual("qybe", R)
 
 
 def qybe_spectral_residual(R):
     """Spectral QYBE residual for a Baxterized R(q, v)."""
-    return _qybe(*_symbolic_slots(R, SPECTRAL_SLOTS))[0]
+    return _residual("qybe_spectral", R)
 
 
 def hecke_residual(R):
@@ -362,28 +355,17 @@ def hecke_residual(R):
 
 
 def aybe_residual(r, catalogues=None):
-    """r12(-u',v) r13(u+u',v+v') - r23(u+u',v') r12(u,v) + r13(u,v+v') r23(u',v').
-
-    The zero test is made on the scalar catalogue of r (_catalogue_zero,
-    which also says what catalogues holds); only a nonzero residual is
-    built over RatFunc, for its witness.
-    """
-    if _catalogue_zero(r, AYBE_SLOTS, AYBE_TERMS, catalogues=catalogues):
-        return Tensor3(r.n)
-    return _assoc(*_symbolic_slots(r, AYBE_SLOTS))[0]
+    """r12(-u',v) r13(u+u',v+v') - r23(u+u',v') r12(u,v) + r13(u,v+v') r23(u',v')
+    (_residual)."""
+    return _residual("aybe", r, catalogues)
 
 
 def lift_obstruction(r, catalogues=None):
-    """Fully traceless projection of r12 r13 - r23 r12 + r13 r23.
+    """Fully traceless projection of r12 r13 - r23 r12 + r13 r23 (_residual).
 
     Zero exactly when the constant matrix admits a two-parameter lift.
-    The zero test is made on the scalar catalogue of r (_catalogue_zero,
-    which also says what catalogues holds); only a nonzero obstruction is
-    built over the input's own scalars.
     """
-    if _catalogue_zero(r, ("u,v",) * 3, ASSOC_TERMS, (1, 2, 3), catalogues):
-        return Tensor3(r.n)
-    return _assoc(r, r, r, r, r, r)[0].project_traceless((1, 2, 3))
+    return _residual("obstruction", r, catalogues)
 
 
 def u_coefficients(r, powers, order=0):
@@ -428,7 +410,7 @@ def pr_limit_check(r, provenance=None):
         raise PoleOrderError("pole survives the traceless projection")
     residual = cybe_spectral_residual(rbar)
     if residual.is_zero():
-        residual, _ = _unitarity(*_symbolic_slots(rbar, UNITARITY_SLOTS["classical"]))
+        residual = _residual("unitarity_classical", rbar)
     return report_from_residual("pr_limit", residual, provenance)
 
 
@@ -442,23 +424,10 @@ LOG_BAND = (0.3, 1.5)
 MAX_REJECTIONS = 1000
 
 
-def _sampled_hecke(u, x, R):
-    q = cmath.exp(u / 2)  # q = X1^n at the sample point
-    return _hecke(R, q, 1 / q, 1.0 + 0j, x=x)
-
-
-# identity -> (input key, slot labels, legs of the sample vector, formula);
-# numeric mode calls the formula with the sample's u and sample x first
-# (see _product), and u only the Hecke condition uses.
+# numeric identity -> the key of its input in numeric_residual's tensors
 NUMERIC_IDENTITIES = {
-    "aybe": ("r", AYBE_SLOTS, 3, lambda u, x, *slots: _assoc(*slots, x=x)),
-    "qybe": ("R", ("u,v",) * 3, 3, lambda u, x, *slots: _qybe(*slots, x=x)),
-    "qybe_spectral": ("R", SPECTRAL_SLOTS, 3, lambda u, x, *slots: _qybe(*slots, x=x)),
-    "cybe_spectral": ("r", SPECTRAL_SLOTS, 3, lambda u, x, *slots: _cybe(*slots, x=x)),
-    "hecke": ("R", ("u,v",), 2, _sampled_hecke),
-    "unitarity_assoc": (
-        "r", UNITARITY_SLOTS["associative"], 2, lambda u, x, *slots: _unitarity(*slots, x=x)
-    ),
+    "aybe": "r", "unitarity_assoc": "r", "cybe_spectral": "r", "qybe": "R", "qybe_spectral": "R",
+    "hecke": "R",
 }
 
 
@@ -504,10 +473,17 @@ def _slot_arguments(slot, point):
     return out
 
 
-def _numeric_row(identity):
+def _input_key(identity):
     if identity not in NUMERIC_IDENTITIES:
         raise ValueError(f"unknown numeric identity {identity!r}")
     return NUMERIC_IDENTITIES[identity]
+
+
+def _sample_legs(identity):
+    """The legs of the identity's sample vector: 3 when a factor of its
+    row sits on legs 12, 13 or 23, else 2 (Hecke has no row)."""
+    terms = IDENTITIES[identity][1] if identity in IDENTITIES else ()
+    return 3 if any(legs in (12, 13, 23) for _, *factors in terms for _, legs in factors) else 2
 
 
 def _numeric_tensors(identity, tensors, n, point, x):
@@ -520,14 +496,20 @@ def _numeric_tensors(identity, tensors, n, point, x):
     formula's products share one dict of the factors applied to x, so a
     factor that ends several of them is applied once.
     """
-    key, labels, _, formula = _numeric_row(identity)
+    t = tensors[_input_key(identity)]
     u, up, v, vp = point
-    evaluated = {}
-    for label in labels:
-        if label not in evaluated:
-            uu, vv = _slot_arguments(SLOTS[label], point)
-            evaluated[label] = tensors[key].evaluate(log_point(uu, up, vv, vp, n))
-    residual, parts = formula(u, (x, {}), *(evaluated[label] for label in labels))
+    if identity == "hecke":
+        q = cmath.exp(u / 2)  # q = X1^n at the sample point
+        R = t.evaluate(log_point(u, up, v, vp, n))
+        residual, parts = _hecke(R, q, 1 / q, 1.0 + 0j, x=(x, {}))
+    else:
+        labels, terms, _ = IDENTITIES[identity]
+        evaluated = {}
+        for label in labels:
+            if label not in evaluated:
+                uu, vv = _slot_arguments(SLOTS[label], point)
+                evaluated[label] = t.evaluate(log_point(uu, up, vv, vp, n))
+        residual, parts = _formula(terms, [evaluated[label] for label in labels], (x, {}))
     return residual, max(part.max_abs() for part in parts)
 
 
@@ -549,16 +531,17 @@ def numeric_residual(identity, tensors, n, samples, tolerance, seed, provenance=
         raise ValueError(f"samples must be at least 1, got {samples!r}")
     if not 0 < tolerance < cmath.inf:
         raise ValueError(f"tolerance must be a finite number above 0, got {tolerance!r}")
-    key, _, legs, _ = _numeric_row(identity)
+    key = _input_key(identity)
     floats = {key: tensors[key].float_form()}
     rng = random.Random(seed)
     worst = 0.0
     resamples = 0
     ok = True
+    size = n ** _sample_legs(identity)
     for _ in range(samples):
         point, rejected = _clear_point(rng)
         resamples += rejected
-        x = unit_vector(rng, n ** legs)
+        x = unit_vector(rng, size)
         residual, scale = _numeric_tensors(identity, floats, n, point, x)
         err = residual.max_abs()
         worst = max(worst, err)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from yangbaxter import cli, verify
+from yangbaxter import cli, tensors, verify
 from yangbaxter.builders import (
     baxterize,
     build_R_ggs_general,
@@ -39,6 +39,127 @@ from conftest import cg_structure, embed, perm_diag, trivial_structures, weight_
 
 def unit2(n, i, j, k, l, c=Fraction(1)):
     return Tensor2(n, {(i, j, k, l): c})
+
+
+# --- the identity table ------------------------------------------------------
+
+
+def test_identity_table_rows():
+    # a row added later needs its own case in the tests below
+    assert list(verify.IDENTITIES) == [
+        "cybe", "cybe_spectral", "obstruction", "aybe", "qybe", "qybe_spectral",
+        "unitarity_classical", "unitarity_assoc",
+    ]
+
+
+# the legs a factor may take: the placements of tensors._PRODUCTS, which
+# Tensor2.apply takes too, and 21 for a tensor with its legs swapped
+FACTOR_LEGS = {21} | {
+    legs for _, placement in tensors._PRODUCTS
+    for legs in (placement if isinstance(placement, tuple) else (placement,))
+}
+
+
+def _table_problems(rows):
+    """(name, what, value) for each flaw of a table shaped as verify.IDENTITIES."""
+    problems = []
+    for name, (labels, terms, _) in rows.items():
+        problems += [(name, "label", label) for label in labels if label not in verify.SLOTS]
+        for k, (sign, *factors) in enumerate(terms):
+            # _formula sums the terms in pairs, each opening with a + term
+            if sign not in (1, -1) or k % 2 == 0 and sign != 1:
+                problems.append((name, "sign", k))
+            for slot, legs in factors:
+                if not 0 <= slot < len(labels):
+                    problems.append((name, "slot", slot))
+                if legs not in FACTOR_LEGS:
+                    problems.append((name, "legs", legs))
+    return problems
+
+
+def test_identity_table_is_well_formed():
+    assert FACTOR_LEGS == {None, 12, 13, 23, 21}
+    assert _table_problems(verify.IDENTITIES) == []
+    malformed = {"bad": (("u,v", "v,u"), ((-1, (0, 12), (2, 13)), (2, (1, 32))), ())}
+    assert _table_problems(malformed) == [
+        ("bad", "label", "v,u"), ("bad", "sign", 0), ("bad", "slot", 2),
+        ("bad", "sign", 1), ("bad", "legs", 32),
+    ]
+
+
+def _at(t, a, b, c, d):
+    """t at the arguments (a u + b u', c v + d v')."""
+    return t.substitute(((a, b), (c, d)))
+
+
+def _commutators(a, b, c):
+    """[a, b] + [a, c] + [b, c] of three Tensor3."""
+    return (a.mul(b) - b.mul(a)) + (a.mul(c) - c.mul(a)) + (b.mul(c) - c.mul(b))
+
+
+def _flipped(t):
+    return Tensor2(t.n, {(k, l, i, j): v for (i, j, k, l), v in t.coeffs.items()})
+
+
+# each row of verify.IDENTITIES written out over embedded products
+BY_HAND = {
+    "cybe": lambda t: _commutators(embed(t, 12), embed(t, 13), embed(t, 23)),
+    "cybe_spectral": lambda t: _commutators(
+        embed(t, 12), embed(_at(t, 1, 0, 1, 1), 13), embed(_at(t, 1, 0, 0, 1), 23)
+    ),
+    "obstruction": lambda t: (
+        embed(t, 12).mul(embed(t, 13)) - embed(t, 23).mul(embed(t, 12))
+        + embed(t, 13).mul(embed(t, 23))
+    ).project_traceless((1, 2, 3)),
+    "aybe": lambda t: (
+        embed(_at(t, 0, -1, 1, 0), 12).mul(embed(_at(t, 1, 1, 1, 1), 13))
+        - embed(_at(t, 1, 1, 0, 1), 23).mul(embed(t, 12))
+        + embed(_at(t, 1, 0, 1, 1), 13).mul(embed(_at(t, 0, 1, 0, 1), 23))
+    ),
+    "qybe": lambda t: (
+        embed(t, 12).mul(embed(t, 13)).mul(embed(t, 23))
+        - embed(t, 23).mul(embed(t, 13)).mul(embed(t, 12))
+    ),
+    "qybe_spectral": lambda t: (
+        embed(t, 12).mul(embed(_at(t, 1, 0, 1, 1), 13)).mul(embed(_at(t, 1, 0, 0, 1), 23))
+        - embed(_at(t, 1, 0, 0, 1), 23).mul(embed(_at(t, 1, 0, 1, 1), 13)).mul(embed(t, 12))
+    ),
+    "unitarity_classical": lambda t: t + _flipped(_at(t, 1, 0, -1, 0)),
+    "unitarity_assoc": lambda t: t + _flipped(_at(t, -1, 0, -1, 0)),
+}
+
+
+def _table_input(identity):
+    """The n = 2 input that identity is checked on, at the trivial
+    triple's structure and its s0."""
+    from yangbaxter.builders import build_R_ggs_assoc
+
+    st = trivial_structures(2)[0]
+    s0 = s0_from_structure(st)
+    r_ts = build_r_ts(st.triple, s0)
+    return {
+        "cybe": lambda: r_ts,
+        "cybe_spectral": lambda: hat_r(r_ts),
+        "obstruction": lambda: r_ts,
+        "aybe": lambda: build_r_uv(st, s0, formula="quantum"),
+        "qybe": lambda: build_R_ggs_assoc(st, s0),
+        "qybe_spectral": lambda: baxterize(build_R_ggs_assoc(st, s0)),
+        "unitarity_classical": lambda: hat_r(r_ts),
+        "unitarity_assoc": lambda: build_r_uv(st, s0, formula="quantum"),
+    }[identity]()
+
+
+@pytest.mark.parametrize("identity", list(verify.IDENTITIES))
+def test_identity_row_matches_the_identity_written_out(identity):
+    """Each row, on its input with 1 added to the least coefficient, gives
+    the residual of the identity written out by hand, entry by entry, and
+    that residual is nonzero."""
+    t = _perturbed(_table_input(identity))
+    got, want = verify._residual(identity, t), BY_HAND[identity](t)
+    assert not want.is_zero()
+    assert got.coeffs.keys() == want.coeffs.keys()
+    for key, value in got.coeffs.items():
+        assert value == want.coeffs[key], key
 
 
 # --- constant CYBE ---------------------------------------------------------
@@ -115,10 +236,16 @@ HALF_PERM_WITNESS = {
 }
 
 
+def _ratfunc_residual(identity, r):
+    """A row of verify.IDENTITIES over RatFunc slots, each slot substituted:
+    the oracle for the catalogue zero test."""
+    labels, terms, project = verify.IDENTITIES[identity]
+    slots = [r.substitute(verify.SLOTS[label]) for label in labels]
+    return verify._formula(terms, slots)[0].project_traceless(project)
+
+
 def _ratfunc_cybe_spectral(r):
-    """The spectral CYBE residual over RatFunc slots: the oracle for the
-    catalogue zero test."""
-    return verify._cybe(*verify._symbolic_slots(r, verify.SPECTRAL_SLOTS))[0]
+    return _ratfunc_residual("cybe_spectral", r)
 
 
 def _s_points(t):
@@ -144,7 +271,7 @@ def test_cybe_spectral_cleared_verdicts_match_ratfunc_oracle(reversing5):
         verdicts = (verify.cybe_spectral_residual(rh).is_zero(), _ratfunc_cybe_spectral(rh).is_zero())
         assert verdicts == (True, True)
         bad = _perturbed(rh)
-        assert verify._catalogue_zero(bad, verify.SPECTRAL_SLOTS, verify.CYBE_TERMS) is False
+        assert verify._catalogue_zero(bad, *verify.IDENTITIES["cybe_spectral"]) is False
         residual, oracle = verify.cybe_spectral_residual(bad), _ratfunc_cybe_spectral(bad)
         assert not oracle.is_zero()
         (key, value), (okey, ovalue) = residual.lex_witness(), oracle.lex_witness()
@@ -153,21 +280,19 @@ def test_cybe_spectral_cleared_verdicts_match_ratfunc_oracle(reversing5):
     assert (len(sizes), sizes.count(5)) == (45 + 4, 4)
 
 
-# constant CYBE and the lift obstruction: the catalogue zero test's
-# arguments and the Fraction oracle, the formula over the input's own scalars
-CONSTANT_CHECKS = {
-    "cybe": (verify.cybe_residual, verify.CYBE_TERMS, (), lambda r: verify._cybe(r, r, r)[0]),
-    "obstruction": (
-        verify.lift_obstruction, verify.ASSOC_TERMS, (1, 2, 3),
-        lambda r: verify._assoc(r, r, r, r, r, r)[0].project_traceless((1, 2, 3)),
-    ),
-}
+# constant CYBE and the lift obstruction: the public verifier of each row
+CONSTANT_CHECKS = {"cybe": verify.cybe_residual, "obstruction": verify.lift_obstruction}
 
 
 @pytest.mark.parametrize("check", list(CONSTANT_CHECKS))
 def test_constant_graded_verdicts_match_fraction_oracle(check, reversing5):
-    public, terms, project, oracle = CONSTANT_CHECKS[check]
-    slots = ("u,v",) * 3
+    public = CONSTANT_CHECKS[check]
+    slots, terms, project = verify.IDENTITIES[check]
+
+    def oracle(r):
+        # the row's formula over the input's own scalars, Fraction
+        return verify._formula(terms, [r] * len(slots))[0].project_traceless(project)
+
     verdicts = []
     for r in _constant_family(4, reversing5):
         want = oracle(r)
@@ -188,15 +313,6 @@ def test_constant_graded_verdicts_match_fraction_oracle(check, reversing5):
     assert verdicts.count(True) == (10 if check == "obstruction" else 49)
 
 
-# the exact checks of a verify run as _catalogue_zero's (labels, terms, project)
-EXACT_CHECKS = {
-    "cybe": (("u,v",) * 3, verify.CYBE_TERMS, ()),
-    "cybe_spectral": (verify.SPECTRAL_SLOTS, verify.CYBE_TERMS, ()),
-    "obstruction": (("u,v",) * 3, verify.ASSOC_TERMS, (1, 2, 3)),
-    "aybe": (verify.AYBE_SLOTS, verify.AYBE_TERMS, ()),
-}
-
-
 def test_one_catalogues_dict_across_the_exact_checks_keeps_verdicts(reversing5):
     """One catalogues dict kept across constant CYBE, spectral CYBE and
     the obstruction at every s-point, and AYBE at every structure, in the
@@ -207,7 +323,7 @@ def test_one_catalogues_dict_across_the_exact_checks_keeps_verdicts(reversing5):
     passing = {}  # the last input each check passes
 
     def check(name, r):
-        labels, terms, project = EXACT_CHECKS[name]
+        labels, terms, project = verify.IDENTITIES[name]
         got = verify._catalogue_zero(r, labels, terms, project, catalogues)
         assert got == verify._catalogue_zero(r, labels, terms, project), name
         verdicts[name, got] += 1
@@ -232,7 +348,7 @@ def test_one_catalogues_dict_across_the_exact_checks_keeps_verdicts(reversing5):
     # one entry per check and catalogue, against 185 checks
     assert len(catalogues) <= 12
     for name, r in passing.items():
-        labels, terms, project = EXACT_CHECKS[name]
+        labels, terms, project = verify.IDENTITIES[name]
         assert verify._catalogue_zero(_perturbed(r), labels, terms, project, catalogues) is False
 
 
@@ -333,7 +449,8 @@ def test_aybe_commutator_identity():
     """[r12(-u',v), r13(u+u',v+v')] + [r12(u,v), r23(u+u',v')] + [r13(u,v+v'), r23(u',v')]
     vanishes for a unitary solution (it is AYBE minus the reversed products)."""
     r = build_r_uv(cg_structure(3), formula="kernel")
-    a, b, c, d, e, f = (r.substitute(verify.SLOTS[label]) for label in verify.AYBE_SLOTS)
+    labels, _, _ = verify.IDENTITIES["aybe"]
+    a, b, c, d, e, f = (r.substitute(verify.SLOTS[label]) for label in labels)
     commutators = (
         a.mul(b, legs=(12, 13)) - b.mul(a, legs=(13, 12))
         + d.mul(c, legs=(12, 23)) - c.mul(d, legs=(23, 12))
@@ -344,13 +461,11 @@ def test_aybe_commutator_identity():
 
 
 def _ratfunc_aybe(r):
-    """The AYBE residual over RatFunc slots: the oracle for the catalogue
-    zero test."""
-    return verify._assoc(*verify._symbolic_slots(r, verify.AYBE_SLOTS))[0]
+    return _ratfunc_residual("aybe", r)
 
 
 def _catalogue_aybe(r, catalogues=None):
-    return verify._catalogue_zero(r, verify.AYBE_SLOTS, verify.AYBE_TERMS, catalogues=catalogues)
+    return verify._catalogue_zero(r, *verify.IDENTITIES["aybe"], catalogues=catalogues)
 
 
 def _plus_one_at(t, key):
@@ -472,7 +587,8 @@ def test_aybe_slot_weights_are_two_binomials_each():
     the same L for every term."""
     n = 3
     factors, _ = build_r_uv(cg_structure(n), formula="quantum").catalogue()
-    weights = verify._slot_weights(factors, verify.AYBE_SLOTS, verify.AYBE_TERMS)
+    labels, terms, _ = verify.IDENTITIES["aybe"]
+    weights = verify._slot_weights(factors, labels, terms)
     x1, x2 = LaurentPoly.monomial((1, 0, 0, 0)), LaurentPoly.monomial((0, 1, 0, 0))
     y1, y2 = LaurentPoly.monomial((0, 0, 1, 0)), LaurentPoly.monomial((0, 0, 0, 1))
     binomials = [
@@ -485,11 +601,11 @@ def test_aybe_slot_weights_are_two_binomials_each():
     one = LaurentPoly.const(1)
     dens = [
         math.prod((f.substitute(verify.SLOTS[label]) ** m for f, m in factors), start=one)
-        for label in verify.AYBE_SLOTS
+        for label in labels
     ]
     products = [
         weight * dens[i] * dens[j] * sign
-        for weight, (sign, (i, _), (j, _)) in zip(weights, verify.AYBE_TERMS)
+        for weight, (sign, (i, _), (j, _)) in zip(weights, terms)
     ]
     assert products[0] == products[1] == products[2]
 
@@ -782,7 +898,7 @@ def test_numeric_formulas_match_symbolic():
     assert set(cases) == set(verify.NUMERIC_IDENTITIES)
     logs = log_point(*point, n)
     for identity, (tensors, symbolic) in cases.items():
-        legs = verify.NUMERIC_IDENTITIES[identity][2]
+        legs = verify._sample_legs(identity)
         x = _sample_vector(n, legs)
         numeric, _ = verify._numeric_tensors(identity, tensors, n, point, x)
         assert numeric.max_abs() > 1e-3, identity
@@ -820,7 +936,7 @@ def test_numeric_checks_fail_on_a_perturbed_input(suite, identity, matrix):
     once the least coefficient of that input is raised by 1."""
     st = cg_structure(4)
     m = cli._Matrices(st.triple, s0_from_structure(st), st)
-    key = verify.NUMERIC_IDENTITIES[identity][0]
+    key = verify.NUMERIC_IDENTITIES[identity]
     good = verify.numeric_residual(identity, {key: matrix(m)}, 4, 3, 1e-9, 5)
     bad = verify.numeric_residual(identity, {key: _perturbed(matrix(m))}, 4, 3, 1e-9, 5)
     assert good.passed and good.max_abs_residual < 1e-9
@@ -966,7 +1082,7 @@ def test_numeric_products_apply_each_shared_factor_once(monkeypatch):
         "qybe_spectral": 6, "unitarity_assoc": 2,
     }
     for identity, t in _cg4_numeric_inputs().items():
-        key, _, legs, _ = verify.NUMERIC_IDENTITIES[identity]
+        key, legs = verify.NUMERIC_IDENTITIES[identity], verify._sample_legs(identity)
         calls.clear()
         verify._numeric_tensors(identity, {key: t.float_form()}, 4, point, _sample_vector(4, legs))
         assert len(calls) == expected[identity], identity
@@ -1005,10 +1121,21 @@ def _applied_afresh(vector, factors, applied):
     return (Tensor2 if legs is None else Tensor3).column(t.n, vector)
 
 
+# each numeric residual written out from its products p, in the grouping
+# of the float sums it is checked against
+GROUPED_SUMS = {
+    "cybe_spectral": lambda p: ((p[0] - p[1]) + (p[2] - p[3])) + (p[4] - p[5]),
+    "aybe": lambda p: (p[0] - p[1]) + p[2],
+    "qybe": lambda p: p[0] - p[1],
+    "qybe_spectral": lambda p: p[0] - p[1],
+    "unitarity_assoc": lambda p: p[0] + p[1],
+}
+
+
 def test_numeric_sharing_keeps_the_bits_of_the_unshared_route(monkeypatch):
     """The residual column and the scale equal, bit for bit, the route
-    that evaluates every entry's scalar on its own and applies every
-    factor of every product anew."""
+    that evaluates every entry's scalar on its own, applies every factor
+    of every product anew and sums the products as written out."""
     from yangbaxter.scalars import log_point
 
     point = (0.31 + 0.52j, -0.44 + 0.27j, 0.62 - 0.35j, -0.53 + 0.41j)
@@ -1018,17 +1145,29 @@ def test_numeric_sharing_keeps_the_bits_of_the_unshared_route(monkeypatch):
         return z.real.hex(), z.imag.hex()
 
     for identity, t in _cg4_numeric_inputs().items():
-        key, labels, legs, formula = verify.NUMERIC_IDENTITIES[identity]
-        x = _sample_vector(4, legs)
+        key = verify.NUMERIC_IDENTITIES[identity]
+        x = _sample_vector(4, verify._sample_legs(identity))
         residual, scale = verify._numeric_tensors(identity, {key: t.float_form()}, 4, point, x)
+        labels, terms, _ = verify.IDENTITIES.get(identity, (("u,v",), None, None))
         slots = []
         for label in labels:
             uu, vv = verify._slot_arguments(verify.SLOTS[label], point)
             logs = log_point(uu, up, vv, vp, 4)
             slots.append(t.map_scalars(lambda c: c.float_form().evaluate(logs)))
-        with monkeypatch.context() as patched:
-            patched.setattr(verify, "apply_product", _applied_afresh)
-            want, parts = formula(u, (x, None), *slots)
+        if identity == "hecke":
+            q = cmath.exp(u / 2)
+            with monkeypatch.context() as patched:
+                patched.setattr(verify, "apply_product", _applied_afresh)
+                want, parts = verify._hecke(slots[0], q, 1 / q, 1.0 + 0j, x=(x, None))
+        else:
+            parts = [
+                _applied_afresh(x, [
+                    (slots[i].flip21(), None) if legs == 21 else (slots[i], legs)
+                    for i, legs in factors
+                ], None)
+                for _, *factors in terms
+            ]
+            want = GROUPED_SUMS[identity](parts)
         want_scale = max(part.max_abs() for part in parts)
         assert residual.coeffs.keys() == want.coeffs.keys(), identity
         for k, value in residual.coeffs.items():
