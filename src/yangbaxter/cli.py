@@ -449,15 +449,18 @@ def main(argv=None):
     try:
         if args.n < 1:
             raise CliError("--n must be at least 1")
+        if args.command in ("enumerate", "verify") and args.bound < 0:
+            raise CliError("--bound must be at least 0")
         if args.command == "enumerate":
             return cmd_enumerate(args)
         if args.command == "build":
             return cmd_build(args)
         if args.command == "verify":
-            if args.suite == "all":
+            suites = {s.strip() for s in args.suite.split(",")}
+            if suites == {"all"}:
                 suites = set(NUMERIC_SUITES if args.mode == "numeric" else SUITES)
-            else:
-                suites = {s.strip() for s in args.suite.split(",")}
+            elif "all" in suites:
+                raise CliError("--suite all cannot be combined with other suites")
             unknown = suites - set(SUITES)
             if unknown:
                 raise CliError(f"unknown suites: {sorted(unknown)}")

@@ -28,7 +28,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from operator import itemgetter
+from operator import add, itemgetter, sub
 
 from .scalars import VAR_NAMES, LaurentPoly, RatFunc, monomial_rf, rf
 
@@ -502,12 +502,14 @@ def apply_product(x, factors, applied=None):
 
     x is a flat list and legs as for Tensor2.apply; a tensor with legs None
     acts on its own legs.  The factors are applied right first, so no
-    product of two is formed, and the result is a column (Tensor.column).
+    product of two is formed, and the result is a flat list, which
+    Tensor.column turns into a column.
 
     applied, if given, is a dict the caller keeps for this one x: it holds
     each right-hand suffix of factors applied to x so far, so products
     that end in the same factors apply them once.  The result is the same
-    to the bit with or without it.
+    to the bit with or without it, and may be the list held there, so it
+    must not be changed.
     """
     if applied is None:
         applied = {}
@@ -519,13 +521,40 @@ def apply_product(x, factors, applied=None):
             # the tensor is kept with its vector, so its id is not reused
             hit = applied[suffix] = (t.apply(x, legs), t)
         x = hit[0]
-    t, legs = factors[0]
-    return (Tensor2 if legs is None else Tensor3).column(t.n, x)
+    return x
+
+
+def signed_sum(signs, vectors):
+    """The sum of the flat lists vectors, each with its sign, entrywise.
+
+    They are summed in consecutive pairs, (v0 +- v1) + (v2 +- v3) + ...,
+    each pair's first vector taken with sign +, as verify._formula sums
+    tensors.  So every entry gets the float additions of the sum of the
+    columns (Tensor.column) in the same order, and can differ from it only
+    where a column has no entry and the list adds an exact zero, which
+    sets at most the sign of a zero.  Returns a new list, or vectors[0]
+    itself when it is the only one.
+    """
+    pairs = [
+        vectors[k] if k + 1 == len(vectors)
+        else list(map(add if signs[k + 1] > 0 else sub, vectors[k], vectors[k + 1]))
+        for k in range(0, len(vectors), 2)
+    ]
+    out = pairs[0]
+    for pair in pairs[1:]:
+        out = list(map(add, out, pair))
+    return out
+
+
+def max_magnitude(vectors):
+    """The largest entry magnitude over the flat lists vectors, as a float."""
+    return float(max((max(map(abs, v), default=0.0) for v in vectors), default=0.0))
 
 
 def unit_vector(rng, size):
     """A list of size entries exp(2 pi i theta), theta drawn from rng.random()."""
-    return [cmath.rect(1.0, 2 * math.pi * rng.random()) for _ in range(size)]
+    rect, turn, draw = cmath.rect, 2 * math.pi, rng.random
+    return [rect(1.0, turn * draw()) for _ in range(size)]
 
 
 def gauge_conjugate(t, phi):

@@ -7,10 +7,12 @@ zero: rows of two-factor products (CYBE, AYBE, the lift obstruction) are
 decided on int tensors (_catalogue_zero), and a residual over exact
 rational functions is built only when that fails, or for another row.
 Numeric mode applies the residual at seeded random complex sample points
-to a seeded random vector with entries of modulus 1 (Freivalds' check)
-and reports the largest entry.  Hecke, (PR - q)(PR + q^-1), is the one
-formula written by hand.  Verifiers never mutate their inputs; failure
-reports carry the lexicographically least nonzero coefficient as a witness.
+to a seeded random vector with entries of modulus 1 (Freivalds' check):
+each product is applied to the vector as a flat list, the lists are
+summed, and only the sum becomes a column, whose largest entry is
+reported.  Hecke, (PR - q)(PR + q^-1), is the one formula written by
+hand.  Verifiers never mutate their inputs; failure reports carry the
+lexicographically least nonzero coefficient as a witness.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from fractions import Fraction
 from .scalars import X1, LaurentPoly, PoleOrderError, kronecker_ints, log_point, rf
 from .series import expand_in_u
 from .tensors import (
-    Tensor2, Tensor3, apply_product, product_sum, unit_vector, variables_used,
+    Tensor2, Tensor3, apply_product, max_magnitude, product_sum, signed_sum, unit_vector,
+    variables_used,
 )
 from .builders import build_r_ts, hat_r
 
@@ -129,7 +132,7 @@ def report_from_residual(identity, residual, provenance=None):
 # latter give numeric mode its scale.  Numeric mode passes a sample x, a
 # vector with the dict of products applied to it: every product is then
 # applied to the vector instead of being formed, and the residual and its
-# parts are vectors (see _product).
+# parts are flat lists (see _product).
 
 
 def _product(x, *factors):
@@ -138,8 +141,9 @@ def _product(x, *factors):
     legs places a Tensor2 on legs 12, 13 or 23 of the 3-fold product; None
     takes a tensor on its own legs.  Given a sample x, a pair of a vector
     (a flat list) and the dict of products already applied to it, the
-    product applied to the vector instead (tensors.apply_product), so a
-    factor that ends several products is applied to it once.
+    product applied to the vector instead, a flat list
+    (tensors.apply_product), so a factor that ends several products is
+    applied to it once.
     """
     if x is not None:
         vector, applied = x
@@ -160,13 +164,16 @@ def _formula(terms, slots, x=None):
 
     The terms are summed in consecutive pairs, (t0 +- t1) + (t2 +- t3)
     + ..., each pair opening with a + term, which fixes the order of
-    every float and RatFunc sum.
+    every float and RatFunc sum.  Given a sample x, the products are
+    flat lists, summed by tensors.signed_sum in the same order.
     """
     parts = [
         _product(x, *((slots[i].flip21(), None) if legs == 21 else (slots[i], legs)
                       for i, legs in factors))
         for _, *factors in terms
     ]
+    if x is not None:
+        return signed_sum([sign for sign, *_ in terms], parts), parts
     pairs = [
         parts[k] if k + 1 == len(parts)
         else parts[k] + parts[k + 1] if terms[k + 1][0] > 0 else parts[k] - parts[k + 1]
@@ -494,7 +501,8 @@ def _numeric_tensors(identity, tensors, n, point, x):
     to x.  Each distinct slot is evaluated once, and within it each
     distinct scalar of a float-form input (Tensor.float_form).  The
     formula's products share one dict of the factors applied to x, so a
-    factor that ends several of them is applied once.
+    factor that ends several of them is applied once.  The parts and
+    their sum stay flat lists; only the sum is made a column.
     """
     t = tensors[_input_key(identity)]
     u, up, v, vp = point
@@ -510,7 +518,8 @@ def _numeric_tensors(identity, tensors, n, point, x):
                 uu, vv = _slot_arguments(SLOTS[label], point)
                 evaluated[label] = t.evaluate(log_point(uu, up, vv, vp, n))
         residual, parts = _formula(terms, [evaluated[label] for label in labels], (x, {}))
-    return residual, max(part.max_abs() for part in parts)
+    column = Tensor3.column if _sample_legs(identity) == 3 else Tensor2.column
+    return column(n, residual), max_magnitude(parts)
 
 
 def numeric_residual(identity, tensors, n, samples, tolerance, seed, provenance=None):

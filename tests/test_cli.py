@@ -413,11 +413,25 @@ def test_enumerate_flags_count_structures_without_listing_them(capsys, monkeypat
 
 
 @pytest.mark.parametrize("argv", [
-    ("enumerate", "--n", "4", "--bound", "-2"),
     ("enumerate", "--n", "9"),
 ], ids=" ".join)
 def test_enumerate_above_bound_is_a_usage_error(capsys, argv):
     assert_usage_error(capsys, argv, "enumeration bound exceeded")
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--n", "4", "--bound", "-2"),
+    ("enumerate", "--n", "2", "--filter", "cg", "--bound", "-1"),
+    ("verify", "--n", "3", "--bound", "-1", "--suite", "exponent"),
+], ids=" ".join)
+def test_negative_bound_is_a_usage_error(capsys, argv):
+    assert_usage_error(capsys, argv, "--bound must be at least 0")
+
+
+@pytest.mark.parametrize("suite", ["all,aybe", "aybe,all"])
+def test_suite_all_cannot_be_combined_with_other_suites(capsys, suite):
+    assert_usage_error(capsys, ("verify", "--n", "3", "--suite", suite),
+                       "--suite all cannot be combined with other suites")
 
 
 def test_build_classical_for_nonassociative_triple(tmp_path, capsys, reversing5):

@@ -10,7 +10,9 @@ from yangbaxter.tensors import (
     Tensor3,
     apply_product,
     gauge_conjugate,
+    max_magnitude,
     product_sum,
+    signed_sum,
     unit_vector,
 )
 from yangbaxter.verify import SLOTS
@@ -196,15 +198,18 @@ def test_column_and_apply_examples():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_apply_product_is_the_formed_product_on_a_column(rng, n):
-    """a12 b13 c23 and P Q applied to x, right factor first, equal the
-    formed products times x held as a column."""
+    """a12 b13 c23 and P Q applied to x, right factor first, are lists
+    that as columns equal the formed products times x held as a column."""
     a, b, c = (Tensor2(n, _random_coeffs(n, 2, "fraction", rng, 3 * n)) for _ in range(3))
     x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n ** 3)]
     formed = a.mul(b, legs=(12, 13)).mul(c, legs=23)
     got = apply_product(x, ((a, 12), (b, 13), (c, 23)))
-    assert got == formed.mul(Tensor3.column(n, x))
+    assert isinstance(got, list) and len(got) == n ** 3
+    assert Tensor3.column(n, got) == formed.mul(Tensor3.column(n, x))
     y = x[: n * n]
-    assert apply_product(y, ((a, None), (b, None))) == a.mul(b).mul(Tensor2.column(n, y))
+    got = apply_product(y, ((a, None), (b, None)))
+    assert isinstance(got, list) and len(got) == n * n
+    assert Tensor2.column(n, got) == a.mul(b).mul(Tensor2.column(n, y))
 
 
 def test_apply_product_applies_a_shared_suffix_once(rng, monkeypatch):
@@ -229,6 +234,45 @@ def test_apply_product_applies_a_shared_suffix_once(rng, monkeypatch):
     assert len(calls) == 5
     assert apply_product(x, ((a, 12), (b, 13)), applied) == fresh[0]
     assert len(calls) == 5
+
+
+def _planted_vectors(rng, count, size):
+    """count lists of random complex entries with exact zeros of every
+    kind planted, some at the same index in every list."""
+    zeros = (0, 0j, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0))
+    shared = rng.sample(range(size), 3)
+    vectors = []
+    for _ in range(count):
+        v = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(size)]
+        for i in shared + rng.sample(range(size), 6):
+            v[i] = rng.choice(zeros)
+        vectors.append(v)
+    return vectors
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 6])
+def test_signed_sum_keeps_the_bits_of_the_column_sums(rng, count):
+    """signed_sum equals the columns summed with Tensor + and - in the same
+    grouping, (c0 +- c1) + (c2 +- c3) + ...: the same entries after zeros
+    are dropped, each to the bit.  max_magnitude is the columns' largest
+    max_abs."""
+    n = 3
+    for _ in range(10):
+        vectors = _planted_vectors(rng, count, n ** 3)
+        signs = [rng.choice((1, -1)) for _ in vectors]
+        columns = [Tensor3.column(n, v) for v in vectors]
+        pairs = [
+            columns[k] if k + 1 == count
+            else columns[k] + columns[k + 1] if signs[k + 1] > 0 else columns[k] - columns[k + 1]
+            for k in range(0, count, 2)
+        ]
+        want = sum(pairs[1:], pairs[0]).coeffs
+        got = Tensor3.column(n, signed_sum(signs, vectors)).coeffs
+        assert got.keys() == want.keys() and len(got) < n ** 3
+        for k, z in got.items():
+            assert (z.real.hex(), z.imag.hex()) == (want[k].real.hex(), want[k].imag.hex())
+        assert max_magnitude(vectors).hex() == max(c.max_abs() for c in columns).hex()
+    assert max_magnitude([[0, 0j, -0.0]]).hex() == (0.0).hex()
 
 
 def test_float_form_shares_scalars_with_the_same_ordered_terms():
