@@ -184,10 +184,10 @@ class _Matrices:
     matrices need the associative structure.
     """
 
-    def __init__(self, triple, s, structure=None, catalogues=None):
+    def __init__(self, triple, s, structure=None, memo=None):
         self.triple, self.s, self.structure = triple, s, structure
-        # shared by the holders of one verify run (verify._catalogue_zero)
-        self.catalogues = catalogues
+        # one dict shared by the holders of a verify run (verify's memo)
+        self.memo = memo
 
     @cached_property
     def r_ts(self):
@@ -274,13 +274,13 @@ def _listing(n, bound):
     ]
 
 
-def _s_family(t, base_prov, catalogues):
+def _s_family(t, base_prov, memo):
     """Holders at the particular s of t and at particular + each basis vector."""
     particular, basis = triples.solve_s_system(t)
     family = [(particular, "particular")]
     family += [(particular + b, f"particular+basis{idx}") for idx, b in enumerate(basis)]
     return [
-        (_Matrices(t, s, catalogues=catalogues), dict(base_prov, s=label)) for s, label in family
+        (_Matrices(t, s, memo=memo), dict(base_prov, s=label)) for s, label in family
     ]
 
 
@@ -312,25 +312,25 @@ def _residual(identity, formula):
 # run at every s of a triple's family, one suite over the whole family before
 # the next; the obstruction only for a triple with no compatible permutation.
 PER_S_CHECKS = (
-    ("cybe", (_residual("cybe", lambda m: verify.cybe_residual(m.r_ts, m.catalogues)),
+    ("cybe", (_residual("cybe", lambda m: verify.cybe_residual(m.r_ts, m.memo)),
               _residual("cybe_spectral", lambda m: verify.cybe_spectral_residual(
-                  builders.hat_r(m.r_ts), m.catalogues)))),
+                  builders.hat_r(m.r_ts), m.memo)))),
     ("exponent", (_exponent_report,)),
     ("obstruction", (_residual("obstruction", lambda m: verify.lift_obstruction(
-        m.r_ts, m.catalogues)),)),
+        m.r_ts, m.memo)),)),
 )
 # Symbolic rows of one associative structure at s0: (suite, check).
 SYMBOLIC_CHECKS = (
     ("obstruction", _residual("obstruction", lambda m: verify.lift_obstruction(
-        m.r_ts, m.catalogues))),
+        m.r_ts, m.memo))),
     ("qybe", _residual("qybe", lambda m: verify.qybe_residual(m.R_assoc))),
     ("hecke", _residual("hecke", lambda m: verify.hecke_residual(m.R_assoc))),
     ("cross-formula", _residual("cross-formula-ggs", lambda m: (
         builders.build_R_ggs_general(m.triple, m.s) - m.R_assoc))),
     ("cross-formula", _residual("cross-formula-ruv", lambda m: m.r_quantum - m.r_kernel)),
-    ("aybe", _residual("aybe", lambda m: verify.aybe_residual(m.r_quantum, m.catalogues))),
+    ("aybe", _residual("aybe", lambda m: verify.aybe_residual(m.r_quantum, m.memo))),
     ("unitarity", lambda m, prov: verify.unitarity_check(m.r_quantum, "associative", prov)),
-    ("lift", lambda m, prov: verify.check_lift(m.r_quantum, m.triple, m.s, prov)),
+    ("lift", lambda m, prov: verify.check_lift(m.r_quantum, m.r_ts, prov, m.memo)),
     ("central", _residual("central", lambda m: (
         m.r_quantum.scale(builders.q_minus_qinv(m.triple.n)) - builders.baxterize(m.R_assoc)))),
 )
@@ -358,7 +358,7 @@ def _verify(args):
         if not (math.isfinite(args.tolerance) and args.tolerance > 0):
             raise CliError("--tolerance must be a finite number > 0")
     reports = []
-    catalogues = {}
+    memo = {}
     for t, structures in _listing(args.n, args.bound):
         base_prov = {"triple": t.to_json()}
         per_s = set() if numeric else suites
@@ -366,10 +366,10 @@ def _verify(args):
             # per s, the obstruction is shown only for a triple with no structure
             per_s = per_s - {"obstruction"}
         rows = [checks for suite, checks in PER_S_CHECKS if suite in per_s]
-        family = _s_family(t, base_prov, catalogues) if rows else []
+        family = _s_family(t, base_prov, memo) if rows else []
         reports += [check(m, prov) for checks in rows for m, prov in family for check in checks]
         for structure in structures:
-            m = _Matrices(t, triples.s0_from_structure(structure), structure, catalogues)
+            m = _Matrices(t, triples.s0_from_structure(structure), structure, memo)
             prov = dict(base_prov, tilde_t=list(structure.tilde_t), s="s0")
             if not numeric:
                 reports += [check(m, prov) for suite, check in SYMBOLIC_CHECKS if suite in suites]

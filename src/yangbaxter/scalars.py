@@ -555,10 +555,11 @@ def kronecker_ints(polys, cmax):
     sum_i p[m_i] 2^(B i), B a multiple of 8.  B is chosen so that for any
     ints c_j with |c_j| <= cmax, sum_j c_j ints[j] is zero exactly when
     sum_j c_j polys[j] is: each monomial's coefficient in the sum is then
-    below 2^(B - 1) in size, so a nonzero one cannot be cancelled by the
-    others.
+    below 2^B in size, so the lowest nonzero one is not a multiple of 2^B
+    and cannot be cancelled by the digits above it.
     Polynomials with Fraction coefficients are all first scaled by the lcm
-    of their denominators, which keeps every such verdict.
+    of their denominators, which keeps every such verdict.  Returns the
+    ints and the largest bound for which the same B holds (at least cmax).
     """
     scale = math.lcm(*(
         c.denominator for p in polys for c in p.terms.values() if type(c) is not int
@@ -569,7 +570,8 @@ def kronecker_ints(polys, cmax):
         for e, c in p.terms.items():
             index.setdefault(e, len(index))
             total[e] = total.get(e, 0) + abs(c)
-    bits = (math.ceil(cmax * scale * max(total.values(), default=0))).bit_length() + 1
+    most = scale * max(total.values(), default=0)
+    bits = math.ceil(cmax * most).bit_length()
     # whole bytes per monomial: the digits of each sign are written as bytes
     width = -(-bits // 8)
     out = []
@@ -580,7 +582,7 @@ def kronecker_ints(polys, cmax):
             at = width * index[e]
             digits[c < 0][at:at + width] = int(abs(c)).to_bytes(width, "little")
         out.append(int.from_bytes(digits[0], "little") - int.from_bytes(digits[1], "little"))
-    return out
+    return out, (2 ** (8 * width) - 1) // most if most else math.inf
 
 
 def rf(value):

@@ -30,7 +30,7 @@ from .tensors import (
     Tensor2, Tensor3, apply_product, max_magnitude, product_sum, signed_sum, unit_vector,
     variables_used,
 )
-from .builders import build_r_ts, hat_r
+from .builders import build_r_ts, hat_r  # noqa: F401 - an alias perfbench rebinds
 
 # Slots, keyed by their (u, v) arguments.  The input matrix carries (u, v)
 # as (X1, Y1).  A slot's row ((a, b), (c, d)) shifts the arguments to
@@ -246,7 +246,7 @@ def _catalogue_polys(factors, functions, labels, terms):
     return hs
 
 
-def _catalogue_zero(r, labels, terms, project=(), catalogues=None):
+def _catalogue_zero(r, labels, terms, project=(), memo=None):
     """Whether the residual sum_t sign x_i y_j over the slots of r named by
     labels is zero, after the traceless projection of the legs in
     project, or None when a slot's denominator vanishes.
@@ -268,18 +268,18 @@ def _catalogue_zero(r, labels, terms, project=(), catalogues=None):
     (Tensor.split_diagonal).
 
     The h depend only on D and the catalogue's functions, which matrices
-    of one n share.  catalogues, if given, is a dict the caller keeps for
-    one run of checks: it holds the h and their ints per catalogue, so a
-    catalogue seen before costs only the products.
+    of one n share.  memo, if given, is the dict the caller keeps for one
+    run of checks: it holds the h per catalogue with their ints and the
+    largest bound their digit width supports, so a catalogue seen before
+    costs only the products, and is repacked only past that bound.
     """
     factors, functions = r.catalogue()
     key = (labels, terms, tuple((tuple(f.terms.items()), m) for f, m in factors),
            tuple(tuple(f.terms.items()) for f, _ in functions))
-    if catalogues is None:
-        catalogues = {}
-    if key not in catalogues:
-        catalogues[key] = (_catalogue_polys(factors, functions, labels, terms), 0, None)
-    hs, cmax, ints = catalogues[key]
+    memo = {} if memo is None else memo
+    if key not in memo:
+        memo[key] = (_catalogue_polys(factors, functions, labels, terms), 0, None)
+    hs, cmax, ints = memo[key]
     if hs is None:
         return None
     # an entry of a product C sums at most n products of two entries, and
@@ -288,8 +288,8 @@ def _catalogue_zero(r, labels, terms, project=(), catalogues=None):
     top = max((abs(v) for _, a in functions for v in a.coeffs.values()), default=0)
     need = n * top ** 2 * (2 * n) ** len(project)
     if need > cmax:
-        ints = kronecker_ints(hs, need)
-        catalogues[key] = (hs, need, ints)
+        ints, cmax = kronecker_ints(hs, need)
+        memo[key] = (hs, cmax, ints)
     scale = n ** len(project)
     tensors = [(a, *a.split_diagonal()) for _, a in functions]
     flat = iter(ints)
@@ -304,28 +304,28 @@ def _catalogue_zero(r, labels, terms, project=(), catalogues=None):
     return not products or product_sum(products).project_traceless(project).is_zero()
 
 
-def _residual(identity, t, catalogues=None):
+def _residual(identity, t, memo=None):
     """The residual of a row of IDENTITIES at t.
 
     A row whose products all have two factors is first tested on the
-    scalar catalogue of t (_catalogue_zero, which also says what
-    catalogues holds), and a zero there is returned as the zero tensor;
+    scalar catalogue of t (_catalogue_zero, which also says what memo
+    holds), and a zero there is returned as the zero tensor;
     otherwise the residual is built over the slots of t, for its witness.
     """
     labels, terms, project = IDENTITIES[identity]
     two_factor = all(len(term) == 3 for term in terms)
-    if two_factor and _catalogue_zero(t, labels, terms, project, catalogues):
+    if two_factor and _catalogue_zero(t, labels, terms, project, memo):
         return Tensor3(t.n)
     slots = [t if label == "u,v" else t.substitute(SLOTS[label]) for label in labels]
     return _formula(terms, slots)[0].project_traceless(project)
 
 
-def cybe_residual(r, catalogues=None):
+def cybe_residual(r, memo=None):
     """[r12, r13] + [r12, r23] + [r13, r23] for a constant r (_residual)."""
-    return _residual("cybe", r, catalogues)
+    return _residual("cybe", r, memo)
 
 
-def cybe_spectral_residual(r, catalogues=None):
+def cybe_spectral_residual(r, memo=None):
     """Spectral CYBE residual for r = r(Y1) (_residual).
 
     Slots carry arguments x, x+y, y realized as Y1, Y1*Y2, Y2; the input
@@ -334,7 +334,7 @@ def cybe_spectral_residual(r, catalogues=None):
     extra = variables_used(r) - {"Y1"}
     if extra:
         raise ValueError(f"spectral CYBE input must depend on Y1 only, found {sorted(extra)}")
-    return _residual("cybe_spectral", r, catalogues)
+    return _residual("cybe_spectral", r, memo)
 
 
 def unitarity_check(r, kind, provenance=None):
@@ -361,28 +361,38 @@ def hecke_residual(R):
     return _hecke(R.map_scalars(rf), rf(1) * X1**n, rf(1) * X1**-n, Fraction(1))[0]
 
 
-def aybe_residual(r, catalogues=None):
+def aybe_residual(r, memo=None):
     """r12(-u',v) r13(u+u',v+v') - r23(u+u',v') r12(u,v) + r13(u,v+v') r23(u',v')
     (_residual)."""
-    return _residual("aybe", r, catalogues)
+    return _residual("aybe", r, memo)
 
 
-def lift_obstruction(r, catalogues=None):
+def lift_obstruction(r, memo=None):
     """Fully traceless projection of r12 r13 - r23 r12 + r13 r23 (_residual).
 
     Zero exactly when the constant matrix admits a two-parameter lift.
     """
-    return _residual("obstruction", r, catalogues)
+    return _residual("obstruction", r, memo)
 
 
-def u_coefficients(r, powers, order=0):
+def u_coefficients(r, powers, order=0, memo=None):
     """Tensors of the u^p coefficients of r, p in powers, expanding each entry once;
-    ValueError for a power outside -1 .. order."""
+    ValueError for a power outside -1 .. order.  memo, if given, is the dict
+    the caller keeps for one run of checks: it holds each expansion under
+    its entry's ordered terms, so an entry equal term for term to one met
+    before is not expanded again."""
     if not all(-1 <= power <= order for power in powers):
         raise ValueError(f"powers {powers} are not all in -1 .. {order}")
     outs = [{} for _ in powers]
     for key, value in r.coeffs.items():
-        series = expand_in_u(rf(value), r.n, order)
+        f = rf(value)
+        if memo is None:
+            series = expand_in_u(f, r.n, order)
+        else:
+            terms = ("u", r.n, order, tuple(f.num.terms.items()), tuple(f.den.terms.items()))
+            if terms not in memo:
+                memo[terms] = expand_in_u(f, r.n, order)
+            series = memo[terms]
         for out, power in zip(outs, powers):
             c = series[power + 1]
             if c:
@@ -390,15 +400,16 @@ def u_coefficients(r, powers, order=0):
     return [Tensor2(r.n, out) for out in outs]
 
 
-def check_lift(r, t, s, provenance=None):
+def check_lift(r, r_ts, provenance=None, memo=None):
     """Laurent data of a two-parameter matrix at u = 0.
 
     Passes when the u^-1 coefficient is 1 (x) 1 and the u^0 coefficient
-    equals the spectral lift of the classical matrix for (t, s).
+    equals hat_r(r_ts), the spectral lift of the classical matrix r_{T,s}
+    of the same (t, s).  memo is as for u_coefficients.
     """
-    pole, const = u_coefficients(r, (-1, 0))
-    diff_pole = pole - Tensor2.identity(t.n).map_scalars(rf)
-    diff_const = const - hat_r(build_r_ts(t, s))
+    pole, const = u_coefficients(r, (-1, 0), memo=memo)
+    diff_pole = pole - Tensor2.identity(r.n).map_scalars(rf)
+    diff_const = const - hat_r(r_ts)
     if not diff_pole.is_zero():
         return report_from_residual("lift", diff_pole, provenance)
     return report_from_residual("lift", diff_const, provenance)

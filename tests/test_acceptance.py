@@ -111,7 +111,7 @@ def test_criterion_04_associative_layer():
             r = build_r_uv(st, s0, formula="both")
             assert verify.aybe_residual(r).is_zero()
             assert verify.unitarity_check(r, "associative").passed
-            assert verify.check_lift(r, t, s0).passed
+            assert verify.check_lift(r, build_r_ts(t, s0)).passed
 
 
 def test_criterion_05_central_identity():

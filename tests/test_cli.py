@@ -512,6 +512,29 @@ def test_per_s_suites_build_r_ts_once_per_s(capsys, monkeypatch):
     assert calls == {"build_r_ts": 4}
 
 
+def test_lift_compares_with_the_holders_r_ts(capsys, monkeypatch):
+    # r_{T,s} at s0 is built once per structure for the obstruction and
+    # the lift: check_lift takes the holder's, it builds none of its own
+    calls = {}
+    for module in (builders, verify):
+        _count_calls(monkeypatch, module, "build_r_ts", calls)
+    code, doc = run_cli(capsys, "verify", "--n", "3", "--suite", "obstruction,lift")
+    assert code == 0 and len(doc["reports"]) == 8
+    assert calls == {"build_r_ts": 4}
+
+
+def test_no_memo_outlives_a_verify_run(capsys, monkeypatch):
+    # each run expands its distinct entries afresh: a memo kept past a run
+    # would leave the second run fewer expansions
+    calls = {}
+    _count_calls(monkeypatch, verify, "expand_in_u", calls)
+    counts = []
+    for _ in range(2):
+        assert run_cli(capsys, "verify", "--n", "3", "--suite", "lift,aybe")[0] == 0
+        counts.append(calls.pop("expand_in_u"))
+    assert counts[0] == counts[1] > 0
+
+
 # Names the perfbench span tracer groups by layer.  It rebinds them on their
 # module after import, so the CLI must look each one up at call time.
 TRACED = {

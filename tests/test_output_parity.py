@@ -93,6 +93,14 @@ GOLDEN = {
     "verify --n 5 --suite aybe": (
         0, "cb37609c4473683be2f4f2a73a602b91c04a4590ff7690aebc94931e42965cde"
     ),
+    # every suite at n = 4, the benchmark's spectral workload
+    "verify --n 4 --suite all": (
+        0, "ab8ba6fb61e6a936f1f05ff050462e7ff24ea5ca9a8629fc66201bc9f01c0434"
+    ),
+    # the Laurent data of r(u,v) on every n = 5 structure
+    "verify --n 5 --suite lift": (
+        0, "d2b9b5ec60ed8c606d41fe63ba9b7fc1dc82181b8f9d015b2623b3607a9f32ac"
+    ),
     # every suite on the trivial+CG listing beyond the enumeration bound
     "verify --n 4 --suite all --bound 3": (
         0, "573b8fee77b8f0abb87ea225015f1dbcec53a7d69886877df8504d733003c9ed"

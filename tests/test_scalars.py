@@ -404,7 +404,7 @@ def test_kronecker_ints_decide_int_combinations(rng):
     b = _poly([((0, 0, 0, 0), -3), ((1, 0, 0, 0), 2), ((0, 0, 1, 0), -5)])
     c = _poly([((1, 0, 0, 0), 7), ((0, 0, 1, 0), Fraction(1, 2))])
     polys = [a, b, c, LaurentPoly.zero()]
-    ints = kronecker_ints(polys, 4)
+    ints, _ = kronecker_ints(polys, 4)
     assert ints[3] == 0
     for coeffs in [(1, 1, 0, 0), (2, 2, 0, 3), (1, -1, 0, 0), (4, 3, 0, 0), (0, 0, 4, 0)]:
         packed = sum(k * i for k, i in zip(coeffs, ints))
@@ -413,18 +413,53 @@ def test_kronecker_ints_decide_int_combinations(rng):
     # X - 256 is not zero, though X's digit is the one above 1's: 8-bit
     # digits would carry 256 ones into it
     one, x = LaurentPoly.const(1), LaurentPoly.monomial((1, 0, 0, 0))
-    ints = kronecker_ints([one, x], 256)
+    ints, _ = kronecker_ints([one, x], 256)
     assert ints[1] - 256 * ints[0] != 0
     # random combinations at the bound cmax
     polys = [
         _poly([((rng.randrange(4), 0, rng.randrange(3), 0), rng.randint(-9, 9)) for _ in range(5)])
         for _ in range(8)
     ]
-    ints = kronecker_ints(polys, 3)
+    ints, _ = kronecker_ints(polys, 3)
     for _ in range(300):
         coeffs = [rng.randint(-3, 3) for _ in polys]
         poly = sum((p.scale(k) for k, p in zip(coeffs, polys)), LaurentPoly.zero())
         assert (sum(k * i for k, i in zip(coeffs, ints)) == 0) == poly.is_zero()
+
+
+def test_kronecker_ints_bound_is_the_largest_its_digits_hold(rng):
+    """The bound kronecker_ints returns is the largest cmax its digit width
+    holds: packing for it gives the same ints, one more widens the digits,
+    and combinations with |c_j| at the bound still decide their sum."""
+    from yangbaxter.scalars import kronecker_ints
+
+    polys = [
+        _poly([((rng.randrange(3), 0, rng.randrange(2), 0), rng.randint(-9, 9)) for _ in range(4)])
+        for _ in range(6)
+    ] + [_poly([((0, 0, 0, 0), Fraction(5, 3)), ((1, 0, 0, 0), Fraction(-1, 2))])]
+    polys.append(polys[0].scale(-1))
+    ints, top = kronecker_ints(polys, 5)
+    assert 5 <= top < math.inf
+    assert kronecker_ints(polys, top) == (ints, top)
+    wider, more = kronecker_ints(polys, top + 1)
+    assert more > top and wider != ints
+
+    def decided(coeffs):
+        poly = sum((p.scale(k) for k, p in zip(coeffs, polys)), LaurentPoly.zero())
+        return (sum(k * i for k, i in zip(coeffs, ints)) == 0) == poly.is_zero()
+
+    # each monomial's coefficient at its largest, top times its column's sum
+    for e in {e for p in polys for e in p.terms}:
+        assert decided([top if p.terms.get(e, 0) >= 0 else -top for p in polys])
+    assert decided([top] + [0] * 6 + [top])  # p - p at the bound is zero
+    for _ in range(300):
+        assert decided([rng.choice((-top, top, -1, 0, 1)) for _ in polys])
+    # for 1 and X a digit holds 255 and no more: X - 256 packs to zero
+    one, x = LaurentPoly.const(1), LaurentPoly.monomial((1, 0, 0, 0))
+    (i1, ix), top = kronecker_ints([one, x], 255)
+    assert top == 255 and ix - 255 * i1 != 0 and ix - 256 * i1 == 0
+    # without monomials every bound is held
+    assert kronecker_ints([LaurentPoly.zero()], 3) == ([0], math.inf)
 
 
 def test_in_normal_form_keeps_num_and_den():

@@ -464,8 +464,8 @@ def _ratfunc_aybe(r):
     return _ratfunc_residual("aybe", r)
 
 
-def _catalogue_aybe(r, catalogues=None):
-    return verify._catalogue_zero(r, *verify.IDENTITIES["aybe"], catalogues=catalogues)
+def _catalogue_aybe(r, memo=None):
+    return verify._catalogue_zero(r, *verify.IDENTITIES["aybe"], memo=memo)
 
 
 def _plus_one_at(t, key):
@@ -550,6 +550,31 @@ def test_aybe_catalogue_shared_across_inputs_keeps_verdicts():
         assert _catalogue_aybe(r, catalogues) == _catalogue_aybe(r)
     assert 0 < len(catalogues) < 8
     assert max(entry[1] for entry in catalogues.values()) >= 3 * 49
+
+
+def test_catalogue_repacks_only_past_the_bound_of_its_digits(monkeypatch):
+    """A catalogue seen before is packed again only for a matrix whose
+    products need more than the digit width of its ints holds (the bound
+    kronecker_ints returns), and every verdict stays that of a fresh memo."""
+    packs = []
+    pack = verify.kronecker_ints
+    monkeypatch.setattr(verify, "kronecker_ints", lambda hs, c: packs.append(c) or pack(hs, c))
+    memo = {}
+    r = next(r for _, r in _aybe_inputs() if r.n == 3)
+    assert _catalogue_aybe(r, memo) and packs
+    ((key, (_, bound, _)),) = memo.items()
+
+    def need(k):  # an AYBE product entry sums n products of two entries
+        return 3 * max(abs(v) for _, a in r.scale(k).catalogue()[1] for v in a.coeffs.values()) ** 2
+
+    k = max(k for k in range(1, 64) if need(k) <= bound)
+    assert need(k + 1) > bound
+    for scale, repacked in ((k, False), (k + 1, True)):
+        before = len(packs)
+        assert _catalogue_aybe(r.scale(scale), memo)
+        assert len(packs) - before == repacked
+        assert _catalogue_aybe(_perturbed(r.scale(scale)), memo) is False
+    assert memo[key][1] >= need(k + 1)
 
 
 def test_aybe_catalogue_denominator_vanishing_at_a_slot():
@@ -646,7 +671,7 @@ def test_check_lift_positive():
             for st in compatible_permutations(t):
                 s0 = s0_from_structure(st)
                 r = build_r_uv(st, s0, formula="kernel")
-                assert verify.check_lift(r, t, s0).passed
+                assert verify.check_lift(r, build_r_ts(t, s0)).passed
 
 
 def test_check_lift_ignores_higher_order():
@@ -655,7 +680,7 @@ def test_check_lift_ignores_higher_order():
     r = build_r_uv(st, s0, formula="kernel")
     # (e^u - 1)(1 x 1) vanishes to first order at u = 0
     bump = Tensor2.identity(3).scale(rf(1) * X1**6 - 1)
-    assert verify.check_lift(r + bump, st.triple, s0).passed
+    assert verify.check_lift(r + bump, build_r_ts(st.triple, s0)).passed
 
 
 def test_check_lift_detects_extra_pole():
@@ -663,7 +688,7 @@ def test_check_lift_detects_extra_pole():
     s0 = s0_from_structure(st)
     r = build_r_uv(st, s0, formula="kernel")
     extra = Tensor2.identity(3).scale((1 - X1**-6) ** -1)
-    rep = verify.check_lift(r + extra, st.triple, s0)
+    rep = verify.check_lift(r + extra, build_r_ts(st.triple, s0))
     assert rep.result == "fail"
     assert rep.witness is not None
 
@@ -681,11 +706,53 @@ def test_check_lift_expands_each_entry_once(monkeypatch):
     st = cg_structure(3)
     s0 = s0_from_structure(st)
     r = build_r_uv(st, s0, formula="kernel")
-    assert verify.check_lift(r, st.triple, s0).passed
+    assert verify.check_lift(r, build_r_ts(st.triple, s0)).passed
     assert len(calls) == len(r.coeffs) == 17
     calls.clear()
     assert verify.pr_limit_check(r).passed
     assert len(calls) == len(r.coeffs)
+
+
+def _entries(tensors):
+    """Each tensor's entries as printed, to compare expansions term for term."""
+    return [{k: str(v) for k, v in t.coeffs.items()} for t in tensors]
+
+
+def test_lift_memo_warm_gives_what_a_fresh_one_gives():
+    """One memo kept across every structure with n <= 4, as a verify run
+    keeps it (catalogues included), gives each r(u,v) the u-coefficients
+    and lift report that a fresh memo and no memo give."""
+    memo, entries = {}, 0
+    for n in (2, 3, 4):
+        for t in enumerate_triples(n):
+            for st in compatible_permutations(t):
+                s0 = s0_from_structure(st)
+                r, r_ts = build_r_uv(st, s0, formula="quantum"), build_r_ts(t, s0)
+                assert verify.aybe_residual(r, memo).is_zero()
+                warm = _entries(verify.u_coefficients(r, (-1, 0), memo=memo))
+                assert warm == _entries(verify.u_coefficients(r, (-1, 0), memo={}))
+                assert warm == _entries(verify.u_coefficients(r, (-1, 0)))
+                report = verify.check_lift(r, r_ts, memo=memo)
+                assert report.passed and report == verify.check_lift(r, r_ts, memo={})
+                entries += len(r.coeffs)
+    # 490 entries over 19 structures hold 21 distinct scalars
+    assert entries == 490 and sum(key[0] == "u" for key in memo) == 21
+
+
+def test_lift_memo_keeps_the_witness_of_a_perturbed_matrix():
+    """r_quantum with 1 added to its lex-least coefficient fails the lift
+    with one witness, warm or cold."""
+    memo = {}
+    for n in (2, 3, 4):
+        for t in enumerate_triples(n):
+            for st in compatible_permutations(t):
+                s0 = s0_from_structure(st)
+                r, r_ts = build_r_uv(st, s0, formula="quantum"), build_r_ts(t, s0)
+                assert verify.check_lift(r, r_ts, memo=memo).passed
+                warm = verify.check_lift(_perturbed(r), r_ts, memo=memo)
+                assert warm.result == "fail" and warm.witness is not None
+                assert warm == verify.check_lift(_perturbed(r), r_ts, memo={})
+                assert warm == verify.check_lift(_perturbed(r), r_ts)
 
 
 def _projection_first_rbar(r):
