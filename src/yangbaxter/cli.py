@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-import traceback
 from fractions import Fraction
 from functools import cached_property
 
@@ -379,7 +378,7 @@ def _verify(args):
                     key = verify.NUMERIC_IDENTITIES[identity]
                     reports.append(verify.numeric_residual(
                         identity, {key: matrix(m)}, n=structure.n, samples=args.samples,
-                        tolerance=args.tolerance, seed=args.seed, provenance=prov,
+                        tolerance=args.tolerance, seed=args.seed, provenance=prov, memo=memo,
                     ))
     return reports
 
@@ -471,6 +470,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
+        import traceback  # only here, to keep it out of every start-up
+
         traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

@@ -125,9 +125,9 @@ _PRODUCTS = {
 # Any other placement would place a 2-leg factor too, so a wrong factor is
 # reported (TypeError) before the placement (ValueError).
 _UNKNOWN_PLACEMENT = (2, None, None)
-# Tensor2.apply: the positions of the two legs a Tensor2 is placed on, and
-# of the leg it leaves free, in V (x) V (x) V.
-_LEG_POSITIONS = {12: (0, 1, 2), 13: (0, 2, 1), 23: (1, 2, 0)}
+# CompiledTensor2.apply: per legs, the powers of n that are the vector's
+# strides on the tensor's two legs and on the free leg, if any (21: swapped).
+_PLACEMENTS = {None: (1, 0), 21: (0, 1), 12: (2, 1, 0), 13: (2, 0, 1), 23: (1, 0, 2)}
 
 
 def _sparse_tensor(nlegs):
@@ -231,30 +231,27 @@ def _sparse_tensor(nlegs):
                 """self x for a vector x, a flat list in row-major index order.
 
                 x lies in V (x) V, or with legs = 12, 13 or 23 in V (x) V (x) V,
-                where self acts on the named legs: the vector embed(self, legs) x
-                (the oracle in tests/conftest.py), at a cost of nnz * n products
-                and with no embedding built.  Returns a new list.
+                where self acts on the named legs: embed(self, legs) x (the
+                oracle in tests/conftest.py), with no embedding built.  legs 21
+                is flip21() on V (x) V.  Returns a new list (CompiledTensor2.apply).
                 """
-                n = self.n
-                if legs is None:
-                    size, sa, sb, free = n * n, n, 1, (0,)
-                elif legs in _LEG_POSITIONS:
-                    strides = (n * n, n, 1)
-                    a, b, f = _LEG_POSITIONS[legs]
-                    size, sa, sb = n ** 3, strides[a], strides[b]
-                    free = range(0, n * strides[f], strides[f])
-                else:
-                    raise ValueError(f"Tensor2.apply cannot place the tensor on legs {legs!r}")
-                if len(x) != size:
-                    raise ValueError(f"vector of length {len(x)}, expected {size}")
-                base = sa + sb
-                y = [0] * size
-                for (i, j, k, l), c in self.coeffs.items():
-                    row = i * sa + k * sb - base
-                    col = j * sa + l * sb - base
-                    for f in free:
-                        y[row + f] += c * x[col + f]
-                return y
+                values = list(self.coeffs.values())
+                return CompiledTensor2(self.n, _rows(self, range(len(values))), values).apply(x, legs)
+
+            def float_form(self):
+                """self compiled for sampling (CompiledTensor2.at): each scalar
+                in float form (LaurentPoly.float_form), a number as complex.
+                Entries whose scalars have the same terms in the same order
+                share one; equal scalars with their terms in another order
+                are kept apart, since they may round differently."""
+                shared, forms, slots = {}, [], []
+                for k, v in enumerate(self.coeffs.values()):
+                    s = shared.setdefault(_terms_key(v) or k, len(forms))
+                    if s == len(forms):
+                        exact = isinstance(v, (LaurentPoly, RatFunc))
+                        forms.append(v.float_form() if exact else complex(v))
+                    slots.append(s)
+                return CompiledTensor2(self.n, _rows(self, slots), forms)
 
         def project_traceless(self, legs):
             """Apply M -> M - (tr M / n) 1 on each selected leg (1, 2, ...).
@@ -373,47 +370,6 @@ def _sparse_tensor(nlegs):
                 functions.append((f, _adopt(Tensor, self.n, coeffs)))
             return factors, tuple(functions)
 
-        def float_form(self):
-            """Every scalar in float form (LaurentPoly.float_form), a number
-            as complex: it evaluates to the same bits as self, and is for
-            evaluate only.
-
-            Entries whose scalars have the same terms in the same order
-            share one float-form object, which evaluate computes once per
-            point.  Equal scalars with their terms in another order are
-            kept apart, since they may round differently.
-            """
-            shared = {}
-            out = {}
-            for k, v in self.coeffs.items():
-                key = _terms_key(v)
-                if key is None:
-                    out[k] = _float_form(v)
-                    continue
-                f = shared.get(key)
-                if f is None:
-                    f = shared[key] = _float_form(v)
-                out[k] = f
-            return _adopt(Tensor, self.n, out)
-
-        def evaluate(self, logs):
-            """Entrywise numeric evaluation; scalars become complex.
-
-            The entries share one table of monomial values, so a monomial
-            common to many entries is exponentiated once, and an object
-            held by many entries (as float_form shares them) is evaluated
-            once.
-            """
-            powers = {}
-            values = {}
-            out = {}
-            for k, v in self.coeffs.items():
-                c = values.get(id(v))
-                if c is None:
-                    c = values[id(v)] = _to_complex(v, logs, powers)
-                out[k] = c
-            return _adopt(Tensor, self.n, out)
-
         def lex_witness(self):
             """Lexicographically least nonzero coefficient (index, value)."""
             if not self.coeffs:
@@ -447,14 +403,77 @@ Tensor3 = _sparse_tensor(3)
 _TENSORS = {2: Tensor2, 3: Tensor3}
 
 
-def _to_complex(v, logs, powers):
-    if isinstance(v, (LaurentPoly, RatFunc)):
-        return v.evaluate(logs, powers)
-    return complex(v)
+def _rows(t, slots):
+    """The rows (r, c, s) of a Tensor2's entries in dict order, s from slots."""
+    n = t.n
+    return [((i - 1) * n + k - 1, (j - 1) * n + l - 1, s)
+            for (i, j, k, l), s in zip(t.coeffs, slots)]
 
 
-def _float_form(v):
-    return v.float_form() if isinstance(v, (LaurentPoly, RatFunc)) else complex(v)
+def _lane_plan(n, legs):
+    """CompiledTensor2.apply's plan for legs: the vector's size, a getter
+    per lane (a slice where the lane is evenly spaced), and a getter that
+    puts the lanes' concatenation in the vector's order, or None if it is."""
+    if legs not in _PLACEMENTS:
+        raise ValueError(f"Tensor2.apply cannot place the tensor on legs {legs!r}")
+    a, b, *free = (n ** e for e in _PLACEMENTS[legs])
+    lanes = [[i * a + k * b + f for i in range(n) for k in range(n)]
+             for f in (range(0, n * free[0], free[0]) if free else (0,))]
+    gathers = [itemgetter(slice(lane[0], lane[-1] + 1, b)) if a == n * b else itemgetter(*lane)
+               for lane in lanes]
+    order = [g for lane in lanes for g in lane]
+    inverse = sorted(range(len(order)), key=order.__getitem__)
+    return len(order), gathers, None if order == sorted(order) else itemgetter(*inverse)
+
+
+class CompiledTensor2:
+    """A Tensor2 compiled for application to many vectors: one row (r, c, s)
+    per entry e_ij (x) e_kl in dict order, with the lane-local row r =
+    (i-1)n + (k-1) and column c = (j-1)n + (l-1), the same on every legs,
+    and s the index of its scalar in scalars.  lanes holds apply's plans,
+    made on first use and shared with the copies at() makes."""
+
+    __slots__ = ("n", "rows", "scalars", "lanes")
+
+    def __init__(self, n, rows, scalars, lanes=None):
+        self.n, self.rows, self.scalars = n, rows, scalars
+        self.lanes = {} if lanes is None else lanes
+
+    def at(self, logs):
+        """A copy of a float form with each scalar evaluated at logs, all
+        sharing one table of monomial values (LaurentPoly.evaluate)."""
+        powers = {}
+        values = [v if type(v) is complex else v.evaluate(logs, powers) for v in self.scalars]
+        return CompiledTensor2(self.n, self.rows, values, self.lanes)
+
+    def tensor(self):
+        """The Tensor2 of the rows and scalars, its entries in row order."""
+        n, values = self.n, self.scalars
+        return _adopt(Tensor2, n, {
+            (r // n + 1, c // n + 1, r % n + 1, c % n + 1): values[s] for r, c, s in self.rows
+        })
+
+    def apply(self, x, legs=None):
+        """self x for a flat vector x, as Tensor2.apply, lane by lane: a lane
+        is x at one index of the free leg (x itself on V (x) V), and each
+        row adds its product into its lane's output.  So every entry sums
+        the same products in the same order as entry by entry, from int 0.
+        """
+        plan = self.lanes.get(legs)
+        if plan is None:
+            plan = self.lanes[legs] = _lane_plan(self.n, legs)
+        size, gathers, scatter = plan
+        if len(x) != size:
+            raise ValueError(f"vector of length {len(x)}, expected {size}")
+        rows, values, m = self.rows, self.scalars, self.n * self.n
+        y = []
+        for gather in gathers:
+            xf = gather(x)
+            yf = [0] * m
+            for r, c, s in rows:
+                yf[r] += values[s] * xf[c]
+            y += yf
+        return y if scatter is None else list(scatter(y))
 
 
 def _terms_key(v):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -69,8 +68,7 @@ def _json_int(value):
     return int(value)
 
 
-@dataclass(frozen=True, order=True)
-class BDTriple:
+class BDTriple(NamedTuple):
     """A triple (Gamma_1, Gamma_2, T), stored as sorted (a, T(a)) pairs."""
 
     n: int
@@ -277,8 +275,7 @@ def is_orientation_preserving(t):
     return all(c == 0 for (_, _, _, c, _) in prec_pairs(t))
 
 
-@dataclass(frozen=True, order=True)
-class AssocStructure:
+class AssocStructure(NamedTuple):
     """A triple together with a compatible cyclic permutation tilde T.
 
     tilde_t[i-1] is the image of i; the permutation must be a single

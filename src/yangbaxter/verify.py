@@ -21,8 +21,8 @@ import cmath
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .scalars import X1, LaurentPoly, PoleOrderError, kronecker_ints, log_point, rf
 from .series import expand_in_u
@@ -79,8 +79,7 @@ IDENTITIES = {
     "unitarity_assoc": (("u,v", "-u,-v"), _UNITARITY, ()),
 }
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Structured outcome of one identity check."""
 
     identity: str
@@ -99,7 +98,7 @@ class VerifyReport:
 
     def as_dict(self):
         """The fields as a dict; nested values are shared, not copied."""
-        return dict(vars(self))
+        return self._asdict()
 
     def to_json(self):
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)
@@ -139,7 +138,8 @@ def _product(x, *factors):
     """The product of factors, each (tensor, legs), left to right.
 
     legs places a Tensor2 on legs 12, 13 or 23 of the 3-fold product; None
-    takes a tensor on its own legs.  Given a sample x, a pair of a vector
+    takes a tensor on its own legs, and 21 takes a lone Tensor2 with its
+    two legs swapped (flip21).  Given a sample x, a pair of a vector
     (a flat list) and the dict of products already applied to it, the
     product applied to the vector instead, a flat list
     (tensors.apply_product), so a factor that ends several products is
@@ -150,7 +150,7 @@ def _product(x, *factors):
         return apply_product(vector, factors, applied)
     (a, ab), *rest = factors
     if not rest:
-        return a
+        return a.flip21() if ab == 21 else a
     (b, cd), *rest = rest
     out = a.mul(b, legs=None if ab is None else (ab, cd))
     for c, legs in rest:
@@ -167,11 +167,7 @@ def _formula(terms, slots, x=None):
     every float and RatFunc sum.  Given a sample x, the products are
     flat lists, summed by tensors.signed_sum in the same order.
     """
-    parts = [
-        _product(x, *((slots[i].flip21(), None) if legs == 21 else (slots[i], legs)
-                      for i, legs in factors))
-        for _, *factors in terms
-    ]
+    parts = [_product(x, *((slots[i], legs) for i, legs in factors)) for _, *factors in terms]
     if x is not None:
         return signed_sum([sign for sign, *_ in terms], parts), parts
     pairs = [
@@ -504,22 +500,20 @@ def _sample_legs(identity):
     return 3 if any(legs in (12, 13, 23) for _, *factors in terms for _, legs in factors) else 2
 
 
-def _numeric_tensors(identity, tensors, n, point, x):
+def _numeric_tensors(identity, t, n, point, x):
     """The identity's residual at one sample point, applied to the vector x.
 
-    Returns (residual, scale), the residual as a column (Tensor.column):
-    scale is the largest entry magnitude of the formula's parts applied
-    to x.  Each distinct slot is evaluated once, and within it each
-    distinct scalar of a float-form input (Tensor.float_form).  The
-    formula's products share one dict of the factors applied to x, so a
-    factor that ends several of them is applied once.  The parts and
-    their sum stay flat lists; only the sum is made a column.
+    t is the identity's input compiled (Tensor2.float_form), evaluated
+    once per distinct slot.  Returns (residual, scale), the residual as a
+    column (Tensor.column): scale is the largest entry magnitude of the
+    formula's parts applied to x.  The products share one dict of the
+    factors applied to x (tensors.apply_product).
     """
-    t = tensors[_input_key(identity)]
+    _input_key(identity)  # ValueError for an identity numeric mode lacks
     u, up, v, vp = point
     if identity == "hecke":
         q = cmath.exp(u / 2)  # q = X1^n at the sample point
-        R = t.evaluate(log_point(u, up, v, vp, n))
+        R = t.at(log_point(u, up, v, vp, n)).tensor()
         residual, parts = _hecke(R, q, 1 / q, 1.0 + 0j, x=(x, {}))
     else:
         labels, terms, _ = IDENTITIES[identity]
@@ -527,13 +521,14 @@ def _numeric_tensors(identity, tensors, n, point, x):
         for label in labels:
             if label not in evaluated:
                 uu, vv = _slot_arguments(SLOTS[label], point)
-                evaluated[label] = t.evaluate(log_point(uu, up, vv, vp, n))
+                evaluated[label] = t.at(log_point(uu, up, vv, vp, n))
         residual, parts = _formula(terms, [evaluated[label] for label in labels], (x, {}))
     column = Tensor3.column if _sample_legs(identity) == 3 else Tensor2.column
     return column(n, residual), max_magnitude(parts)
 
 
-def numeric_residual(identity, tensors, n, samples, tolerance, seed, provenance=None):
+def numeric_residual(identity, tensors, n, samples, tolerance, seed, provenance=None,
+                     memo=None):
     """Sampled residual check, relative to each sample's own scale.
 
     Each sample draws a point (u, u', v, v') and then a vector x of
@@ -543,36 +538,30 @@ def numeric_residual(identity, tensors, n, samples, tolerance, seed, provenance=
     _numeric_tensors; the check passes iff every sample does, and reports
     the largest entry over all samples.  Sample points whose spectral
     denominators come within GUARD_DISTANCE of a zero are rejected and
-    counted.  The input is converted to float form once.  Raises
-    ValueError unless samples is at least 1 and tolerance a finite number
-    above 0.
+    counted.  The input is compiled once (Tensor2.float_form).  memo, if
+    given, is the dict the caller keeps for one run of checks: it holds the
+    draws per (seed, samples, vector size), shared, not copied.  Raises
+    ValueError unless samples >= 1 and tolerance is finite and above 0.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
     if not 0 < tolerance < cmath.inf:
         raise ValueError(f"tolerance must be a finite number above 0, got {tolerance!r}")
-    key = _input_key(identity)
-    floats = {key: tensors[key].float_form()}
-    rng = random.Random(seed)
-    worst = 0.0
-    resamples = 0
-    ok = True
+    compiled = tensors[_input_key(identity)].float_form()
+    memo = {} if memo is None else memo
     size = n ** _sample_legs(identity)
-    for _ in range(samples):
-        point, rejected = _clear_point(rng)
+    key = ("numeric draws", seed, samples, size)
+    if key not in memo:
+        rng = random.Random(seed)
+        memo[key] = [(*_clear_point(rng), unit_vector(rng, size)) for _ in range(samples)]
+    worst, resamples, ok = 0.0, 0, True
+    for point, rejected, x in memo[key]:
         resamples += rejected
-        x = unit_vector(rng, size)
-        residual, scale = _numeric_tensors(identity, floats, n, point, x)
+        residual, scale = _numeric_tensors(identity, compiled, n, point, x)
         err = residual.max_abs()
         worst = max(worst, err)
         ok = ok and err < tolerance * max(1.0, scale)
     return VerifyReport(
-        identity=identity,
-        mode="numeric",
-        result="pass" if ok else "fail",
-        samples=samples,
-        resamples=resamples,
-        tolerance=tolerance,
-        max_abs_residual=worst,
-        provenance=provenance,
+        identity, "numeric", "pass" if ok else "fail", samples=samples, resamples=resamples,
+        tolerance=tolerance, max_abs_residual=worst, provenance=provenance,
     )

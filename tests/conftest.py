@@ -342,3 +342,32 @@ def dense_apply(coeffs, x, n, legs):
         if acc != 0:
             out[rows] = acc
     return out
+
+
+def per_entry_apply(t, x, legs=None):
+    """Reference route for Tensor2.apply: the entry-by-entry loop the lane
+    kernel replaced, kept to check it against bit for bit.
+
+    For each entry in dict order, its product is added into every entry of
+    the result it reaches, one index of the free leg after another; legs 21
+    applies t.flip21() on V (x) V.
+    """
+    n = t.n
+    if legs == 21:
+        t, legs = t.flip21(), None
+    if legs is None:
+        size, sa, sb, free = n * n, n, 1, (0,)
+    else:
+        strides = (n * n, n, 1)
+        a, b, f = {12: (0, 1, 2), 13: (0, 2, 1), 23: (1, 2, 0)}[legs]
+        size, sa, sb = n ** 3, strides[a], strides[b]
+        free = range(0, n * strides[f], strides[f])
+    assert len(x) == size
+    base = sa + sb
+    y = [0] * size
+    for (i, j, k, l), c in t.coeffs.items():
+        row = i * sa + k * sb - base
+        col = j * sa + l * sb - base
+        for f in free:
+            y[row + f] += c * x[col + f]
+    return y

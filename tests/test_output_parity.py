@@ -2,9 +2,12 @@
 
 Every build and symbolic verify document is byte-deterministic, so a
 refactor of the scalar, tensor or builder layers must leave these digests
-unchanged.  Numeric commands are left out: `cmath` results may differ in
-the last ulp across platforms.  After a deliberate change of output,
-print the new digests with `command_digest` and update the table.
+unchanged.  Seeded numeric commands are pinned too: their floats are
+summed in a fixed order, so a change to the vector layer that reorders a
+sum shows here.  Their digests also pin the platform's libm, as `cmath`
+results may differ in the last ulp across platforms.  After a deliberate
+change of output, print the new digests with `command_digest` and update
+the table.
 """
 
 import hashlib
@@ -104,6 +107,18 @@ GOLDEN = {
     # every suite on the trivial+CG listing beyond the enumeration bound
     "verify --n 4 --suite all --bound 3": (
         0, "573b8fee77b8f0abb87ea225015f1dbcec53a7d69886877df8504d733003c9ed"
+    ),
+    # seeded numeric mode, the benchmark's numeric workload at two seeds and
+    # every numeric suite at n = 4; these digests also pin this platform's
+    # libm (cmath.exp and complex division)
+    "verify --n 8 --mode numeric --suite aybe,unitarity,qybe,hecke,cybe --samples 20 --seed 0": (
+        0, "e60526845384a2cd7fa10acd7f6f9a5c5d36a1266261320e3d43ded65db6ec12"
+    ),
+    "verify --n 8 --mode numeric --suite aybe,unitarity,qybe,hecke,cybe --samples 20 --seed 1": (
+        0, "940f1831c9b9c0bc44eba5cbb611ba033b9a080c6f938daeeec1d971113bac96"
+    ),
+    "verify --n 4 --mode numeric --suite all --samples 5 --seed 7": (
+        0, "6218b015427c979250a5b2f5293b161ea168bfa64e98e3fcfa809dffb3043344"
     ),
 }
 

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,6 +61,17 @@ def test_imports_are_relative_or_standard_library(path):
     # the package promises no runtime dependencies beyond the standard library
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _outside_imports(tree) == [], f"{path.name} imports outside the standard library"
+
+
+def test_cli_import_leaves_out_the_introspection_modules():
+    # dataclasses imports inspect, which imports ast, dis and tokenize: a
+    # start-up cost every CLI call and benchmark worker would pay
+    code = ("import sys, yangbaxter, yangbaxter.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # Public names kept with no caller in the package, and why.
@@ -118,6 +131,10 @@ BENCHMARK_NAMES_MISSING_ALLOWED = {
     # stale since the uncalled Tensor2.embed was deleted; ROADMAP item 1
     # drops the tensors.embed metric with the next change to the benchmark
     "tensors.Tensor2.embed",
+    # numeric mode evaluates a compiled input's distinct scalars
+    # (CompiledTensor2.at) since Tensor2.evaluate was deleted; ROADMAP item 1
+    # points the tensors.evaluate metric there with the next benchmark change
+    "tensors.Tensor2.evaluate",
 }
 
 

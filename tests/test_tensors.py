@@ -6,6 +6,7 @@ import pytest
 
 from yangbaxter.scalars import X1, Y1, Y2, LaurentPoly, RatFunc, rf
 from yangbaxter.tensors import (
+    CompiledTensor2,
     Tensor2,
     Tensor3,
     apply_product,
@@ -25,6 +26,7 @@ from conftest import (
     dense3_mul,
     dense3_to_tensor,
     embed,
+    per_entry_apply,
     perm_diag,
     random_sparse_tensor2,
     weight_contract,
@@ -174,17 +176,52 @@ def test_fused_three_leg_product_matches_embedding(rng, legs, kind, n, nnz):
         assert _exact(got) == _exact(want)
 
 
-@pytest.mark.parametrize("legs", [None, 12, 13, 23])
+@pytest.mark.parametrize("legs", [None, 12, 13, 23, 21])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_apply_is_the_product_with_a_column(rng, legs, n):
-    """T x equals T times x held as a column, on the embedding for placed legs."""
-    k = 2 if legs is None else 3
+    """T x equals T times x held as a column, on the embedding for placed
+    legs, and on the swapped legs for 21."""
+    k = 2 if legs in (None, 21) else 3
     column = Tensor2.column if k == 2 else Tensor3.column
     for _ in range(4):
         t = Tensor2(n, _random_coeffs(n, 2, "fraction", rng, 3 * n))
         x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n ** k)]
-        placed = t if legs is None else embed(t, legs)
+        placed = t if legs is None else t.flip21() if legs == 21 else embed(t, legs)
         assert column(n, t.apply(x, legs)) == placed.mul(column(n, x))
+
+
+def _bits(values):
+    """Each entry's type and the hex of both parts, so signed zeros and an
+    untouched int 0 count."""
+    return [(type(z).__name__, float(z.real).hex(), float(z.imag).hex()) for z in values]
+
+
+@pytest.mark.parametrize("legs", [None, 12, 13, 23, 21])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lane_kernel_keeps_the_bits_of_the_per_entry_loop(rng, legs, n):
+    """The lane kernel gives every entry the float sums of the per-entry
+    loop it replaced (conftest.per_entry_apply), to the bit: complex
+    coefficients, sparse and full, applied to unit vectors.  At n = 1 each
+    lane has one index."""
+    size = n ** (2 if legs in (None, 21) else 3)
+    for nnz in (1, 2 * n, n ** 4):
+        coeffs = {
+            tuple(rng.randint(1, n) for _ in range(4)):
+            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(nnz)
+        }
+        t = Tensor2(n, coeffs)
+        x = unit_vector(rng, size)
+        before = _bits(x)
+        want = per_entry_apply(t, x, legs)
+        assert _bits(t.apply(x, legs)) == _bits(want)
+        # a float form of complex entries: one scalar per entry, its plan
+        # made by the first apply and reused by the second
+        compiled = t.float_form().at(())
+        assert isinstance(compiled, CompiledTensor2) and len(compiled.scalars) == len(t.coeffs)
+        for _ in range(2):
+            assert _bits(compiled.apply(x, legs)) == _bits(want)
+        assert list(compiled.lanes) == [legs]
+        assert _bits(x) == before
 
 
 def test_column_and_apply_examples():
@@ -287,14 +324,17 @@ def test_float_form_shares_scalars_with_the_same_ordered_terms():
         (2, 2, 2, 2): p, (1, 2, 2, 1): Fraction(3, 2),
     })
     assert list(t.coeffs[(1, 1, 1, 1)].num.terms) != list(t.coeffs[(2, 2, 1, 1)].num.terms)
-    floats = t.float_form().coeffs
+    compiled = t.float_form()
+    floats = {k: compiled.scalars[s] for k, (_, _, s) in zip(t.coeffs, compiled.rows)}
     assert floats[(1, 1, 1, 1)] is floats[(1, 1, 2, 2)]
     assert floats[(2, 2, 1, 1)] is not floats[(1, 1, 1, 1)]
     assert floats[(1, 2, 2, 1)] == 1.5 + 0j
+    assert len(compiled.scalars) == 4
     logs = (0.3 + 0.2j, 0.1j, 0.7, -0.4j)
-    got = t.float_form().evaluate(logs).coeffs
+    got = compiled.at(logs).tensor().coeffs
     assert got == {k: v.evaluate(logs) if hasattr(v, "evaluate") else complex(v)
                    for k, v in t.coeffs.items()}
+    assert list(got) == list(t.coeffs)
 
 
 def test_unit_vector_draws_unit_modulus_entries_from_the_rng():
@@ -308,6 +348,8 @@ def test_unit_vector_draws_unit_modulus_entries_from_the_rng():
 
 def test_apply_rejects_unknown_legs_and_wrong_lengths():
     t = Tensor2.perm(2)
+    with pytest.raises(ValueError, match="legs 32"):
+        t.apply([0] * 4, 32)
     with pytest.raises(ValueError):
         t.apply([0] * 8, 21)
     with pytest.raises(ValueError):

@@ -34,7 +34,9 @@ from yangbaxter.triples import (
     solve_s_system,
 )
 
-from conftest import cg_structure, embed, perm_diag, trivial_structures, weight_zero_ok
+from conftest import (
+    cg_structure, embed, per_entry_apply, perm_diag, trivial_structures, weight_zero_ok,
+)
 
 
 def unit2(n, i, j, k, l, c=Fraction(1)):
@@ -914,7 +916,7 @@ def test_numeric_engine_matches_dense_oracle():
         q_minus_qinv(2).inverse()
     ) + Tensor2(2, {(1, 2, 1, 2): rf(1) * X1})  # deliberately broken
     for r in (good, naive):
-        residual, _ = verify._numeric_tensors("aybe", {"r": r}, 2, point, x)
+        residual, _ = verify._numeric_tensors("aybe", r.float_form(), 2, point, x)
         sketched = _rows(residual)
         dense = dense_apply(dense_numeric_aybe(r, 2, point), x, 2, 3)
         for key in set(sketched) | set(dense):
@@ -922,8 +924,8 @@ def test_numeric_engine_matches_dense_oracle():
             rhs = dense.get(key, 0j)
             assert abs(lhs - rhs) < 1e-12, (key, lhs, rhs)
     # and the broken matrix really does fail while the good one passes
-    res_good, _ = verify._numeric_tensors("aybe", {"r": good}, 2, point, x)
-    res_bad, _ = verify._numeric_tensors("aybe", {"r": naive}, 2, point, x)
+    res_good, _ = verify._numeric_tensors("aybe", good.float_form(), 2, point, x)
+    res_bad, _ = verify._numeric_tensors("aybe", naive.float_form(), 2, point, x)
     assert res_good.max_abs() < 1e-12
     assert res_bad.max_abs() > 1e-3
 
@@ -967,9 +969,9 @@ def test_numeric_formulas_match_symbolic():
     for identity, (tensors, symbolic) in cases.items():
         legs = verify._sample_legs(identity)
         x = _sample_vector(n, legs)
-        numeric, _ = verify._numeric_tensors(identity, tensors, n, point, x)
-        assert numeric.max_abs() > 1e-3, identity
         (t,) = tensors.values()
+        numeric, _ = verify._numeric_tensors(identity, t.float_form(), n, point, x)
+        assert numeric.max_abs() > 1e-3, identity
         exact = symbolic(t).map_scalars(
             lambda c: c.evaluate(logs) if hasattr(c, "evaluate") else complex(c)
         )
@@ -980,7 +982,7 @@ def test_numeric_formulas_match_symbolic():
             rhs = applied.get(key, 0j)
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs)), (identity, key, lhs, rhs)
     with pytest.raises(ValueError):
-        verify._numeric_tensors("cybe", {"r": r_v}, n, point, _sample_vector(n, 3))
+        verify._numeric_tensors("cybe", r_v.float_form(), n, point, _sample_vector(n, 3))
 
 
 def test_numeric_scale_is_per_sample(monkeypatch):
@@ -1009,6 +1011,11 @@ def test_numeric_checks_fail_on_a_perturbed_input(suite, identity, matrix):
     assert good.passed and good.max_abs_residual < 1e-9
     assert bad.result == "fail"
     assert bad.max_abs_residual > 1e-3
+    # the same with the draws of one memo, shared as a run shares them
+    memo = {}
+    for tensor, report in ((matrix(m), good), (_perturbed(matrix(m)), bad)):
+        shared = verify.numeric_residual(identity, {key: tensor}, 4, 3, 1e-9, 5, memo=memo)
+        assert shared == report
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -1072,7 +1079,7 @@ def test_float_form_evaluates_to_the_same_bits_on_cg8_inputs():
         floats = tensor.float_form()
         for point in points:
             logs = log_point(*point, 8)
-            got = floats.evaluate(logs).coeffs
+            got = floats.at(logs).tensor().coeffs
             want = {k: _reference_evaluate(v, logs) for k, v in tensor.coeffs.items()}
             assert got.keys() == {k for k, v in want.items() if v}
             for key, value in got.items():
@@ -1108,8 +1115,8 @@ def test_float_form_evaluates_each_distinct_scalar_once_on_cg8_inputs(monkeypatc
         }
         floats = tensor.float_form()
         calls.clear()
-        floats.evaluate(logs)
-        assert len(calls) == len(distinct) < len(tensor.coeffs)
+        floats.at(logs)
+        assert len(calls) == len(distinct) == len(floats.scalars) < len(tensor.coeffs)
 
 
 def _cg4_numeric_inputs():
@@ -1137,13 +1144,13 @@ def test_numeric_products_apply_each_shared_factor_once(monkeypatch):
     ends several of the formula's products is applied to the vector once."""
     point = (0.31 + 0.52j, -0.44 + 0.27j, 0.62 - 0.35j, -0.53 + 0.41j)
     calls = []
-    apply = Tensor2.apply
+    apply = tensors.CompiledTensor2.apply
 
     def counted(self, x, legs=None):
         calls.append(legs)
         return apply(self, x, legs)
 
-    monkeypatch.setattr(Tensor2, "apply", counted)
+    monkeypatch.setattr(tensors.CompiledTensor2, "apply", counted)
     expected = {
         "cybe_spectral": 9, "hecke": 3, "aybe": 6, "qybe": 6,
         "qybe_spectral": 6, "unitarity_assoc": 2,
@@ -1151,7 +1158,7 @@ def test_numeric_products_apply_each_shared_factor_once(monkeypatch):
     for identity, t in _cg4_numeric_inputs().items():
         key, legs = verify.NUMERIC_IDENTITIES[identity], verify._sample_legs(identity)
         calls.clear()
-        verify._numeric_tensors(identity, {key: t.float_form()}, 4, point, _sample_vector(4, legs))
+        verify._numeric_tensors(identity, t.float_form(), 4, point, _sample_vector(4, legs))
         assert len(calls) == expected[identity], identity
 
 
@@ -1172,8 +1179,8 @@ def test_every_slot_means_the_same_in_both_modes(n):
         for label, slot in verify.SLOTS.items():
             uu, vv = verify._slot_arguments(slot, point)
             for t in inputs:
-                symbolic = t.substitute(slot).evaluate(log_point(*point, n))
-                numeric = t.float_form().evaluate(log_point(uu, up, vv, vp, n))
+                symbolic = t.substitute(slot).float_form().at(log_point(*point, n)).tensor()
+                numeric = t.float_form().at(log_point(uu, up, vv, vp, n)).tensor()
                 assert symbolic.coeffs.keys() == numeric.coeffs.keys(), label
                 for k, value in numeric.coeffs.items():
                     assert cmath.isclose(symbolic.coeffs[k], value, rel_tol=1e-12), (label, k)
@@ -1181,9 +1188,10 @@ def test_every_slot_means_the_same_in_both_modes(n):
 
 
 def _applied_afresh(vector, factors, applied):
-    """Reference route: every factor of every product applied to the vector anew."""
+    """Reference route: every factor of every product applied to the vector
+    anew, entry by entry."""
     for t, legs in reversed(factors):
-        vector = t.apply(vector, legs)
+        vector = per_entry_apply(t, vector, legs)
     t, legs = factors[0]
     return (Tensor2 if legs is None else Tensor3).column(t.n, vector)
 
@@ -1212,9 +1220,8 @@ def test_numeric_sharing_keeps_the_bits_of_the_unshared_route(monkeypatch):
         return z.real.hex(), z.imag.hex()
 
     for identity, t in _cg4_numeric_inputs().items():
-        key = verify.NUMERIC_IDENTITIES[identity]
         x = _sample_vector(4, verify._sample_legs(identity))
-        residual, scale = verify._numeric_tensors(identity, {key: t.float_form()}, 4, point, x)
+        residual, scale = verify._numeric_tensors(identity, t.float_form(), 4, point, x)
         labels, terms, _ = verify.IDENTITIES.get(identity, (("u,v",), None, None))
         slots = []
         for label in labels:
@@ -1241,6 +1248,102 @@ def test_numeric_sharing_keeps_the_bits_of_the_unshared_route(monkeypatch):
             assert bits(value) == bits(want.coeffs[k]), (identity, k)
         assert scale.hex() == want_scale.hex(), identity
         assert residual.max_abs() > 1e-3, identity
+
+
+def _reference_residual(identity, t, n, point, x):
+    """The residual list by the route the compiled one replaced: each
+    slot's entries evaluated one by one into a Tensor2, each product's
+    factors applied entry by entry (conftest.per_entry_apply), the right
+    one first, and the products summed by tensors.signed_sum."""
+    from yangbaxter.scalars import log_point
+
+    u, up, v, vp = point
+
+    def evaluated(label):
+        uu, vv = verify._slot_arguments(verify.SLOTS[label], point)
+        logs = log_point(uu, up, vv, vp, n)
+        return t.map_scalars(
+            lambda c: c.float_form().evaluate(logs) if hasattr(c, "float_form") else complex(c)
+        )
+
+    if identity == "hecke":
+        q, one = cmath.exp(u / 2), 1.0 + 0j
+        m = Tensor2.perm(n, one).mul(evaluated("u,v"))
+        ident = Tensor2.identity(n, one)
+        return per_entry_apply(m - ident.scale(q), per_entry_apply(m + ident.scale(1 / q), x))
+    labels, terms, _ = verify.IDENTITIES[identity]
+    slots = [evaluated(label) for label in labels]
+    parts = []
+    for _, *factors in terms:
+        y = x
+        for i, legs in reversed(factors):
+            y = per_entry_apply(slots[i], y, legs)
+        parts.append(y)
+    return tensors.signed_sum([sign for sign, *_ in terms], parts)
+
+
+def _numeric_inputs(n):
+    """(identity, input) for every numeric identity on every structure of
+    the n listing: all six up to n = 4, the CLI's numeric checks beyond."""
+    out = []
+    for t, structures in cli._listing(n, 6):
+        for st in structures:
+            m = cli._Matrices(t, s0_from_structure(st), st)
+            out += [(identity, matrix(m)) for _, identity, matrix in cli.NUMERIC_CHECKS]
+            if n <= 4:
+                out.append(("qybe_spectral", baxterize(m.R_assoc)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_compiled_route_keeps_the_bits_of_the_per_entry_route(n, monkeypatch):
+    """The residual list numeric mode turns into a column equals, entry by
+    entry and to the bit, the one the per-entry route makes, on every
+    numeric identity of every structure at n <= 4 and on the trivial and
+    Cremmer-Gervais inputs at n = 8.  unitarity_assoc covers the flipped
+    slot, and n = 1 lanes of one index."""
+    lists = []
+    for cls in (Tensor2, Tensor3):
+        monkeypatch.setattr(cls, "column", classmethod(
+            lambda c, size, values, column=cls.column: lists.append(values) or column(size, values)
+        ))
+
+    def bits(values):
+        return [(type(z).__name__, float(z.real).hex(), float(z.imag).hex()) for z in values]
+
+    rng = random.Random(n)
+    inputs = _numeric_inputs(n)
+    assert {identity for identity, _ in inputs} == set(verify.NUMERIC_IDENTITIES) - (
+        {"qybe_spectral"} if n > 4 else set())
+    for identity, t in inputs:
+        point, _ = verify._clear_point(rng)
+        x = tensors.unit_vector(rng, n ** verify._sample_legs(identity))
+        lists.clear()
+        verify._numeric_tensors(identity, t.float_form(), n, point, x)
+        (got,) = lists
+        assert bits(got) == bits(_reference_residual(identity, t, n, point, x)), identity
+
+
+def test_numeric_memo_shared_by_a_run_gives_the_reports_of_fresh_draws():
+    """One memo shared by every numeric check of a run gives the reports
+    that drawing afresh per check gives, draws once per vector size, and
+    leaves the vectors it holds unchanged."""
+    checks = [
+        (identity, {verify.NUMERIC_IDENTITIES[identity]: t})
+        for identity, t in _numeric_inputs(4)
+    ]
+    memo = {}
+    shared = [verify.numeric_residual(i, t, 4, 3, 1e-9, 6, memo=memo) for i, t in checks]
+    fresh = [verify.numeric_residual(i, t, 4, 3, 1e-9, 6) for i, t in checks]
+    assert shared == fresh and len(shared) > 10
+    assert sorted(memo) == [("numeric draws", 6, 3, 16), ("numeric draws", 6, 3, 64)]
+    for key, draws in memo.items():
+        identity = "hecke" if key[3] == 16 else "aybe"
+        again = {}
+        verify.numeric_residual(identity, dict(checks)[identity], 4, 3, 1e-9, 6, memo=again)
+        (redrawn,) = again.values()
+        assert [(p, k, [(z.real.hex(), z.imag.hex()) for z in x]) for p, k, x in draws] == [
+            (p, k, [(z.real.hex(), z.imag.hex()) for z in x]) for p, k, x in redrawn]
 
 
 def test_float_form_refuses_exact_operations():
