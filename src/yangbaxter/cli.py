@@ -145,11 +145,9 @@ def _structures(t, perm):
 
 def _select_structure(perms, args):
     """perms[0], the structure to build, with its selector label."""
-    if args.cg is not None:  # a CG triple's one compatible permutation
-        return perms[0], f"cg m={args.cg}"
-    if args.perm:
-        return perms[0], "explicit permutation"
-    return perms[0], "unique permutation"
+    label = (f"cg m={args.cg}" if args.cg is not None
+             else "explicit permutation" if args.perm else "unique permutation")
+    return perms[0], label
 
 
 def _nonassociative_witness(m):

@@ -145,18 +145,18 @@ def _sparse_tensor(nlegs):
             self.coeffs = _prune(coeffs) if coeffs else {}
 
         @classmethod
-        def identity(cls, n, one=Fraction(1)):
+        def identity(cls, n):
             """1 (x) 1 (x) ... on every leg."""
             rows = product(range(1, n + 1), repeat=nlegs)
-            return cls(n, {tuple(x for i in row for x in (i, i)): one for row in rows})
+            return cls(n, {tuple(x for i in row for x in (i, i)): Fraction(1) for row in rows})
 
         @classmethod
         def column(cls, n, values):
             """A vector of V^(x)nlegs as a tensor with one column on each leg.
 
             values is flat in row-major index order; entry (i, k, ...)
-            becomes the coefficient of e_i1 (x) e_k1 (x) ....  So
-            T.mul(column(n, x)) equals column(n, T.apply(x)).
+            becomes the coefficient of e_i1 (x) e_k1 (x) ....  So for T of
+            numbers, T.mul(column(n, x)) equals column(n, T.float_form().apply(x)).
             """
             keys = product(*((range(1, n + 1), (1,)) * nlegs))
             return _adopt(cls, n, dict(zip(keys, values)))
@@ -218,25 +218,15 @@ def _sparse_tensor(nlegs):
         if nlegs == 2:
 
             @classmethod
-            def perm(cls, n, one=Fraction(1)):
+            def perm(cls, n):
                 """P = sum e_ij (x) e_ji, the permutation (Casimir) tensor."""
-                return cls(n, {(i, j, j, i): one for i, j in product(range(1, n + 1), repeat=2)})
+                pairs = product(range(1, n + 1), repeat=2)
+                return cls(n, {(i, j, j, i): Fraction(1) for i, j in pairs})
 
             def flip21(self):
                 """Swap the two legs: coefficient of e_ij (x) e_kl moves to e_kl (x) e_ij."""
                 flipped = {(k, l, i, j): v for (i, j, k, l), v in self.coeffs.items()}
                 return _adopt(Tensor, self.n, flipped)
-
-            def apply(self, x, legs=None):
-                """self x for a vector x, a flat list in row-major index order.
-
-                x lies in V (x) V, or with legs = 12, 13 or 23 in V (x) V (x) V,
-                where self acts on the named legs: embed(self, legs) x (the
-                oracle in tests/conftest.py), with no embedding built.  legs 21
-                is flip21() on V (x) V.  Returns a new list (CompiledTensor2.apply).
-                """
-                values = list(self.coeffs.values())
-                return CompiledTensor2(self.n, _rows(self, range(len(values))), values).apply(x, legs)
 
             def float_form(self):
                 """self compiled for sampling (CompiledTensor2.at): each scalar
@@ -244,14 +234,14 @@ def _sparse_tensor(nlegs):
                 Entries whose scalars have the same terms in the same order
                 share one; equal scalars with their terms in another order
                 are kept apart, since they may round differently."""
-                shared, forms, slots = {}, [], []
-                for k, v in enumerate(self.coeffs.values()):
-                    s = shared.setdefault(_terms_key(v) or k, len(forms))
+                n, shared, forms, rows = self.n, {}, [], []
+                for (i, j, k, l), v in self.coeffs.items():
+                    s = shared.setdefault(_terms_key(v) or (i, j, k, l), len(forms))
                     if s == len(forms):
                         exact = isinstance(v, (LaurentPoly, RatFunc))
                         forms.append(v.float_form() if exact else complex(v))
-                    slots.append(s)
-                return CompiledTensor2(self.n, _rows(self, slots), forms)
+                    rows.append(((i - 1) * n + k - 1, (j - 1) * n + l - 1, s))
+                return CompiledTensor2(n, rows, forms)
 
         def project_traceless(self, legs):
             """Apply M -> M - (tr M / n) 1 on each selected leg (1, 2, ...).
@@ -403,19 +393,12 @@ Tensor3 = _sparse_tensor(3)
 _TENSORS = {2: Tensor2, 3: Tensor3}
 
 
-def _rows(t, slots):
-    """The rows (r, c, s) of a Tensor2's entries in dict order, s from slots."""
-    n = t.n
-    return [((i - 1) * n + k - 1, (j - 1) * n + l - 1, s)
-            for (i, j, k, l), s in zip(t.coeffs, slots)]
-
-
 def _lane_plan(n, legs):
     """CompiledTensor2.apply's plan for legs: the vector's size, a getter
     per lane (a slice where the lane is evenly spaced), and a getter that
     puts the lanes' concatenation in the vector's order, or None if it is."""
     if legs not in _PLACEMENTS:
-        raise ValueError(f"Tensor2.apply cannot place the tensor on legs {legs!r}")
+        raise ValueError(f"CompiledTensor2.apply cannot place the tensor on legs {legs!r}")
     a, b, *free = (n ** e for e in _PLACEMENTS[legs])
     lanes = [[i * a + k * b + f for i in range(n) for k in range(n)]
              for f in (range(0, n * free[0], free[0]) if free else (0,))]
@@ -446,19 +429,15 @@ class CompiledTensor2:
         values = [v if type(v) is complex else v.evaluate(logs, powers) for v in self.scalars]
         return CompiledTensor2(self.n, self.rows, values, self.lanes)
 
-    def tensor(self):
-        """The Tensor2 of the rows and scalars, its entries in row order."""
-        n, values = self.n, self.scalars
-        return _adopt(Tensor2, n, {
-            (r // n + 1, c // n + 1, r % n + 1, c % n + 1): values[s] for r, c, s in self.rows
-        })
-
     def apply(self, x, legs=None):
-        """self x for a flat vector x, as Tensor2.apply, lane by lane: a lane
-        is x at one index of the free leg (x itself on V (x) V), and each
-        row adds its product into its lane's output.  So every entry sums
-        the same products in the same order as entry by entry, from int 0.
-        """
+        """self x as a new list, for x a flat list in row-major index order
+        in V (x) V, or with legs = 12, 13 or 23 in V (x) V (x) V, where self
+        acts on the named legs: embed(self, legs) x (the oracle in
+        tests/conftest.py), with no embedding built; legs 21 swaps self's
+        legs.  Lane by lane: a lane is x at one index of the free leg (x
+        itself on V (x) V), and each row adds its product into its lane's
+        output, so every entry sums the same products in the same order as
+        entry by entry, from int 0."""
         plan = self.lanes.get(legs)
         if plan is None:
             plan = self.lanes[legs] = _lane_plan(self.n, legs)
@@ -519,10 +498,10 @@ def product_sum(terms):
 def apply_product(x, factors, applied=None):
     """The product of factors, each (tensor, legs), applied to the vector x.
 
-    x is a flat list and legs as for Tensor2.apply; a tensor with legs None
-    acts on its own legs.  The factors are applied right first, so no
-    product of two is formed, and the result is a flat list, which
-    Tensor.column turns into a column.
+    x is a flat list, each tensor a CompiledTensor2 and its legs as for
+    its apply; legs None acts on its own legs.  The factors are applied
+    right first, so no product of two is formed, and the result is a
+    flat list, which Tensor.column turns into a column.
 
     applied, if given, is a dict the caller keeps for this one x: it holds
     each right-hand suffix of factors applied to x so far, so products

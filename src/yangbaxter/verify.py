@@ -1,18 +1,18 @@
 """Residual computation for every identity in the workbench.
 
-Each identity but Hecke is a row of IDENTITIES: signed products of one
-to three slots, the input matrix at shifted arguments (SLOTS), read in
-both modes by one evaluator, _formula.  Symbolic mode certifies exact
-zero: rows of two-factor products (CYBE, AYBE, the lift obstruction) are
-decided on int tensors (_catalogue_zero), and a residual over exact
-rational functions is built only when that fails, or for another row.
-Numeric mode applies the residual at seeded random complex sample points
-to a seeded random vector with entries of modulus 1 (Freivalds' check):
-each product is applied to the vector as a flat list, the lists are
-summed, and only the sum becomes a column, whose largest entry is
-reported.  Hecke, (PR - q)(PR + q^-1), is the one formula written by
-hand.  Verifiers never mutate their inputs; failure reports carry the
-lexicographically least nonzero coefficient as a witness.
+Each identity is a row of IDENTITIES: signed products of one to three
+slots, read in both modes by one evaluator, _formula.  A slot is the
+input matrix at shifted arguments (SLOTS), or for Hecke a tensor built
+from it (_slot_inputs).  Symbolic mode certifies exact zero: rows of
+two-factor products (CYBE, AYBE, the lift obstruction) are decided on
+int tensors (_catalogue_zero), and a residual over exact rational
+functions is built only when that fails, or for another row.  Numeric
+mode compiles each slot's tensor once per check and applies the residual
+at seeded random complex sample points to a seeded random vector with
+entries of modulus 1 (Freivalds' check): each product is applied to the
+vector as a flat list, and only the lists' sum becomes a column, whose
+largest entry is reported.  Verifiers never mutate their inputs; failure
+reports carry the lexicographically least nonzero coefficient as a witness.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ SLOTS = {
     "u+u',v+v'": ((1, 1), (1, 1)),
 }
 
-# Each identity but Hecke as signed products of its slots a, b, c, ...
-# (0, 1, 2, ...): name -> (slot labels, terms, traceless legs).  A term is
+# Each identity as signed products of its slots a, b, c, ... (0, 1, 2,
+# ...): name -> (slot labels, terms, traceless legs).  A term is
 # (sign, factor, ...), a factor (slot, legs) with legs as for _product, or
 # 21 for the slot with its two legs swapped.
 # [a12, b13] + [a12, c23] + [b13, c23]
@@ -77,6 +77,8 @@ IDENTITIES = {
     # r(v) + r^21(-v) and r(u,v) + r^21(-u,-v)
     "unitarity_classical": (("u,v", "u,-v"), _UNITARITY, ()),
     "unitarity_assoc": (("u,v", "-u,-v"), _UNITARITY, ()),
+    # a a - b = (PR - q)(PR + q^-1), a = PR and b = (q - q^-1) PR + 1 (_slot_inputs)
+    "hecke": (("u,v",) * 2, ((1, (0, None), (0, None)), (-1, (1, None))), ()),
 }
 
 class VerifyReport(NamedTuple):
@@ -178,13 +180,14 @@ def _formula(terms, slots, x=None):
     return sum(pairs[1:], pairs[0]), parts
 
 
-def _hecke(R, q, qinv, one, x=None):
-    """(PR - q)(PR + q^-1)."""
-    m = Tensor2.perm(R.n, one).mul(R)
-    ident = Tensor2.identity(R.n, one)
-    factors = (m - ident.scale(q), m + ident.scale(qinv))
-    parts = tuple(_product(x, (f, None)) for f in factors)
-    return _product(x, (factors[0], None), (factors[1], None)), parts
+def _slot_inputs(identity, t):
+    """The tensor each slot of the identity's row takes at (u, v): the
+    input t, except Hecke's two slots, which take M = P t and
+    N = (q - q^-1) M + 1 with q = X1^n, each built once per call."""
+    if identity != "hecke":
+        return [t] * len(IDENTITIES[identity][0])
+    m = Tensor2.perm(t.n).mul(t)
+    return [m, m.scale(X1 ** t.n - X1 ** -t.n) + Tensor2.identity(t.n)]
 
 
 def _slot_weights(factors, labels, terms):
@@ -312,7 +315,8 @@ def _residual(identity, t, memo=None):
     two_factor = all(len(term) == 3 for term in terms)
     if two_factor and _catalogue_zero(t, labels, terms, project, memo):
         return Tensor3(t.n)
-    slots = [t if label == "u,v" else t.substitute(SLOTS[label]) for label in labels]
+    slots = [s if label == "u,v" else s.substitute(SLOTS[label])
+             for s, label in zip(_slot_inputs(identity, t), labels)]
     return _formula(terms, slots)[0].project_traceless(project)
 
 
@@ -352,9 +356,8 @@ def qybe_spectral_residual(R):
 
 
 def hecke_residual(R):
-    """(PR - q)(PR + q^-1) with q = X1^n."""
-    n = R.n
-    return _hecke(R.map_scalars(rf), rf(1) * X1**n, rf(1) * X1**-n, Fraction(1))[0]
+    """(PR - q)(PR + q^-1) with q = X1^n, expanded (_residual)."""
+    return _residual("hecke", R)
 
 
 def aybe_residual(r, memo=None):
@@ -495,34 +498,30 @@ def _input_key(identity):
 
 def _sample_legs(identity):
     """The legs of the identity's sample vector: 3 when a factor of its
-    row sits on legs 12, 13 or 23, else 2 (Hecke has no row)."""
-    terms = IDENTITIES[identity][1] if identity in IDENTITIES else ()
+    row sits on legs 12, 13 or 23, else 2."""
+    terms = IDENTITIES[identity][1]
     return 3 if any(legs in (12, 13, 23) for _, *factors in terms for _, legs in factors) else 2
 
 
-def _numeric_tensors(identity, t, n, point, x):
+def _numeric_tensors(identity, compiled, n, point, x):
     """The identity's residual at one sample point, applied to the vector x.
 
-    t is the identity's input compiled (Tensor2.float_form), evaluated
-    once per distinct slot.  Returns (residual, scale), the residual as a
-    column (Tensor.column): scale is the largest entry magnitude of the
-    formula's parts applied to x.  The products share one dict of the
-    factors applied to x (tensors.apply_product).
+    compiled holds each slot's tensor (_slot_inputs) compiled, evaluated
+    once per distinct tensor and slot.  Returns (residual, scale), the
+    residual as a column (Tensor.column): scale is the largest entry
+    magnitude of the formula's parts applied to x.  The products share one
+    dict of the factors applied to x (tensors.apply_product).
     """
     _input_key(identity)  # ValueError for an identity numeric mode lacks
-    u, up, v, vp = point
-    if identity == "hecke":
-        q = cmath.exp(u / 2)  # q = X1^n at the sample point
-        R = t.at(log_point(u, up, v, vp, n)).tensor()
-        residual, parts = _hecke(R, q, 1 / q, 1.0 + 0j, x=(x, {}))
-    else:
-        labels, terms, _ = IDENTITIES[identity]
-        evaluated = {}
-        for label in labels:
-            if label not in evaluated:
-                uu, vv = _slot_arguments(SLOTS[label], point)
-                evaluated[label] = t.at(log_point(uu, up, vv, vp, n))
-        residual, parts = _formula(terms, [evaluated[label] for label in labels], (x, {}))
+    labels, terms, _ = IDENTITIES[identity]
+    _, up, _, vp = point
+    evaluated = {}
+    for t, label in zip(compiled, labels):
+        if (id(t), label) not in evaluated:
+            uu, vv = _slot_arguments(SLOTS[label], point)
+            evaluated[id(t), label] = t.at(log_point(uu, up, vv, vp, n))
+    slots = [evaluated[id(t), label] for t, label in zip(compiled, labels)]
+    residual, parts = _formula(terms, slots, (x, {}))
     column = Tensor3.column if _sample_legs(identity) == 3 else Tensor2.column
     return column(n, residual), max_magnitude(parts)
 
@@ -538,16 +537,19 @@ def numeric_residual(identity, tensors, n, samples, tolerance, seed, provenance=
     _numeric_tensors; the check passes iff every sample does, and reports
     the largest entry over all samples.  Sample points whose spectral
     denominators come within GUARD_DISTANCE of a zero are rejected and
-    counted.  The input is compiled once (Tensor2.float_form).  memo, if
-    given, is the dict the caller keeps for one run of checks: it holds the
-    draws per (seed, samples, vector size), shared, not copied.  Raises
-    ValueError unless samples >= 1 and tolerance is finite and above 0.
+    counted.  Each distinct slot tensor (_slot_inputs) is compiled once
+    (Tensor2.float_form).  memo, if given, is the dict the caller keeps for
+    one run of checks: it holds the draws per (seed, samples, vector size),
+    shared, not copied.  Raises ValueError unless samples >= 1 and
+    tolerance is finite and above 0.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
     if not 0 < tolerance < cmath.inf:
         raise ValueError(f"tolerance must be a finite number above 0, got {tolerance!r}")
-    compiled = tensors[_input_key(identity)].float_form()
+    inputs = _slot_inputs(identity, tensors[_input_key(identity)])
+    forms = {id(t): t.float_form() for t in inputs}
+    compiled = [forms[id(t)] for t in inputs]
     memo = {} if memo is None else memo
     size = n ** _sample_legs(identity)
     key = ("numeric draws", seed, samples, size)

@@ -345,8 +345,8 @@ def dense_apply(coeffs, x, n, legs):
 
 
 def per_entry_apply(t, x, legs=None):
-    """Reference route for Tensor2.apply: the entry-by-entry loop the lane
-    kernel replaced, kept to check it against bit for bit.
+    """Reference route for CompiledTensor2.apply: the entry-by-entry loop
+    the lane kernel replaced, kept to check it against bit for bit.
 
     For each entry in dict order, its product is added into every entry of
     the result it reaches, one index of the free leg after another; legs 21
@@ -371,3 +371,10 @@ def per_entry_apply(t, x, legs=None):
         for f in free:
             y[row + f] += c * x[col + f]
     return y
+
+
+def compiled_entries(t, compiled):
+    """The entries of a Tensor2's compiled form (Tensor2.float_form), after
+    CompiledTensor2.at, as {index: value} in t's dict order: the form has
+    one row per entry of t, in that order."""
+    return {key: compiled.scalars[s] for key, (_, _, s) in zip(t.coeffs, compiled.rows)}

@@ -69,6 +69,18 @@ def test_build_cg_with_its_own_perm_keeps_the_cg_selector(capsys):
     assert run_cli(capsys, *argv, "--perm", "2,3,1") == (code, doc)
 
 
+def test_build_of_a_triple_with_one_structure_names_it_unique(capsys):
+    """With no --perm and no --cg, the one compatible permutation is built
+    and labelled as the unique one; naming it with --perm builds the same."""
+    argv = ("build", "--n", "2", "--trivial", "--target", "ggs")
+    code, doc = run_cli(capsys, *argv)
+    assert code == 0 and doc["provenance"]["selector"] == "unique permutation"
+    assert doc["provenance"]["tilde_t"] == [2, 1]
+    again, explicit = run_cli(capsys, *argv, "--perm", "2,1")
+    assert again == 0 and explicit["provenance"]["selector"] == "explicit permutation"
+    assert tensor2_from_json(explicit) == tensor2_from_json(doc)
+
+
 def test_build_ruv_has_unit_pole(capsys):
     code, doc = run_cli(
         capsys, "build", "--n", "3", "--cg", "1", "--target", "ruv"

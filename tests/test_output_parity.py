@@ -112,13 +112,13 @@ GOLDEN = {
     # every numeric suite at n = 4; these digests also pin this platform's
     # libm (cmath.exp and complex division)
     "verify --n 8 --mode numeric --suite aybe,unitarity,qybe,hecke,cybe --samples 20 --seed 0": (
-        0, "e60526845384a2cd7fa10acd7f6f9a5c5d36a1266261320e3d43ded65db6ec12"
+        0, "42ce0c15f55e37e3fc16973fdbf41664bca4763992a3dd01ce4c287b3761a339"
     ),
     "verify --n 8 --mode numeric --suite aybe,unitarity,qybe,hecke,cybe --samples 20 --seed 1": (
-        0, "940f1831c9b9c0bc44eba5cbb611ba033b9a080c6f938daeeec1d971113bac96"
+        0, "8662cff2c658021b506d9cc4779377f73cc86e8f0d89aceaf96cc34bce7d845a"
     ),
     "verify --n 4 --mode numeric --suite all --samples 5 --seed 7": (
-        0, "6218b015427c979250a5b2f5293b161ea168bfa64e98e3fcfa809dffb3043344"
+        0, "2fc7b0e4c8aa7a22d2feadc53a59bf34cedff5195eb9ddd50d80e88834075b37"
     ),
 }
 

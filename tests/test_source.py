@@ -74,6 +74,51 @@ def test_cli_import_leaves_out_the_introspection_modules():
     assert out.strip() == "[]"
 
 
+# Imported names a package module keeps without using them, and why.
+UNUSED_IMPORTS_ALLOWED = {
+    # perfbench's alias test rebinds verify.build_r_ts; ROADMAP item 1 points
+    # that test at an alias the package uses, and then this import can go
+    ("verify", "build_r_ts"),
+}
+
+
+def _unused_imports(module, tree):
+    """(module, name) of each name that tree imports and never loads.
+
+    An import binds its alias, or a dotted module's first part; a load is
+    a plain name read, also as the base of an attribute.  __future__
+    imports bind no name.
+    """
+    imported = [
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(module, name) for name in dict.fromkeys(imported) if name not in loaded]
+
+
+def test_unused_imports_rule_flags_dead_imports():
+    tree = ast.parse(
+        "from __future__ import annotations\nimport os.path\nimport json as j\n"
+        "from .a import used, dead\nfrom . import b as c\n\n"
+        "def f():\n    import sys\n    return os.sep, used(c.x)\n"
+    )
+    assert _unused_imports("m", tree) == [("m", "j"), ("m", "dead"), ("m", "sys")]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py is left out: its imports are the package's public names
+    unused = [
+        pair for path in MODULES if path.name != "__init__.py"
+        for pair in _unused_imports(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert set(unused) == UNUSED_IMPORTS_ALLOWED
+
+
 # Public names kept with no caller in the package, and why.
 UNCALLED_ALLOWED = {
     # both wait to be wired into verify suites (ROADMAP open item 4)

@@ -35,7 +35,8 @@ from yangbaxter.triples import (
 )
 
 from conftest import (
-    cg_structure, embed, per_entry_apply, perm_diag, trivial_structures, weight_zero_ok,
+    cg_structure, compiled_entries, embed, per_entry_apply, perm_diag, trivial_structures,
+    weight_zero_ok,
 )
 
 
@@ -50,12 +51,16 @@ def test_identity_table_rows():
     # a row added later needs its own case in the tests below
     assert list(verify.IDENTITIES) == [
         "cybe", "cybe_spectral", "obstruction", "aybe", "qybe", "qybe_spectral",
-        "unitarity_classical", "unitarity_assoc",
+        "unitarity_classical", "unitarity_assoc", "hecke",
     ]
 
 
+def test_every_numeric_identity_has_a_row():
+    assert set(verify.NUMERIC_IDENTITIES) <= set(verify.IDENTITIES)
+
+
 # the legs a factor may take: the placements of tensors._PRODUCTS, which
-# Tensor2.apply takes too, and 21 for a tensor with its legs swapped
+# CompiledTensor2.apply takes too, and 21 for a tensor with its legs swapped
 FACTOR_LEGS = {21} | {
     legs for _, placement in tensors._PRODUCTS
     for legs in (placement if isinstance(placement, tuple) else (placement,))
@@ -103,6 +108,16 @@ def _flipped(t):
     return Tensor2(t.n, {(k, l, i, j): v for (i, j, k, l), v in t.coeffs.items()})
 
 
+def _hecke_factored(R):
+    """(PR - q)(PR + q^-1) with q = X1^n, formed as the product of its two
+    factors over RatFunc entries: a route to the Hecke residual apart from
+    its row, which expands it."""
+    m = Tensor2.perm(R.n).mul(R.map_scalars(rf))
+    one = Tensor2.identity(R.n)
+    q = rf(1) * X1 ** R.n
+    return (m - one.scale(q)).mul(m + one.scale(q ** -1))
+
+
 # each row of verify.IDENTITIES written out over embedded products
 BY_HAND = {
     "cybe": lambda t: _commutators(embed(t, 12), embed(t, 13), embed(t, 23)),
@@ -128,6 +143,7 @@ BY_HAND = {
     ),
     "unitarity_classical": lambda t: t + _flipped(_at(t, 1, 0, -1, 0)),
     "unitarity_assoc": lambda t: t + _flipped(_at(t, -1, 0, -1, 0)),
+    "hecke": _hecke_factored,
 }
 
 
@@ -148,6 +164,7 @@ def _table_input(identity):
         "qybe_spectral": lambda: baxterize(build_R_ggs_assoc(st, s0)),
         "unitarity_classical": lambda: hat_r(r_ts),
         "unitarity_assoc": lambda: build_r_uv(st, s0, formula="quantum"),
+        "hecke": lambda: build_R_ggs_assoc(st, s0),
     }[identity]()
 
 
@@ -413,6 +430,29 @@ def test_hecke_degenerate_failure():
     res = verify.hecke_residual(Tensor2.perm(2).map_scalars(rf))
     assert not res.is_zero()
     assert res.lex_witness() is not None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_hecke_row_keeps_the_verdicts_and_witnesses_of_the_factored_form(n):
+    """The Hecke row, (PR)^2 - ((q - q^-1) PR + 1), gives the verdict and
+    the witness (index and printed value) of (PR - q)(PR + q^-1) formed
+    as factors: on R_assoc of every structure, which passes, and on it
+    with 1 added to its least coefficient, which fails; and on the
+    general GGS matrix of every triple at its particular s, whatever its
+    verdict."""
+    from yangbaxter.builders import build_R_ggs_assoc
+
+    inputs = []
+    for t in enumerate_triples(n):
+        inputs.append((build_R_ggs_general(t, solve_s_system(t)[0]), None))
+        for st in compatible_permutations(t):
+            R = build_R_ggs_assoc(st, s0_from_structure(st))
+            inputs += [(R, True), (_perturbed(R), False)]
+    for R, passes in inputs:
+        got, want = verify.hecke_residual(R), _hecke_factored(R)
+        assert got.is_zero() == want.is_zero()
+        assert passes is None or got.is_zero() == passes
+        assert verify._witness(got) == verify._witness(want)
 
 
 # --- AYBE ------------------------------------------------------------------
@@ -893,6 +933,21 @@ def test_numeric_hecke_and_unitarity():
     assert verify.numeric_residual("unitarity_assoc", {"r": r}, 4, 3, 1e-9, 2).passed
 
 
+def _compiled(identity, t):
+    """The tensor of each slot of the identity's row (verify._slot_inputs)
+    compiled, each distinct one once, as verify.numeric_residual does."""
+    inputs = verify._slot_inputs(identity, t)
+    forms = {id(s): s.float_form() for s in inputs}
+    return [forms[id(s)] for s in inputs]
+
+
+def _evaluated(t, logs):
+    """t with each entry evaluated on its own at logs, from its float form."""
+    return t.map_scalars(
+        lambda c: c.float_form().evaluate(logs) if hasattr(c, "float_form") else complex(c)
+    )
+
+
 def _sample_vector(n, legs, seed=4):
     rng = random.Random(seed)
     return [cmath.rect(1.0, 2 * cmath.pi * rng.random()) for _ in range(n ** legs)]
@@ -916,7 +971,7 @@ def test_numeric_engine_matches_dense_oracle():
         q_minus_qinv(2).inverse()
     ) + Tensor2(2, {(1, 2, 1, 2): rf(1) * X1})  # deliberately broken
     for r in (good, naive):
-        residual, _ = verify._numeric_tensors("aybe", r.float_form(), 2, point, x)
+        residual, _ = verify._numeric_tensors("aybe", _compiled("aybe", r), 2, point, x)
         sketched = _rows(residual)
         dense = dense_apply(dense_numeric_aybe(r, 2, point), x, 2, 3)
         for key in set(sketched) | set(dense):
@@ -924,8 +979,8 @@ def test_numeric_engine_matches_dense_oracle():
             rhs = dense.get(key, 0j)
             assert abs(lhs - rhs) < 1e-12, (key, lhs, rhs)
     # and the broken matrix really does fail while the good one passes
-    res_good, _ = verify._numeric_tensors("aybe", good.float_form(), 2, point, x)
-    res_bad, _ = verify._numeric_tensors("aybe", naive.float_form(), 2, point, x)
+    res_good, _ = verify._numeric_tensors("aybe", _compiled("aybe", good), 2, point, x)
+    res_bad, _ = verify._numeric_tensors("aybe", _compiled("aybe", naive), 2, point, x)
     assert res_good.max_abs() < 1e-12
     assert res_bad.max_abs() > 1e-3
 
@@ -960,7 +1015,7 @@ def test_numeric_formulas_match_symbolic():
         "aybe": ({"r": r_uv}, verify.aybe_residual),
         "unitarity_assoc": ({"r": r_uv}, unitarity),
         "qybe": ({"R": R}, verify.qybe_residual),
-        "hecke": ({"R": R}, verify.hecke_residual),
+        "hecke": ({"R": R}, _hecke_factored),
         "qybe_spectral": ({"R": RB}, verify.qybe_spectral_residual),
         "cybe_spectral": ({"r": r_v}, verify.cybe_spectral_residual),
     }
@@ -970,7 +1025,7 @@ def test_numeric_formulas_match_symbolic():
         legs = verify._sample_legs(identity)
         x = _sample_vector(n, legs)
         (t,) = tensors.values()
-        numeric, _ = verify._numeric_tensors(identity, t.float_form(), n, point, x)
+        numeric, _ = verify._numeric_tensors(identity, _compiled(identity, t), n, point, x)
         assert numeric.max_abs() > 1e-3, identity
         exact = symbolic(t).map_scalars(
             lambda c: c.evaluate(logs) if hasattr(c, "evaluate") else complex(c)
@@ -982,7 +1037,7 @@ def test_numeric_formulas_match_symbolic():
             rhs = applied.get(key, 0j)
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs)), (identity, key, lhs, rhs)
     with pytest.raises(ValueError):
-        verify._numeric_tensors("cybe", r_v.float_form(), n, point, _sample_vector(n, 3))
+        verify._numeric_tensors("cybe", _compiled("cybe", r_v), n, point, _sample_vector(n, 3))
 
 
 def test_numeric_scale_is_per_sample(monkeypatch):
@@ -995,6 +1050,21 @@ def test_numeric_scale_is_per_sample(monkeypatch):
     rep = verify.numeric_residual("aybe", {"r": Tensor2(1)}, 1, 2, 1e-9, 0)
     assert rep.result == "fail"
     assert rep.max_abs_residual == 1e-6
+
+
+def test_numeric_hecke_fails_on_perturbed_cg_inputs():
+    """At n = 8, numeric Hecke passes on R_assoc of every Cremmer-Gervais
+    structure, and fails once one entry is raised by 1: the least one, an
+    entry off the diagonal pairs, or a key R does not have."""
+    from yangbaxter.builders import build_R_ggs_assoc
+
+    for _, (st,) in cli._listing(8, 6)[1:]:
+        R = build_R_ggs_assoc(st, s0_from_structure(st))
+        assert verify.numeric_residual("hecke", {"R": R}, 8, 2, 1e-9, 3).passed
+        off = next(k for k in R.coeffs if k[0] != k[1])
+        for key in (min(R.coeffs), off, (1, 2, 1, 2)):
+            bad = verify.numeric_residual("hecke", {"R": _plus_one_at(R, key)}, 8, 2, 1e-9, 3)
+            assert bad.result == "fail" and bad.max_abs_residual > 1e-3, key
 
 
 @pytest.mark.parametrize("suite, identity, matrix", [
@@ -1079,9 +1149,9 @@ def test_float_form_evaluates_to_the_same_bits_on_cg8_inputs():
         floats = tensor.float_form()
         for point in points:
             logs = log_point(*point, 8)
-            got = floats.at(logs).tensor().coeffs
+            got = compiled_entries(tensor, floats.at(logs))
             want = {k: _reference_evaluate(v, logs) for k, v in tensor.coeffs.items()}
-            assert got.keys() == {k for k, v in want.items() if v}
+            assert got.keys() == want.keys()
             for key, value in got.items():
                 bits = (value.real.hex(), value.imag.hex())
                 assert bits == (want[key].real.hex(), want[key].imag.hex()), key
@@ -1158,7 +1228,7 @@ def test_numeric_products_apply_each_shared_factor_once(monkeypatch):
     for identity, t in _cg4_numeric_inputs().items():
         key, legs = verify.NUMERIC_IDENTITIES[identity], verify._sample_legs(identity)
         calls.clear()
-        verify._numeric_tensors(identity, t.float_form(), 4, point, _sample_vector(4, legs))
+        verify._numeric_tensors(identity, _compiled(identity, t), 4, point, _sample_vector(4, legs))
         assert len(calls) == expected[identity], identity
 
 
@@ -1179,11 +1249,12 @@ def test_every_slot_means_the_same_in_both_modes(n):
         for label, slot in verify.SLOTS.items():
             uu, vv = verify._slot_arguments(slot, point)
             for t in inputs:
-                symbolic = t.substitute(slot).float_form().at(log_point(*point, n)).tensor()
-                numeric = t.float_form().at(log_point(uu, up, vv, vp, n)).tensor()
-                assert symbolic.coeffs.keys() == numeric.coeffs.keys(), label
-                for k, value in numeric.coeffs.items():
-                    assert cmath.isclose(symbolic.coeffs[k], value, rel_tol=1e-12), (label, k)
+                at_slot = t.substitute(slot)
+                symbolic = compiled_entries(at_slot, at_slot.float_form().at(log_point(*point, n)))
+                numeric = compiled_entries(t, t.float_form().at(log_point(uu, up, vv, vp, n)))
+                assert symbolic.keys() == numeric.keys(), label
+                for k, value in numeric.items():
+                    assert cmath.isclose(symbolic[k], value, rel_tol=1e-12), (label, k)
     assert len(verify.SLOTS) == 9
 
 
@@ -1204,44 +1275,38 @@ GROUPED_SUMS = {
     "qybe": lambda p: p[0] - p[1],
     "qybe_spectral": lambda p: p[0] - p[1],
     "unitarity_assoc": lambda p: p[0] + p[1],
+    "hecke": lambda p: p[0] - p[1],
 }
 
 
-def test_numeric_sharing_keeps_the_bits_of_the_unshared_route(monkeypatch):
+def test_numeric_sharing_keeps_the_bits_of_the_unshared_route():
     """The residual column and the scale equal, bit for bit, the route
     that evaluates every entry's scalar on its own, applies every factor
     of every product anew and sums the products as written out."""
     from yangbaxter.scalars import log_point
 
     point = (0.31 + 0.52j, -0.44 + 0.27j, 0.62 - 0.35j, -0.53 + 0.41j)
-    u, up, v, vp = point
+    _, up, _, vp = point
 
     def bits(z):
         return z.real.hex(), z.imag.hex()
 
     for identity, t in _cg4_numeric_inputs().items():
         x = _sample_vector(4, verify._sample_legs(identity))
-        residual, scale = verify._numeric_tensors(identity, t.float_form(), 4, point, x)
-        labels, terms, _ = verify.IDENTITIES.get(identity, (("u,v",), None, None))
+        residual, scale = verify._numeric_tensors(identity, _compiled(identity, t), 4, point, x)
+        labels, terms, _ = verify.IDENTITIES[identity]
         slots = []
-        for label in labels:
+        for s, label in zip(verify._slot_inputs(identity, t), labels):
             uu, vv = verify._slot_arguments(verify.SLOTS[label], point)
-            logs = log_point(uu, up, vv, vp, 4)
-            slots.append(t.map_scalars(lambda c: c.float_form().evaluate(logs)))
-        if identity == "hecke":
-            q = cmath.exp(u / 2)
-            with monkeypatch.context() as patched:
-                patched.setattr(verify, "apply_product", _applied_afresh)
-                want, parts = verify._hecke(slots[0], q, 1 / q, 1.0 + 0j, x=(x, None))
-        else:
-            parts = [
-                _applied_afresh(x, [
-                    (slots[i].flip21(), None) if legs == 21 else (slots[i], legs)
-                    for i, legs in factors
-                ], None)
-                for _, *factors in terms
-            ]
-            want = GROUPED_SUMS[identity](parts)
+            slots.append(_evaluated(s, log_point(uu, up, vv, vp, 4)))
+        parts = [
+            _applied_afresh(x, [
+                (slots[i].flip21(), None) if legs == 21 else (slots[i], legs)
+                for i, legs in factors
+            ], None)
+            for _, *factors in terms
+        ]
+        want = GROUPED_SUMS[identity](parts)
         want_scale = max(part.max_abs() for part in parts)
         assert residual.coeffs.keys() == want.coeffs.keys(), identity
         for k, value in residual.coeffs.items():
@@ -1257,22 +1322,12 @@ def _reference_residual(identity, t, n, point, x):
     one first, and the products summed by tensors.signed_sum."""
     from yangbaxter.scalars import log_point
 
-    u, up, v, vp = point
-
-    def evaluated(label):
-        uu, vv = verify._slot_arguments(verify.SLOTS[label], point)
-        logs = log_point(uu, up, vv, vp, n)
-        return t.map_scalars(
-            lambda c: c.float_form().evaluate(logs) if hasattr(c, "float_form") else complex(c)
-        )
-
-    if identity == "hecke":
-        q, one = cmath.exp(u / 2), 1.0 + 0j
-        m = Tensor2.perm(n, one).mul(evaluated("u,v"))
-        ident = Tensor2.identity(n, one)
-        return per_entry_apply(m - ident.scale(q), per_entry_apply(m + ident.scale(1 / q), x))
+    _, up, _, vp = point
     labels, terms, _ = verify.IDENTITIES[identity]
-    slots = [evaluated(label) for label in labels]
+    slots = []
+    for s, label in zip(verify._slot_inputs(identity, t), labels):
+        uu, vv = verify._slot_arguments(verify.SLOTS[label], point)
+        slots.append(_evaluated(s, log_point(uu, up, vv, vp, n)))
     parts = []
     for _, *factors in terms:
         y = x
@@ -1319,7 +1374,7 @@ def test_compiled_route_keeps_the_bits_of_the_per_entry_route(n, monkeypatch):
         point, _ = verify._clear_point(rng)
         x = tensors.unit_vector(rng, n ** verify._sample_legs(identity))
         lists.clear()
-        verify._numeric_tensors(identity, t.float_form(), n, point, x)
+        verify._numeric_tensors(identity, _compiled(identity, t), n, point, x)
         (got,) = lists
         assert bits(got) == bits(_reference_residual(identity, t, n, point, x)), identity
 
