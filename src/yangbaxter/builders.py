@@ -231,9 +231,8 @@ def build_r_uv(a, s=None, formula="both"):
     Raises ValueError when s - s0 is not an admissible coboundary.
     """
     n = a.n
-    s0 = s0_from_structure(a)
     if s is None:
-        s = s0
+        s = s0_from_structure(a)
     phi = phi_from_s(a, s)
     p_term = Tensor2.perm(n).scale(f_v())
 

@@ -137,6 +137,8 @@ def _sparse_tensor(nlegs):
     Tensor3 are separate classes, each with its own methods.
     """
 
+    column_keys = {}
+
     class Tensor:
         __slots__ = ("n", "coeffs")
 
@@ -157,9 +159,10 @@ def _sparse_tensor(nlegs):
             values is flat in row-major index order; entry (i, k, ...)
             becomes the coefficient of e_i1 (x) e_k1 (x) ....  So for T of
             numbers, T.mul(column(n, x)) equals column(n, T.float_form().apply(x)).
-            """
-            keys = product(*((range(1, n + 1), (1,)) * nlegs))
-            return _adopt(cls, n, dict(zip(keys, values)))
+            The index keys are made once per n."""
+            if n not in column_keys:
+                column_keys[n] = tuple(product(*((range(1, n + 1), (1,)) * nlegs)))
+            return _adopt(cls, n, dict(zip(column_keys[n], values)))
 
         def is_zero(self):
             return not self.coeffs
@@ -233,15 +236,18 @@ def _sparse_tensor(nlegs):
                 in float form (LaurentPoly.float_form), a number as complex.
                 Entries whose scalars have the same terms in the same order
                 share one; equal scalars with their terms in another order
-                are kept apart, since they may round differently."""
-                n, shared, forms, rows = self.n, {}, [], []
+                are kept apart, since they may round differently.  Rows are
+                split as CompiledTensor2 keeps them."""
+                n, shared, forms, firsts, rest = self.n, {}, [], {}, []
                 for (i, j, k, l), v in self.coeffs.items():
                     s = shared.setdefault(_terms_key(v) or (i, j, k, l), len(forms))
                     if s == len(forms):
                         exact = isinstance(v, (LaurentPoly, RatFunc))
                         forms.append(v.float_form() if exact else complex(v))
-                    rows.append(((i - 1) * n + k - 1, (j - 1) * n + l - 1, s))
-                return CompiledTensor2(n, rows, forms)
+                    row = (i - 1) * n + k - 1, (j - 1) * n + l - 1, s
+                    if firsts.setdefault(row[0], row) is not row:
+                        rest.append(row)
+                return CompiledTensor2(n, list(firsts.values()), rest, forms)
 
         def project_traceless(self, legs):
             """Apply M -> M - (tr M / n) 1 on each selected leg (1, 2, ...).
@@ -411,15 +417,16 @@ def _lane_plan(n, legs):
 
 class CompiledTensor2:
     """A Tensor2 compiled for application to many vectors: one row (r, c, s)
-    per entry e_ij (x) e_kl in dict order, with the lane-local row r =
-    (i-1)n + (k-1) and column c = (j-1)n + (l-1), the same on every legs,
-    and s the index of its scalar in scalars.  lanes holds apply's plans,
-    made on first use and shared with the copies at() makes."""
+    per entry e_ij (x) e_kl, with the lane-local row r = (i-1)n + (k-1) and
+    column c = (j-1)n + (l-1), the same on every legs, and s the index of
+    its scalar in scalars; firsts holds each r's first entry, rest the
+    others, both in dict order.  lanes holds apply's plans, made on first
+    use; the copies at() makes share it and the rows."""
 
-    __slots__ = ("n", "rows", "scalars", "lanes")
+    __slots__ = ("n", "firsts", "rest", "scalars", "lanes")
 
-    def __init__(self, n, rows, scalars, lanes=None):
-        self.n, self.rows, self.scalars = n, rows, scalars
+    def __init__(self, n, firsts, rest, scalars, lanes=None):
+        self.n, self.firsts, self.rest, self.scalars = n, firsts, rest, scalars
         self.lanes = {} if lanes is None else lanes
 
     def at(self, logs):
@@ -427,7 +434,7 @@ class CompiledTensor2:
         sharing one table of monomial values (LaurentPoly.evaluate)."""
         powers = {}
         values = [v if type(v) is complex else v.evaluate(logs, powers) for v in self.scalars]
-        return CompiledTensor2(self.n, self.rows, values, self.lanes)
+        return CompiledTensor2(self.n, self.firsts, self.rest, values, self.lanes)
 
     def apply(self, x, legs=None):
         """self x as a new list, for x a flat list in row-major index order
@@ -435,21 +442,24 @@ class CompiledTensor2:
         acts on the named legs: embed(self, legs) x (the oracle in
         tests/conftest.py), with no embedding built; legs 21 swaps self's
         legs.  Lane by lane: a lane is x at one index of the free leg (x
-        itself on V (x) V), and each row adds its product into its lane's
-        output, so every entry sums the same products in the same order as
-        entry by entry, from int 0."""
+        itself on V (x) V); each output row is its first product, then each
+        other row adds its product in, so every entry sums the same products
+        in the same order as entry by entry from int 0, and can differ only
+        in the sign of an exact zero.  An output row with no entry is int 0."""
         plan = self.lanes.get(legs)
         if plan is None:
             plan = self.lanes[legs] = _lane_plan(self.n, legs)
         size, gathers, scatter = plan
         if len(x) != size:
             raise ValueError(f"vector of length {len(x)}, expected {size}")
-        rows, values, m = self.rows, self.scalars, self.n * self.n
+        firsts, rest, values, m = self.firsts, self.rest, self.scalars, self.n * self.n
         y = []
         for gather in gathers:
             xf = gather(x)
             yf = [0] * m
-            for r, c, s in rows:
+            for r, c, s in firsts:
+                yf[r] = values[s] * xf[c]
+            for r, c, s in rest:
                 yf[r] += values[s] * xf[c]
             y += yf
         return y if scatter is None else list(scatter(y))

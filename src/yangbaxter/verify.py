@@ -11,8 +11,10 @@ mode compiles each slot's tensor once per check and applies the residual
 at seeded random complex sample points to a seeded random vector with
 entries of modulus 1 (Freivalds' check): each product is applied to the
 vector as a flat list, and only the lists' sum becomes a column, whose
-largest entry is reported.  Verifiers never mutate their inputs; failure
-reports carry the lexicographically least nonzero coefficient as a witness.
+largest entry is reported; the sample's scale, the products' largest
+entry, is computed only when the residual's is not below the tolerance.
+Verifiers never mutate their inputs; failure reports carry the
+lexicographically least nonzero coefficient as a witness.
 """
 
 from __future__ import annotations
@@ -507,10 +509,11 @@ def _numeric_tensors(identity, compiled, n, point, x):
     """The identity's residual at one sample point, applied to the vector x.
 
     compiled holds each slot's tensor (_slot_inputs) compiled, evaluated
-    once per distinct tensor and slot.  Returns (residual, scale), the
-    residual as a column (Tensor.column): scale is the largest entry
-    magnitude of the formula's parts applied to x.  The products share one
-    dict of the factors applied to x (tensors.apply_product).
+    once per distinct tensor and slot.  Returns (residual, parts), the
+    residual as a column (Tensor.column), and the formula's products
+    applied to x as flat lists, whose max_magnitude is the sample's scale.
+    The products share one dict of the factors applied to x
+    (tensors.apply_product).
     """
     _input_key(identity)  # ValueError for an identity numeric mode lacks
     labels, terms, _ = IDENTITIES[identity]
@@ -523,7 +526,7 @@ def _numeric_tensors(identity, compiled, n, point, x):
     slots = [evaluated[id(t), label] for t, label in zip(compiled, labels)]
     residual, parts = _formula(terms, slots, (x, {}))
     column = Tensor3.column if _sample_legs(identity) == 3 else Tensor2.column
-    return column(n, residual), max_magnitude(parts)
+    return column(n, residual), parts
 
 
 def numeric_residual(identity, tensors, n, samples, tolerance, seed, provenance=None,
@@ -533,9 +536,10 @@ def numeric_residual(identity, tensors, n, samples, tolerance, seed, provenance=
     Each sample draws a point (u, u', v, v') and then a vector x of
     entries exp(2 pi i theta), from one random.Random(seed), and applies
     the residual at that point to x.  A sample passes iff
-    max |residual x| < tolerance * max(1, scale), with the scale from
-    _numeric_tensors; the check passes iff every sample does, and reports
-    the largest entry over all samples.  Sample points whose spectral
+    max |residual x| < tolerance * max(1, scale), the scale from
+    _numeric_tensors computed only for a residual not below tolerance, as
+    one below passes at any scale; the check passes iff every sample
+    does, and reports the largest entry over all samples.  Sample points whose spectral
     denominators come within GUARD_DISTANCE of a zero are rejected and
     counted.  Each distinct slot tensor (_slot_inputs) is compiled once
     (Tensor2.float_form).  memo, if given, is the dict the caller keeps for
@@ -559,10 +563,10 @@ def numeric_residual(identity, tensors, n, samples, tolerance, seed, provenance=
     worst, resamples, ok = 0.0, 0, True
     for point, rejected, x in memo[key]:
         resamples += rejected
-        residual, scale = _numeric_tensors(identity, compiled, n, point, x)
+        residual, parts = _numeric_tensors(identity, compiled, n, point, x)
         err = residual.max_abs()
         worst = max(worst, err)
-        ok = ok and err < tolerance * max(1.0, scale)
+        ok = ok and (err < tolerance or err < tolerance * max(1.0, max_magnitude(parts)))
     return VerifyReport(
         identity, "numeric", "pass" if ok else "fail", samples=samples, resamples=resamples,
         tolerance=tolerance, max_abs_residual=worst, provenance=provenance,

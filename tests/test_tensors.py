@@ -236,6 +236,32 @@ def test_lane_kernel_keeps_the_bits_of_the_per_entry_loop(rng, legs, n):
         assert _bits(x) == before
 
 
+@pytest.mark.parametrize("legs", [None, 12, 13, 23, 21])
+def test_lane_kernel_differs_from_the_per_entry_loop_only_in_zero_signs(legs):
+    """Each output row starts from its first product, not from int 0, so a
+    product with a -0.0 part keeps it where the per-entry loop's 0 + p
+    makes it +0.0.  The values are still equal under == and in magnitude,
+    to the bit, and an output row with no entry stays int 0."""
+    n = 3
+    # the first output row of each lane has two entries, the second one,
+    # the others none
+    t = Tensor2(n, {
+        (1, 1, 1, 1): complex(-1.0, -0.0), (1, 2, 2, 1): complex(0.5, 0.25),
+        (1, 3, 1, 2): complex(-2.0, -0.0),
+    })
+    size = n ** (2 if legs in (None, 21) else 3)
+    x = [complex(1.0 + k % 3, 0.0) for k in range(size)]
+    got = t.float_form().apply(x, legs)
+    want = per_entry_apply(t, x, legs)
+    assert got == want
+    assert [float(abs(z)).hex() for z in got] == [float(abs(z)).hex() for z in want]
+    types = [type(z) for z in got]
+    assert types == [type(z) for z in want] and int in types
+    # the case this test exists for: a -0.0 kept by the kernel only
+    signs = [(z.imag.hex(), w.imag.hex()) for z, w in zip(got, want) if type(z) is complex]
+    assert ("-0x0.0p+0", "0x0.0p+0") in signs
+
+
 def test_column_and_apply_examples():
     assert Tensor2.column(2, [5, 0, 0, 7]).coeffs == {(1, 1, 1, 1): 5, (2, 1, 2, 1): 7}
     # e_12 (x) 1 on legs 2, 3 of V (x) V (x) V moves entry (i, 2, m) to (i, 1, m)
@@ -339,7 +365,7 @@ def test_float_form_shares_scalars_with_the_same_ordered_terms():
     })
     assert list(t.coeffs[(1, 1, 1, 1)].num.terms) != list(t.coeffs[(2, 2, 1, 1)].num.terms)
     compiled = t.float_form()
-    floats = {k: compiled.scalars[s] for k, (_, _, s) in zip(t.coeffs, compiled.rows)}
+    floats = compiled_entries(t, compiled)
     assert floats[(1, 1, 1, 1)] is floats[(1, 1, 2, 2)]
     assert floats[(2, 2, 1, 1)] is not floats[(1, 1, 1, 1)]
     assert floats[(1, 2, 2, 1)] == 1.5 + 0j

@@ -1043,13 +1043,51 @@ def test_numeric_formulas_match_symbolic():
 def test_numeric_scale_is_per_sample(monkeypatch):
     """A large-scale sample must not excuse a bad small-scale one."""
     outcomes = iter([
-        (Tensor2.column(1, [1e-6]), 1.0),
-        (Tensor2.column(1, [0j]), 1e6),
+        (Tensor2.column(1, [1e-6]), [[1.0]]),
+        (Tensor2.column(1, [0j]), [[1e6]]),
     ])
     monkeypatch.setattr(verify, "_numeric_tensors", lambda *args: next(outcomes))
     rep = verify.numeric_residual("aybe", {"r": Tensor2(1)}, 1, 2, 1e-9, 0)
     assert rep.result == "fail"
     assert rep.max_abs_residual == 1e-6
+
+
+def _counted_scales(monkeypatch):
+    """A list of the parts of every sample whose scale numeric_residual
+    computes (tensors.max_magnitude), as they are computed."""
+    calls = []
+    monkeypatch.setattr(
+        verify, "max_magnitude", lambda parts: calls.append(parts) or tensors.max_magnitude(parts)
+    )
+    return calls
+
+
+def test_numeric_verdict_computes_the_scale_only_when_it_can_matter(monkeypatch):
+    """A sample's verdict is max |residual x| < tolerance * max(1, scale)
+    over a grid of residuals, scales and tolerances with 0, NaN and inf,
+    and its scale is computed exactly when the residual is not below the
+    tolerance."""
+    nan, inf = float("nan"), float("inf")
+    calls = _counted_scales(monkeypatch)
+    for err in (0.0, 5e-324, 1e-10, 1e-9, 0.5, 1.0, 3.0, 1e300, inf, nan):
+        for scale in (0.0, 0.5, 1.0, 2.0, 1e9, 1e300, inf, nan):
+            sample = (Tensor2.column(1, [complex(err)]), [[scale]])
+            monkeypatch.setattr(verify, "_numeric_tensors", lambda *args: sample)
+            for tol in (5e-324, 1e-9, 1.0, 1e300):
+                calls.clear()
+                rep = verify.numeric_residual("aybe", {"r": Tensor2(1)}, 1, 1, tol, 0)
+                assert rep.passed == (err < tol * max(1.0, scale)), (err, scale, tol)
+                assert len(calls) == (not err < tol), (err, scale, tol)
+
+
+def test_numeric_run_below_tolerance_never_computes_a_scale(monkeypatch, capsys):
+    """Every sample of the seeded n = 4 numeric run is below the default
+    tolerance, so no scale is computed; at tolerance 1e-15 some are not."""
+    calls = _counted_scales(monkeypatch)
+    argv = "verify --n 4 --mode numeric --suite all --samples 5 --seed 7".split()
+    assert cli.main(argv) == 0 and not calls
+    assert cli.main(argv + ["--tolerance", "1e-15"]) == 1 and calls
+    capsys.readouterr()
 
 
 def test_numeric_hecke_fails_on_perturbed_cg_inputs():
@@ -1293,7 +1331,8 @@ def test_numeric_sharing_keeps_the_bits_of_the_unshared_route():
 
     for identity, t in _cg4_numeric_inputs().items():
         x = _sample_vector(4, verify._sample_legs(identity))
-        residual, scale = verify._numeric_tensors(identity, _compiled(identity, t), 4, point, x)
+        residual, parts = verify._numeric_tensors(identity, _compiled(identity, t), 4, point, x)
+        scale = tensors.max_magnitude(parts)
         labels, terms, _ = verify.IDENTITIES[identity]
         slots = []
         for s, label in zip(verify._slot_inputs(identity, t), labels):
