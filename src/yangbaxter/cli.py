@@ -301,6 +301,9 @@ def _residual(identity, formula):
     return lambda m, prov: verify.report_from_residual(identity, formula(m), prov)
 
 
+# the lift obstruction, a row of both PER_S_CHECKS and SYMBOLIC_CHECKS
+_OBSTRUCTION = _residual("obstruction", lambda m: verify.lift_obstruction(m.r_ts, m.memo))
+
 # The check plan, in report order.  Each row names the suite, then the
 # matrix and the verifier.  Verifiers and builders are looked up through
 # their module when the check runs, never stored, so a wrapper set on a
@@ -313,13 +316,11 @@ PER_S_CHECKS = (
               _residual("cybe_spectral", lambda m: verify.cybe_spectral_residual(
                   builders.hat_r(m.r_ts), m.memo)))),
     ("exponent", (_exponent_report,)),
-    ("obstruction", (_residual("obstruction", lambda m: verify.lift_obstruction(
-        m.r_ts, m.memo)),)),
+    ("obstruction", (_OBSTRUCTION,)),
 )
 # Symbolic rows of one associative structure at s0: (suite, check).
 SYMBOLIC_CHECKS = (
-    ("obstruction", _residual("obstruction", lambda m: verify.lift_obstruction(
-        m.r_ts, m.memo))),
+    ("obstruction", _OBSTRUCTION),
     ("qybe", _residual("qybe", lambda m: verify.qybe_residual(m.R_assoc))),
     ("hecke", _residual("hecke", lambda m: verify.hecke_residual(m.R_assoc))),
     ("cross-formula", _residual("cross-formula-ggs", lambda m: (

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from fractions import Fraction
 
 VAR_NAMES = ("X1", "X2", "Y1", "Y2")
@@ -296,6 +297,37 @@ class LaurentPoly:
         if len(p.terms) > 1:
             out.append(p)
         return c, e, out
+
+    @classmethod
+    def common_denominator(cls, dens):
+        """(factors, cofactors): the least common multiple of the factored
+        denominators dens, and each one's cofactor.
+
+        Each of dens is (c, e, ps), c X^e times the product of the
+        associates ps (associate()), a repeated one counted once per
+        repeat, as factors() gives.  The lcm is each associate to the
+        highest power one of dens has it: factors holds the pairs
+        (p, power) in the order of p's sorted terms.  cofactors[k] is the
+        lcm divided by dens[k].
+        """
+        polys, counts = {}, []
+        for _, _, ps in dens:
+            count = Counter()
+            for p in ps:
+                key = tuple(sorted(p.terms.items()))
+                polys[key] = p
+                count[key] += 1
+            counts.append(count)
+        top = Counter()
+        for count in counts:
+            top |= count
+        cofactors = []
+        for (c, e, _), count in zip(dens, counts):
+            cofactor = cls.monomial(tuple(-x for x in e), Fraction(1) / c)
+            for key, m in (top - count).items():
+                cofactor = cofactor * polys[key] ** m
+            cofactors.append(cofactor)
+        return tuple((polys[key], top[key]) for key in sorted(top)), cofactors
 
     def exponents_of(self, var):
         return {e[var] for e in self.terms}

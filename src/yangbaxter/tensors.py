@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
 from fractions import Fraction
 from itertools import product
 from operator import add, itemgetter, sub
@@ -298,57 +297,31 @@ def _sparse_tensor(nlegs):
                 lambda v: (v if isinstance(v, LaurentPoly) else rf(v)).substitute(slot)
             )
 
-        def cleared(self):
-            """(factors, nums) with self = nums[k] / prod f^m over (f, m) in factors.
-
-            The common denominator is the least common multiple of the
-            entry denominators over their factors (LaurentPoly.factors):
-            each factor to the highest power one entry has it.  Each
-            nums[k] is the entry's numerator times its cofactor, a
-            LaurentPoly; an entry that is not a RatFunc has denominator 1.
-            """
-            dens = {}
-            factors = {}
-            most = Counter()
-            entries = []
-            for k, v in self.coeffs.items():
-                v = rf(v)
-                key = tuple(v.den.terms.items())
-                if key not in dens:
-                    c, e, fs = v.den.factors()
-                    powers = Counter()
-                    for f in fs:
-                        fkey = tuple(sorted(f.terms.items()))
-                        factors[fkey] = f
-                        powers[fkey] += 1
-                    most |= powers
-                    dens[key] = (c, e, powers)
-                entries.append((k, v.num, key))
-            cofactors = {}
-            for key, (c, e, powers) in dens.items():
-                cof = LaurentPoly.monomial(tuple(-x for x in e), Fraction(1) / c)
-                for fkey, m in (most - powers).items():
-                    cof = cof * factors[fkey] ** m
-                cofactors[key] = cof
-            nums = {}
-            for k, num, key in entries:
-                cof = cofactors[key]
-                nums[k] = num if cof.terms == _ONE_TERMS else num * cof
-            return tuple((factors[fkey], most[fkey]) for fkey in sorted(most)), nums
-
         def catalogue(self):
             """(factors, functions) with self = sum_f f A_f / prod g^m, over
             (f, A_f) in functions and (g, m) in factors.
 
-            factors and the numerators are those of cleared().  Numerators
-            that are rational multiples of one polynomial share one f, and
-            A_f holds each one's multiple: the f are the scalar functions of
-            self, and each A_f is a tensor with int coefficients, with f
-            divided by the lcm of the multiples' denominators to make it so.
+            The denominator is the lcm of the entry denominators over their
+            factors (LaurentPoly.common_denominator); an entry that is not a
+            RatFunc has denominator 1.  The numerators over it that are
+            rational multiples of one polynomial share one f, and A_f holds
+            each one's multiple: the f are the scalar functions of self, and
+            each A_f is a tensor with int coefficients, with f divided by the
+            lcm of the multiples' denominators to make it so.
             """
-            factors, nums = self.cleared()
+            dens, entries = {}, []
+            for k, v in self.coeffs.items():
+                v = rf(v)
+                den = tuple(v.den.terms.items())
+                if den not in dens:
+                    dens[den] = v.den.factors()
+                entries.append((k, v.num, den))
+            factors, cofactors = LaurentPoly.common_denominator(list(dens.values()))
+            cofactors = dict(zip(dens, cofactors))
             groups = {}
-            for k, p in nums.items():
+            for k, num, den in entries:
+                cof = cofactors[den]
+                p = num if cof.terms == _ONE_TERMS else num * cof
                 top = max(p.terms)
                 lead = p.terms[top]
                 if len(p.terms) == 1:  # lead times its monomial
@@ -374,8 +347,11 @@ def _sparse_tensor(nlegs):
             return key, self.coeffs[key]
 
         def max_abs(self):
-            """Largest coefficient magnitude (numeric tensors)."""
-            return max(map(abs, self.coeffs.values()), default=0.0)
+            """Largest coefficient magnitude (numeric tensors), or NaN when
+            one is: their sum is NaN exactly when one of them is."""
+            mags = list(map(abs, self.coeffs.values()))
+            total = sum(mags)
+            return total if total != total else max(mags, default=0.0)
 
         def pretty(self):
             """One line t_{rows}^{cols} = value per coefficient, in index order."""

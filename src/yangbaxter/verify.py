@@ -1,17 +1,17 @@
 """Residual computation for every identity in the workbench.
 
 Each identity is a row of IDENTITIES: signed products of one to three
-slots, read in both modes by one evaluator, _formula.  A slot is the
-input matrix at shifted arguments (SLOTS), or for Hecke a tensor built
-from it (_slot_inputs).  Symbolic mode certifies exact zero: rows of
-two-factor products (CYBE, AYBE, the lift obstruction) are decided on
-int tensors (_catalogue_zero), and a residual over exact rational
-functions is built only when that fails, or for another row.  Numeric
-mode compiles each slot's tensor once per check and applies the residual
-at seeded random complex sample points to a seeded random vector with
-entries of modulus 1 (Freivalds' check): each product is applied to the
-vector as a flat list, and only the lists' sum becomes a column, whose
-largest entry is reported; the sample's scale, the products' largest
+slots.  A slot is the input matrix at shifted arguments (SLOTS), or for
+Hecke a tensor built from it (_slot_inputs).  Symbolic mode certifies
+exact zero: rows of two-factor products (CYBE, AYBE, the lift
+obstruction) are decided on int tensors (_catalogue_zero), and a
+residual over exact rational functions (_formula) is built only when
+that fails, or for another row.  Numeric mode compiles each slot's
+tensor once per check and applies the residual at seeded random complex
+sample points to a seeded random vector with entries of modulus 1
+(Freivalds' check): each product is applied to the vector as a flat
+list (tensors.apply_product), and only the lists' sum becomes a column,
+whose largest entry is reported; the sample's scale, the products' largest
 entry, is computed only when the residual's is not below the tolerance.
 Verifiers never mutate their inputs; failure reports carry the
 lexicographically least nonzero coefficient as a witness.
@@ -20,10 +20,7 @@ lexicographically least nonzero coefficient as a witness.
 from __future__ import annotations
 
 import cmath
-import json
 import random
-from collections import Counter
-from fractions import Fraction
 from typing import NamedTuple
 
 from .scalars import X1, LaurentPoly, PoleOrderError, kronecker_ints, log_point, rf
@@ -104,9 +101,6 @@ class VerifyReport(NamedTuple):
         """The fields as a dict; nested values are shared, not copied."""
         return self._asdict()
 
-    def to_json(self):
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
-
 
 def _witness(tensor):
     w = tensor.lex_witness()
@@ -130,28 +124,15 @@ def report_from_residual(identity, residual, provenance=None):
 
 # ---------------------------------------------------------------------------
 # evaluating the identities
-#
-# A formula returns the residual and the tensors it combined into it; the
-# latter give numeric mode its scale.  Numeric mode passes a sample x, a
-# vector with the dict of products applied to it: every product is then
-# applied to the vector instead of being formed, and the residual and its
-# parts are flat lists (see _product).
 
 
-def _product(x, *factors):
+def _product(*factors):
     """The product of factors, each (tensor, legs), left to right.
 
     legs places a Tensor2 on legs 12, 13 or 23 of the 3-fold product; None
     takes a tensor on its own legs, and 21 takes a lone Tensor2 with its
-    two legs swapped (flip21).  Given a sample x, a pair of a vector
-    (a flat list) and the dict of products already applied to it, the
-    product applied to the vector instead, a flat list
-    (tensors.apply_product), so a factor that ends several products is
-    applied to it once.
+    two legs swapped (flip21).
     """
-    if x is not None:
-        vector, applied = x
-        return apply_product(vector, factors, applied)
     (a, ab), *rest = factors
     if not rest:
         return a.flip21() if ab == 21 else a
@@ -162,24 +143,20 @@ def _product(x, *factors):
     return out
 
 
-def _formula(terms, slots, x=None):
-    """The signed sum of the terms' products over slots (a row of
-    IDENTITIES), and the products.
+def _formula(terms, slots):
+    """The signed sum of the terms' products over slots (a row of IDENTITIES).
 
     The terms are summed in consecutive pairs, (t0 +- t1) + (t2 +- t3)
     + ..., each pair opening with a + term, which fixes the order of
-    every float and RatFunc sum.  Given a sample x, the products are
-    flat lists, summed by tensors.signed_sum in the same order.
+    every RatFunc sum; tensors.signed_sum sums numeric products the same way.
     """
-    parts = [_product(x, *((slots[i], legs) for i, legs in factors)) for _, *factors in terms]
-    if x is not None:
-        return signed_sum([sign for sign, *_ in terms], parts), parts
+    parts = [_product(*((slots[i], legs) for i, legs in factors)) for _, *factors in terms]
     pairs = [
         parts[k] if k + 1 == len(parts)
         else parts[k] + parts[k + 1] if terms[k + 1][0] > 0 else parts[k] - parts[k + 1]
         for k in range(0, len(parts), 2)
     ]
-    return sum(pairs[1:], pairs[0]), parts
+    return sum(pairs[1:], pairs[0])
 
 
 def _slot_inputs(identity, t):
@@ -193,51 +170,38 @@ def _slot_inputs(identity, t):
 
 
 def _slot_weights(factors, labels, terms):
-    """The weight L / (Di Dj) of each term, signed, or None when a factor
-    of D vanishes at a slot.
+    """The weight L / (Di Dj) of each term, signed; ZeroDivisionError when
+    a factor of D vanishes at a slot, as the RatFunc route raises.
 
     Di is the product of factors (f, m) at slot i.  There each f is a
     unit times an associate (LaurentPoly.associate), so Di Dj is a unit
-    times a product of associates, and L, the least common multiple of
-    these products over the terms, is each associate to the highest power
-    one term has.
+    times a product of associates, and L is their least common multiple
+    over the terms (LaurentPoly.common_denominator).
     """
-    polys = {}
     dens = []
     for label in labels:
-        unit, counts = LaurentPoly.const(1), Counter()
+        c, e, ps = 1, (0, 0, 0, 0), []
         for f, m in factors:
             f = f.substitute(SLOTS[label])
             if not f:
-                return None
-            c, e, p = f.associate()
-            unit = unit * LaurentPoly.monomial(e, c) ** m
-            key = tuple(sorted(p.terms.items()))
-            polys[key] = p
-            counts[key] += m
-        dens.append((unit, counts))
-    pairs = [
-        (sign, dens[i][0] * dens[j][0], dens[i][1] + dens[j][1])
-        for sign, (i, _), (j, _) in terms
-    ]
-    top = {key: max(counts[key] for _, _, counts in pairs) for key in polys}
-    weights = []
-    for sign, unit, counts in pairs:
-        ((e, c),) = unit.terms.items()
-        weight = LaurentPoly.monomial(tuple(-x for x in e), Fraction(sign) / c)
-        for key, m in top.items():
-            if m > counts[key]:
-                weight = weight * polys[key] ** (m - counts[key])
-        weights.append(weight)
-    return weights
+                raise ZeroDivisionError(f"a denominator vanishes at the slot {label}")
+            fc, fe, p = f.associate()
+            c *= fc ** m
+            e = tuple(x + m * y for x, y in zip(e, fe))
+            ps += [p] * m
+        dens.append((c, e, ps))
+    pairs = [(dens[i], dens[j]) for _, (i, _), (j, _) in terms]
+    _, cofactors = LaurentPoly.common_denominator([
+        (ci * cj, tuple(x + y for x, y in zip(ei, ej)), pi + pj)
+        for (ci, ei, pi), (cj, ej, pj) in pairs
+    ])
+    return [cofactor.scale(sign) for cofactor, (sign, *_) in zip(cofactors, terms)]
 
 
 def _catalogue_polys(factors, functions, labels, terms):
     """The h = (L / Di Dj) sign f(slot i) g(slot j) of every term and pair
-    of functions (f, g), in that order, or None as for _slot_weights."""
+    of functions (f, g), in that order (_slot_weights)."""
     weights = _slot_weights(factors, labels, terms)
-    if weights is None:
-        return None
     at_slot = [[f.substitute(SLOTS[label]) for f, _ in functions] for label in labels]
     hs = []
     for weight, (_, (i, _), (j, _)) in zip(weights, terms):
@@ -250,7 +214,7 @@ def _catalogue_polys(factors, functions, labels, terms):
 def _catalogue_zero(r, labels, terms, project=(), memo=None):
     """Whether the residual sum_t sign x_i y_j over the slots of r named by
     labels is zero, after the traceless projection of the legs in
-    project, or None when a slot's denominator vanishes.
+    project; ZeroDivisionError when a slot's denominator vanishes.
 
     Decided on the scalar catalogue of r (Tensor.catalogue): r = sum_f f
     A_f / D, each A_f a tensor with int coefficients.  L times the
@@ -281,8 +245,6 @@ def _catalogue_zero(r, labels, terms, project=(), memo=None):
     if key not in memo:
         memo[key] = (_catalogue_polys(factors, functions, labels, terms), 0, None)
     hs, cmax, ints = memo[key]
-    if hs is None:
-        return None
     # an entry of a product C sums at most n products of two entries, and
     # n times a leg's projection is at most 2n times an entry's size
     n = r.n
@@ -319,7 +281,7 @@ def _residual(identity, t, memo=None):
         return Tensor3(t.n)
     slots = [s if label == "u,v" else s.substitute(SLOTS[label])
              for s, label in zip(_slot_inputs(identity, t), labels)]
-    return _formula(terms, slots)[0].project_traceless(project)
+    return _formula(terms, slots).project_traceless(project)
 
 
 def cybe_residual(r, memo=None):
@@ -385,15 +347,13 @@ def u_coefficients(r, powers, order=0, memo=None):
     if not all(-1 <= power <= order for power in powers):
         raise ValueError(f"powers {powers} are not all in -1 .. {order}")
     outs = [{} for _ in powers]
+    memo = {} if memo is None else memo
     for key, value in r.coeffs.items():
         f = rf(value)
-        if memo is None:
-            series = expand_in_u(f, r.n, order)
-        else:
-            terms = ("u", r.n, order, tuple(f.num.terms.items()), tuple(f.den.terms.items()))
-            if terms not in memo:
-                memo[terms] = expand_in_u(f, r.n, order)
-            series = memo[terms]
+        terms = ("u", r.n, order, tuple(f.num.terms.items()), tuple(f.den.terms.items()))
+        if terms not in memo:
+            memo[terms] = expand_in_u(f, r.n, order)
+        series = memo[terms]
         for out, power in zip(outs, powers):
             c = series[power + 1]
             if c:
@@ -509,11 +469,11 @@ def _numeric_tensors(identity, compiled, n, point, x):
     """The identity's residual at one sample point, applied to the vector x.
 
     compiled holds each slot's tensor (_slot_inputs) compiled, evaluated
-    once per distinct tensor and slot.  Returns (residual, parts), the
-    residual as a column (Tensor.column), and the formula's products
-    applied to x as flat lists, whose max_magnitude is the sample's scale.
-    The products share one dict of the factors applied to x
-    (tensors.apply_product).
+    once per distinct tensor and slot.  Returns (residual, parts): parts
+    are the row's products applied to x as flat lists, sharing one dict of
+    the factors applied to x (tensors.apply_product), whose max_magnitude
+    is the sample's scale, and the residual is their signed sum in
+    _formula's order (tensors.signed_sum) as a column (Tensor.column).
     """
     _input_key(identity)  # ValueError for an identity numeric mode lacks
     labels, terms, _ = IDENTITIES[identity]
@@ -524,9 +484,11 @@ def _numeric_tensors(identity, compiled, n, point, x):
             uu, vv = _slot_arguments(SLOTS[label], point)
             evaluated[id(t), label] = t.at(log_point(uu, up, vv, vp, n))
     slots = [evaluated[id(t), label] for t, label in zip(compiled, labels)]
-    residual, parts = _formula(terms, slots, (x, {}))
+    applied = {}
+    parts = [apply_product(x, [(slots[i], legs) for i, legs in factors], applied)
+             for _, *factors in terms]
     column = Tensor3.column if _sample_legs(identity) == 3 else Tensor2.column
-    return column(n, residual), parts
+    return column(n, signed_sum([sign for sign, *_ in terms], parts)), parts
 
 
 def numeric_residual(identity, tensors, n, samples, tolerance, seed, provenance=None,
@@ -539,9 +501,10 @@ def numeric_residual(identity, tensors, n, samples, tolerance, seed, provenance=
     max |residual x| < tolerance * max(1, scale), the scale from
     _numeric_tensors computed only for a residual not below tolerance, as
     one below passes at any scale; the check passes iff every sample
-    does, and reports the largest entry over all samples.  Sample points whose spectral
-    denominators come within GUARD_DISTANCE of a zero are rejected and
-    counted.  Each distinct slot tensor (_slot_inputs) is compiled once
+    does, and reports the largest entry over all samples, NaN if one is
+    (a NaN fails its sample).  Sample points whose spectral denominators
+    come within GUARD_DISTANCE of a zero are rejected and counted.  Each
+    distinct slot tensor (_slot_inputs) is compiled once
     (Tensor2.float_form).  memo, if given, is the dict the caller keeps for
     one run of checks: it holds the draws per (seed, samples, vector size),
     shared, not copied.  Raises ValueError unless samples >= 1 and
@@ -565,7 +528,7 @@ def numeric_residual(identity, tensors, n, samples, tolerance, seed, provenance=
         resamples += rejected
         residual, parts = _numeric_tensors(identity, compiled, n, point, x)
         err = residual.max_abs()
-        worst = max(worst, err)
+        worst = err if cmath.isnan(err) else max(worst, err)
         ok = ok and (err < tolerance or err < tolerance * max(1.0, max_magnitude(parts)))
     return VerifyReport(
         identity, "numeric", "pass" if ok else "fail", samples=samples, resamples=resamples,

@@ -395,6 +395,20 @@ def test_factors_split_binomials_and_keep_the_rest():
     assert [f.terms for f in ((Y_ - 1) * (Y_ - 1)).factors()[2]] == [(Y_ - 1).terms] * 2
 
 
+def test_common_denominator_takes_each_associate_to_its_highest_power():
+    """The lcm of 3/2 X1^(1/2) (Y1 - 1)^2, (Y1 - 1)(X1^8 - 1) and 4 is
+    (Y1 - 1)^2 (X1^8 - 1), and each cofactor times its denominator is it."""
+    zero = (0, 0, 0, 0)
+    dens = [(Fraction(3, 2), (Fraction(1, 2), 0, 0, 0), [Y_ - 1, Y_ - 1]),
+            (1, zero, [Y_ - 1, X8 - 1]), (4, zero, [])]
+    factors, cofactors = LaurentPoly.common_denominator(dens)
+    assert list(factors) == [(Y_ - 1, 2), (X8 - 1, 1)]
+    lcm = (Y_ - 1) ** 2 * (X8 - 1)
+    for (c, e, ps), cofactor in zip(dens, cofactors):
+        assert cofactor * math.prod(ps, start=LaurentPoly.monomial(e, c)) == lcm
+    assert LaurentPoly.common_denominator([]) == ((), [])
+
+
 def test_kronecker_ints_decide_int_combinations(rng):
     """sum c_j ints_j == 0 exactly when sum c_j polys_j == 0, for |c_j| <= cmax,
     even where the coefficients of one monomial nearly cancel."""

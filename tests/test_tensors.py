@@ -632,21 +632,18 @@ def _r_quantum(n):
 
 def test_cleared_over_the_lcm_of_the_binomial_factors():
     """r(u,v) clears over (Y1 - 1)(X1^(2n) - 1), not over the product of
-    its distinct entry denominators, which holds that lcm's factors twice."""
+    its distinct entry denominators, which holds that lcm's factors twice:
+    its catalogue's factors are the two binomials, each to the power 1
+    (test_catalogue_sums_back_to_the_tensor checks the numerators)."""
     from yangbaxter.scalars import X1 as x1
 
     for n in (2, 3, 4):
-        r = _r_quantum(n)
-        factors, nums = r.cleared()
+        factors, _ = _r_quantum(n).catalogue()
         y, x = (rf(Y1).num - 1), (rf(x1 ** (2 * n)).num - 1)
         assert sorted(f.terms.items() for f, _ in factors) == sorted(
             p.terms.items() for p in (y, x)
         )
         assert [m for _, m in factors] == [1, 1]
-        den = y * x
-        assert set(nums) == set(r.coeffs)
-        for key, value in r.coeffs.items():
-            assert rf(nums[key]) / rf(den) == value
 
 
 def _mixed_denominators():

@@ -260,7 +260,7 @@ def _ratfunc_residual(identity, r):
     the oracle for the catalogue zero test."""
     labels, terms, project = verify.IDENTITIES[identity]
     slots = [r.substitute(verify.SLOTS[label]) for label in labels]
-    return verify._formula(terms, slots)[0].project_traceless(project)
+    return verify._formula(terms, slots).project_traceless(project)
 
 
 def _ratfunc_cybe_spectral(r):
@@ -310,7 +310,7 @@ def test_constant_graded_verdicts_match_fraction_oracle(check, reversing5):
 
     def oracle(r):
         # the row's formula over the input's own scalars, Fraction
-        return verify._formula(terms, [r] * len(slots))[0].project_traceless(project)
+        return verify._formula(terms, [r] * len(slots)).project_traceless(project)
 
     verdicts = []
     for r in _constant_family(4, reversing5):
@@ -622,7 +622,8 @@ def test_catalogue_repacks_only_past_the_bound_of_its_digits(monkeypatch):
 def test_aybe_catalogue_denominator_vanishing_at_a_slot():
     # X1 / X2 - 1 is 0 at the slot u',v', where X1 -> X2: both routes refuse it
     r = Tensor2(2, {(1, 1, 1, 1): rf(1) / (X1 / X2 - 1)})
-    assert _catalogue_aybe(r) is None
+    with pytest.raises(ZeroDivisionError):
+        _catalogue_aybe(r)
     with pytest.raises(ZeroDivisionError):
         verify.aybe_residual(r)
 
@@ -736,7 +737,8 @@ def test_check_lift_detects_extra_pole():
 
 
 def test_check_lift_expands_each_entry_once(monkeypatch):
-    # the u^-1 and u^0 coefficients come from one expansion per entry
+    # the u^-1 and u^0 coefficients come from one expansion per distinct
+    # entry: the 17 entries of r hold 7 scalars, term for term
     calls = []
     expand = verify.expand_in_u
 
@@ -749,10 +751,10 @@ def test_check_lift_expands_each_entry_once(monkeypatch):
     s0 = s0_from_structure(st)
     r = build_r_uv(st, s0, formula="kernel")
     assert verify.check_lift(r, build_r_ts(st.triple, s0)).passed
-    assert len(calls) == len(r.coeffs) == 17
+    assert (len(calls), len(r.coeffs)) == (7, 17)
     calls.clear()
     assert verify.pr_limit_check(r).passed
-    assert len(calls) == len(r.coeffs)
+    assert len(calls) == 7
 
 
 def _entries(tensors):
@@ -1050,6 +1052,23 @@ def test_numeric_scale_is_per_sample(monkeypatch):
     rep = verify.numeric_residual("aybe", {"r": Tensor2(1)}, 1, 2, 1e-9, 0)
     assert rep.result == "fail"
     assert rep.max_abs_residual == 1e-6
+
+
+def test_numeric_nan_residual_fails_and_is_reported(monkeypatch):
+    """A NaN residual entry fails its sample and is the reported maximum,
+    after a number in its column or alone, and before or after another
+    sample."""
+    nan = float("nan")
+    assert cmath.isnan(Tensor2.column(2, [1e-20, nan, 0.0, 0.0]).max_abs())
+    for columns in ([[1e-20, nan]], [[nan]], [[nan], [1e-20]], [[1e-20], [nan]]):
+        outcomes = iter([
+            (Tensor2.column(2, [complex(v) for v in c] + [0j] * (4 - len(c))), [[1.0]])
+            for c in columns
+        ])
+        monkeypatch.setattr(verify, "_numeric_tensors", lambda *args: next(outcomes))
+        rep = verify.numeric_residual("aybe", {"r": Tensor2(1)}, 1, len(columns), 1e-9, 0)
+        assert rep.result == "fail", columns
+        assert cmath.isnan(rep.max_abs_residual), columns
 
 
 def _counted_scales(monkeypatch):
@@ -1497,7 +1516,7 @@ def test_numeric_determinism():
     rep1 = verify.numeric_residual("aybe", {"r": r}, 3, 4, 1e-9, 42)
     rep2 = verify.numeric_residual("aybe", {"r": r}, 3, 4, 1e-9, 42)
     assert rep1.max_abs_residual == rep2.max_abs_residual
-    assert rep1.to_json() == rep2.to_json()
+    assert rep1.as_dict() == rep2.as_dict()
 
 
 # --- reports ---------------------------------------------------------------
