@@ -14,9 +14,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import LaurentPoly, RatFunc, monomial_rf, q_power, rf
-from .tensors import Tensor2, gauge_conjugate
+from .tensors import Tensor2, _x1_scaled, gauge_conjugate
 from .triples import (
     SCHEMA_VERSION,
+    SWedge,
+    phi_coboundary,
     phi_from_s,
     prec_pairs,
     s_in_solution_space,
@@ -109,12 +111,8 @@ def hat_r(r):
 
 
 def _q_conjugate(tensor, s):
-    """q^s M q^s: scale the (a, b, c, d) entry by q^(s_ac + s_bd)."""
-    out = {}
-    for (a, b, c, d), v in tensor.coeffs.items():
-        e = s.get(a, c) + s.get(b, d)
-        out[(a, b, c, d)] = q_power(tensor.n, e) * rf(v) if e else rf(v)
-    return Tensor2(tensor.n, out)
+    """q^s M q^s: scale the (a, b, c, d) entry by q^(s_ac + s_bd), q = X1^n."""
+    return _x1_scaled(tensor, lambda a, b, c, d: tensor.n * (s.get(a, c) + s.get(b, d)))
 
 
 def build_R_st(n):
@@ -158,14 +156,11 @@ def build_R_ggs_assoc(a, s=None):
 
     Diagonal pairs carry q^(1 - 2 O(i,j)/n); the ordering terms carry
     q^(-+ 2 O(alpha,beta)/n); the leftover s - s0 acts by the outer
-    q^(s - s0) conjugation.  Raises ValueError when s - s0 is not an
-    admissible gauge coboundary.
+    q^(s - s0) conjugation, s - s0 = Phi^1 - Phi^2 (phi_from_s).  Raises
+    ValueError when s - s0 is not an admissible gauge coboundary.
     """
     n = a.n
-    s0 = s0_from_structure(a)
-    if s is None:
-        s = s0
-    phi_from_s(a, s)  # admissibility check; the conjugation uses s - s0
+    diff = SWedge(n) if s is None else phi_coboundary(phi_from_s(a, s), n)
     qm = q_minus_qinv(n)
     out = {}
     for i in range(1, n + 1):
@@ -185,7 +180,6 @@ def build_R_ggs_assoc(a, s=None):
         key_high = (kk, ll, j, i)
         out[key_low] = out.get(key_low, RatFunc.zero()) + low
         out[key_high] = out.get(key_high, RatFunc.zero()) - high
-    diff = s + s0.scale(-1)
     return _q_conjugate(Tensor2(n, out), diff)
 
 

@@ -122,10 +122,11 @@ def _select_triple(args):
     return t
 
 
-def _structures(t, perm):
-    """t's one compatible structure, or the one a valid --perm names.
+def _structure(t, perm):
+    """t's one compatible structure, or the one a valid --perm names, or
+    None when t has none.
 
-    Structures are only listed when at most one exists; more without
+    Structures are only listed when exactly one exists; more without
     --perm is a usage error, told from their count ((n-1)! for the
     trivial triple).  An invalid --perm is a usage error when t has
     compatible structures at all.
@@ -134,20 +135,13 @@ def _structures(t, perm):
         count = triples.structure_count(t)
         if count > 1:
             raise CliError(f"{count} compatible permutations; pick one with --perm")
-        return triples.compatible_permutations(t)
+        return triples.compatible_permutations(t)[0] if count else None
     try:
-        return [triples.make_structure(t, tuple(int(x) for x in perm.split(",")))]
+        return triples.make_structure(t, tuple(int(x) for x in perm.split(",")))
     except ValueError as exc:
         if triples.structure_count(t):
             raise CliError(f"bad --perm: {exc}") from exc
-        return []
-
-
-def _select_structure(perms, args):
-    """perms[0], the structure to build, with its selector label."""
-    label = (f"cg m={args.cg}" if args.cg is not None
-             else "explicit permutation" if args.perm else "unique permutation")
-    return perms[0], label
+        return None
 
 
 def _nonassociative_witness(m):
@@ -214,8 +208,8 @@ BUILD_TARGETS = {
 
 def cmd_build(args):
     t = _select_triple(args)
-    perms = _structures(t, args.perm)
-    if not perms:
+    structure = _structure(t, args.perm)
+    if structure is None:
         # r_{T,s} exists for every triple: build it at the particular s
         s, _ = triples.solve_s_system(t)
         m = _Matrices(t, s)
@@ -231,7 +225,8 @@ def cmd_build(args):
             raise CliError("--perm and --phi need an associative triple")
         provenance = dict(t.to_json(), s=s.to_json(), selector="particular")
     else:
-        structure, selector = _select_structure(perms, args)
+        selector = (f"cg m={args.cg}" if args.cg is not None
+                    else "explicit permutation" if args.perm else "unique permutation")
         s, phi = _selected_s(structure, args)
         m = _Matrices(t, s, structure)
         provenance = dict(structure.to_json(), s=s.to_json(), selector=selector)

@@ -603,18 +603,9 @@ def kronecker_ints(polys, cmax):
             index.setdefault(e, len(index))
             total[e] = total.get(e, 0) + abs(c)
     most = scale * max(total.values(), default=0)
-    bits = math.ceil(cmax * most).bit_length()
-    # whole bytes per monomial: the digits of each sign are written as bytes
-    width = -(-bits // 8)
-    out = []
-    for p in polys:
-        digits = (bytearray(width * len(index)), bytearray(width * len(index)))
-        for e, c in p.terms.items():
-            c = c * scale if scale != 1 else c
-            at = width * index[e]
-            digits[c < 0][at:at + width] = int(abs(c)).to_bytes(width, "little")
-        out.append(int.from_bytes(digits[0], "little") - int.from_bytes(digits[1], "little"))
-    return out, (2 ** (8 * width) - 1) // most if most else math.inf
+    bits = 8 * -(-math.ceil(cmax * most).bit_length() // 8)  # whole bytes per monomial
+    out = [sum(int(c * scale) << bits * index[e] for e, c in p.terms.items()) for p in polys]
+    return out, (2 ** bits - 1) // most if most else math.inf
 
 
 def rf(value):

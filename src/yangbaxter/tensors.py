@@ -158,10 +158,14 @@ def _sparse_tensor(nlegs):
             values is flat in row-major index order; entry (i, k, ...)
             becomes the coefficient of e_i1 (x) e_k1 (x) ....  So for T of
             numbers, T.mul(column(n, x)) equals column(n, T.float_form().apply(x)).
-            The index keys are made once per n."""
+            The index keys are made once per n.  Raises ValueError unless
+            values has n^nlegs entries."""
             if n not in column_keys:
                 column_keys[n] = tuple(product(*((range(1, n + 1), (1,)) * nlegs)))
-            return _adopt(cls, n, dict(zip(column_keys[n], values)))
+            keys = column_keys[n]
+            if len(values) != len(keys):
+                raise ValueError(f"vector of length {len(values)}, expected {len(keys)}")
+            return _adopt(cls, n, dict(zip(keys, values)))
 
         def is_zero(self):
             return not self.coeffs
@@ -541,6 +545,16 @@ def unit_vector(rng, size):
     return [rect(1.0, turn * draw()) for _ in range(size)]
 
 
+def _x1_scaled(t, power):
+    """The Tensor2 t with the coefficient at (i, j, k, l) multiplied by
+    X1^power(i, j, k, l), and promoted to RatFunc where that power is not 0."""
+    out = {}
+    for key, v in t.coeffs.items():
+        e = power(*key)
+        out[key] = monomial_rf(x1=e) * rf(v) if e else v
+    return _adopt(Tensor2, t.n, out)
+
+
 def gauge_conjugate(t, phi):
     """exp(-Phi^2 u) t exp(Phi^1 u) for a diagonal Phi = diag(phi).
 
@@ -552,21 +566,13 @@ def gauge_conjugate(t, phi):
     phi = [Fraction(x) for x in phi]
     if len(phi) != t.n:
         raise ValueError("Phi must have one diagonal entry per row")
-    out = {}
-    for (i, j, k, l), v in t.coeffs.items():
-        rate = phi[j - 1] - phi[k - 1]
-        if rate:
-            v = monomial_rf(x1=2 * t.n * rate) * rf(v)
-        out[(i, j, k, l)] = v
-    return _adopt(Tensor2, t.n, out)
+    return _x1_scaled(t, lambda i, j, k, l: 2 * t.n * (phi[j - 1] - phi[k - 1]))
 
 
 def variables_used(t):
     """Names of the formal symbols actually appearing in a symbolic tensor."""
     used = set()
-    for v in t.coeffs.values():
-        if not isinstance(v, RatFunc):
-            continue
+    for v in map(rf, t.coeffs.values()):
         for poly in (v.num, v.den):
             for idx, name in enumerate(VAR_NAMES):
                 if name not in used and poly.uses_var(idx):

@@ -568,18 +568,17 @@ def phi_coboundary(phi, n):
 def phi_from_s(a, s):
     """Recover Phi with s - s0 = Phi^1 - Phi^2, normalized to phi_1 = 0.
 
-    Raises ValueError when s - s0 is not such a coboundary or Phi fails
-    the admissibility constraint (alpha, Phi) = (T alpha, Phi).
+    Raises ValueError when s is not n x n, s - s0 is not such a coboundary,
+    or Phi fails the admissibility constraint (alpha, Phi) = (T alpha, Phi).
     """
     n = a.n
+    if s.n != n:
+        raise ValueError("size mismatch")
     s0 = s0_from_structure(a)
-    d = s + s0.scale(-1)
-    phi = [Fraction(0)] * n
-    for j in range(2, n + 1):
-        phi[j - 1] = d.get(j, 1)
+    phi = [Fraction(0)] + [s.get(j, 1) - s0.get(j, 1) for j in range(2, n + 1)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if i != j and d.get(i, j) != phi[i - 1] - phi[j - 1]:
+            if i != j and s.get(i, j) - s0.get(i, j) != phi[i - 1] - phi[j - 1]:
                 raise ValueError("s - s0 is not of the form Phi^1 - Phi^2")
     for a_, b_ in a.triple.pairs:
         if phi[a_ - 1] - phi[a_] != phi[b_ - 1] - phi[b_]:

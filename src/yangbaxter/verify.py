@@ -23,13 +23,13 @@ import cmath
 import random
 from typing import NamedTuple
 
-from .scalars import X1, LaurentPoly, PoleOrderError, kronecker_ints, log_point, rf
+from .scalars import LaurentPoly, PoleOrderError, kronecker_ints, log_point, rf
 from .series import expand_in_u
 from .tensors import (
     Tensor2, Tensor3, apply_product, max_magnitude, product_sum, signed_sum, unit_vector,
     variables_used,
 )
-from .builders import build_r_ts, hat_r  # noqa: F401 - an alias perfbench rebinds
+from .builders import build_r_ts, hat_r, q_minus_qinv  # noqa: F401 - perfbench rebinds build_r_ts
 
 # Slots, keyed by their (u, v) arguments.  The input matrix carries (u, v)
 # as (X1, Y1).  A slot's row ((a, b), (c, d)) shifts the arguments to
@@ -166,7 +166,7 @@ def _slot_inputs(identity, t):
     if identity != "hecke":
         return [t] * len(IDENTITIES[identity][0])
     m = Tensor2.perm(t.n).mul(t)
-    return [m, m.scale(X1 ** t.n - X1 ** -t.n) + Tensor2.identity(t.n)]
+    return [m, m.scale(q_minus_qinv(t.n)) + Tensor2.identity(t.n)]
 
 
 def _slot_weights(factors, labels, terms):

@@ -188,6 +188,9 @@ def test_ggs_assoc_rejects_inadmissible_s():
     bad = s0_from_structure(st) + SWedge(3, {(1, 2): 1, (2, 3): -1})
     with pytest.raises(ValueError):
         build_R_ggs_assoc(st, bad)
+    for m in (2, 4):  # an s of another size
+        with pytest.raises(ValueError, match="size mismatch"):
+            build_R_ggs_assoc(st, SWedge(m))
 
 
 def test_ggs_with_gauge_equals_conjugated():

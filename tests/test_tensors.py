@@ -264,6 +264,10 @@ def test_lane_kernel_differs_from_the_per_entry_loop_only_in_zero_signs(legs):
 
 def test_column_and_apply_examples():
     assert Tensor2.column(2, [5, 0, 0, 7]).coeffs == {(1, 1, 1, 1): 5, (2, 1, 2, 1): 7}
+    # a vector of the wrong length is refused, not cut short or padded
+    for cls, values in ((Tensor2, [1, 2]), (Tensor2, [1] * 5), (Tensor3, [1] * 4)):
+        with pytest.raises(ValueError, match="vector of length"):
+            cls.column(2, values)
     # e_12 (x) 1 on legs 2, 3 of V (x) V (x) V moves entry (i, 2, m) to (i, 1, m)
     x = list(range(8))
     y = (unit2(2, 1, 2, 1, 1) + unit2(2, 1, 2, 2, 2)).float_form().apply(x, 23)

@@ -405,6 +405,14 @@ def test_cybe_spectral_rejects_two_parameter_input():
         verify.cybe_spectral_residual(r)
 
 
+def test_cybe_spectral_rejects_x1_in_a_laurentpoly_entry():
+    # an entry's type must not decide whether its symbols are seen
+    r = Tensor2(2, {(1, 1, 1, 1): LaurentPoly.monomial((1, 0, 0, 0))})
+    assert variables_used(r) == variables_used(r.map_scalars(rf)) == {"X1"}
+    with pytest.raises(ValueError, match=r"Y1 only, found \['X1'\]"):
+        verify.cybe_spectral_residual(r)
+
+
 # --- QYBE and Hecke --------------------------------------------------------
 
 
@@ -430,6 +438,21 @@ def test_hecke_degenerate_failure():
     res = verify.hecke_residual(Tensor2.perm(2).map_scalars(rf))
     assert not res.is_zero()
     assert res.lex_witness() is not None
+
+
+# ROADMAP item 2: the general GGS matrix at the particular s fails QYBE and
+# Hecke on exactly these four non-associative triples at n = 6.  A fix of
+# the builder makes these pass, and must then remove the mark.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: the general GGS builder fails at order u^3")
+@pytest.mark.parametrize("t_map", [
+    {1: 5, 2: 4, 4: 1}, {1: 5, 2: 4, 5: 2}, {1: 4, 4: 2, 5: 1}, {2: 5, 4: 2, 5: 1},
+])
+def test_general_ggs_solves_qybe_and_hecke_on_reversing_n6_triples(t_map):
+    t = BDTriple.make(6, t_map)
+    R = build_R_ggs_general(t, solve_s_system(t)[0])
+    assert verify.hecke_residual(R).is_zero()
+    assert verify.qybe_residual(R).is_zero()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
