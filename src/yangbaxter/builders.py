@@ -1,8 +1,9 @@
 """Explicit construction of every r- and R-matrix in the workbench.
 
-Constant classical matrices are built over Fraction; spectral matrices
-over RatFunc in the symbols X1 = exp(u/(2n)) and Y1 = exp(v), with
-q = exp(u/2) = X1^n.  Two independent routes exist for the quantum
+Constant classical matrices are built over Fraction; the quantum
+matrices R(q), which have no denominator, over LaurentPoly; spectral
+matrices over RatFunc; all in the symbols X1 = exp(u/(2n)) and
+Y1 = exp(v), with q = exp(u/2) = X1^n.  Two independent routes exist for the quantum
 matrix (the general form with the adjacency exponents, and the closed form for
 associative structures) and for the two-parameter matrix r(u, v) (via
 the quantum matrix, and via the diagonal-exponential kernel plus a gauge
@@ -36,7 +37,8 @@ def f_v():
 
 
 def q_minus_qinv(n):
-    """q - q^-1 with q = X1^n."""
+    """q - q^-1 with q = X1^n, as a RatFunc (the quantum builders form it
+    as a LaurentPoly)."""
     return monomial_rf(x1=n) - monomial_rf(x1=-n)
 
 
@@ -54,8 +56,7 @@ def s_as_tensor(s):
 def build_rst(n):
     """Standard constant solution: P^0/2 plus all e_{-alpha} (x) e_alpha."""
     out = {(i, i, i, i): HALF for i in range(1, n + 1)}
-    for alpha in positive_roots(n):
-        i, j = alpha
+    for i, j in positive_roots(n):
         out[(j, i, i, j)] = Fraction(1)
     return Tensor2(n, out)
 
@@ -69,15 +70,15 @@ def build_a(t):
     out = {}
     for alpha, beta, _, c, _ in prec_pairs(t):
         sign = Fraction(-1 if (c * (alpha.length - 1)) % 2 else 1)
-        i, j = alpha
-        k, l = beta
+        (i, j), (k, l) = alpha, beta
         for key, val in (((j, i, k, l), sign), ((k, l, j, i), -sign)):
             out[key] = out.get(key, Fraction(0)) + val
     return Tensor2(t.n, out)
 
 
 def build_r_ts(t, s):
-    """Classical r-matrix s + a + r_st; requires s to solve the s-system.
+    """Classical r-matrix s + a + r_st; requires s to solve the s-system,
+    and raises ValueError for an s of another size (s_in_solution_space).
 
     The unitarity normalization r + r^21 = P is checked on the result.
     """
@@ -116,15 +117,14 @@ def _q_conjugate(tensor, s):
 
 
 def build_R_st(n):
-    """Standard quantum matrix in q = X1^n."""
+    """Standard quantum matrix in q = X1^n, with LaurentPoly entries."""
     q = q_power(n, 1)
-    qm = q_minus_qinv(n)
+    qm = q - q_power(n, -1)
     out = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            out[(i, i, j, j)] = q if i == j else rf(1)
-    for alpha in positive_roots(n):
-        i, j = alpha
+            out[(i, i, j, j)] = q if i == j else LaurentPoly.const(1)
+    for i, j in positive_roots(n):
         out[(j, i, i, j)] = qm
     return Tensor2(n, out)
 
@@ -132,22 +132,24 @@ def build_R_st(n):
 def build_R_ggs_general(t, s):
     """Quantum matrix from the general formula with the adjacency exponents.
 
-    Valid for any triple and any rational s; the q^s conjugation is
-    realized as monomial scaling on diagonal-unit pairs.
+    Valid for any triple and any rational s of its size (ValueError
+    otherwise); the q^s conjugation is realized as monomial scaling on
+    diagonal-unit pairs.  Entries are LaurentPolys.
     """
     n = t.n
-    qm = q_minus_qinv(n)
+    if s.n != n:
+        raise ValueError("size mismatch")
+    qm = q_power(n, 1) - q_power(n, -1)
     core = build_R_st(n)
     extra = {}
     for alpha, beta, _, c, exponent in prec_pairs(t):
         cexp = c * (alpha.length - 1)
         sign = Fraction(-1 if cexp % 2 else 1)
-        i, j = alpha
-        k, l = beta
+        (i, j), (k, l) = alpha, beta
         low = qm * (sign * q_power(n, -cexp - exponent))
         high = qm * (sign * q_power(n, cexp + exponent))
         for key, val in (((j, i, k, l), low), ((k, l, j, i), -high)):
-            extra[key] = extra.get(key, RatFunc.zero()) + val
+            extra[key] = extra.get(key, LaurentPoly.zero()) + val
     return _q_conjugate(core + Tensor2(n, extra), s)
 
 
@@ -156,30 +158,25 @@ def build_R_ggs_assoc(a, s=None):
 
     Diagonal pairs carry q^(1 - 2 O(i,j)/n); the ordering terms carry
     q^(-+ 2 O(alpha,beta)/n); the leftover s - s0 acts by the outer
-    q^(s - s0) conjugation, s - s0 = Phi^1 - Phi^2 (phi_from_s).  Raises
-    ValueError when s - s0 is not an admissible gauge coboundary.
+    q^(s - s0) conjugation, s - s0 = Phi^1 - Phi^2 (phi_from_s).  Entries
+    are LaurentPolys: R(q) has no denominator.  Raises ValueError when
+    s - s0 is not an admissible gauge coboundary.
     """
     n = a.n
     diff = SWedge(n) if s is None else phi_coboundary(phi_from_s(a, s), n)
-    qm = q_minus_qinv(n)
+    qm = q_power(n, 1) - q_power(n, -1)
     out = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            out[(i, i, j, j)] = q_power(
-                n, 1 - Fraction(2 * a.orbit_distance(i, j), n)
-            )
-    for alpha in positive_roots(n):
-        i, j = alpha
+            out[(i, i, j, j)] = q_power(n, 1 - Fraction(2 * a.orbit_distance(i, j), n))
+    for i, j in positive_roots(n):
         out[(j, i, i, j)] = qm
     for alpha, beta, k, _, _ in prec_pairs(a.triple):
-        i, j = alpha
-        kk, ll = beta
+        (i, j), (kk, ll) = alpha, beta
         low = qm * q_power(n, Fraction(-2 * k, n))
         high = qm * q_power(n, Fraction(2 * k, n))
-        key_low = (j, i, kk, ll)
-        key_high = (kk, ll, j, i)
-        out[key_low] = out.get(key_low, RatFunc.zero()) + low
-        out[key_high] = out.get(key_high, RatFunc.zero()) - high
+        for key, val in (((j, i, kk, ll), low), ((kk, ll, j, i), -high)):
+            out[key] = out.get(key, LaurentPoly.zero()) + val
     return _q_conjugate(Tensor2(n, out), diff)
 
 
@@ -202,16 +199,13 @@ def build_y(a):
         for j in range(1, n + 1):
             num = LaurentPoly.monomial((-2 * a.orbit_distance(i, j), 0, 0, 0))
             out[(i, i, j, j)] = RatFunc(num, den)
-    for alpha in positive_roots(n):
-        i, j = alpha
+    for i, j in positive_roots(n):
         out[(j, i, i, j)] = rf(1)
     for alpha, beta, k, _, _ in prec_pairs(a.triple):
-        i, j = alpha
-        kk, ll = beta
-        key_low = (j, i, kk, ll)
-        key_high = (kk, ll, j, i)
-        out[key_low] = out.get(key_low, RatFunc.zero()) + monomial_rf(x1=-2 * k)
-        out[key_high] = out.get(key_high, RatFunc.zero()) - monomial_rf(x1=2 * k)
+        (i, j), (kk, ll) = alpha, beta
+        for key, val in (((j, i, kk, ll), monomial_rf(x1=-2 * k)),
+                         ((kk, ll, j, i), -monomial_rf(x1=2 * k))):
+            out[key] = out.get(key, RatFunc.zero()) + val
     return Tensor2(n, out)
 
 

@@ -10,6 +10,10 @@ with exact rational exponents and exact rational coefficients:
     LaurentPoly = sparse map {exponent 4-tuple: int | Fraction}
     RatFunc     = quotient of two LaurentPolys, denominator nonzero
 
+RatFunc only where a denominator exists: a quantum matrix R(q) is built
+over LaurentPoly, so its products multiply polynomials with no second
+product of denominators; a sum or product with a RatFunc is a RatFunc.
+
 Rational-function equality and zero tests are decided by cross
 multiplication of expanded numerators, never by floating point and never
 by gcd canonicalization.  A coefficient is stored as int when it enters
@@ -626,9 +630,8 @@ Y2 = monomial_rf(y2=1)
 
 
 def q_power(n, exponent):
-    """q**exponent as a monomial in X1, where q = exp(u/2) = X1**n."""
-    e = Fraction(exponent)
-    return monomial_rf(x1=_norm(n * e))
+    """q**exponent as a LaurentPoly monomial in X1, where q = exp(u/2) = X1**n."""
+    return LaurentPoly.monomial((n * Fraction(exponent), 0, 0, 0))
 
 
 def log_point(u, uprime, v, vprime, n):

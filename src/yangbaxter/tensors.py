@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 from operator import add, itemgetter, sub
 
-from .scalars import VAR_NAMES, LaurentPoly, RatFunc, monomial_rf, rf
+from .scalars import VAR_NAMES, LaurentPoly, RatFunc, rf
 
 
 _ONE_TERMS = {(0, 0, 0, 0): 1}
@@ -546,12 +546,13 @@ def unit_vector(rng, size):
 
 
 def _x1_scaled(t, power):
-    """The Tensor2 t with the coefficient at (i, j, k, l) multiplied by
-    X1^power(i, j, k, l), and promoted to RatFunc where that power is not 0."""
+    """The Tensor2 t with the coefficient at (i, j, k, l) multiplied by the
+    LaurentPoly X1^power(i, j, k, l): a RatFunc stays a RatFunc, and any
+    other entry becomes a LaurentPoly where that power is not 0."""
     out = {}
     for key, v in t.coeffs.items():
         e = power(*key)
-        out[key] = monomial_rf(x1=e) * rf(v) if e else v
+        out[key] = LaurentPoly.monomial((e, 0, 0, 0)) * v if e else v
     return _adopt(Tensor2, t.n, out)
 
 
@@ -559,9 +560,9 @@ def gauge_conjugate(t, phi):
     """exp(-Phi^2 u) t exp(Phi^1 u) for a diagonal Phi = diag(phi).
 
     The coefficient at e_ij (x) e_kl picks up exp((phi_j - phi_k) u),
-    realized as the monomial X1^(2n(phi_j - phi_k)) with n = t.n.  Entries
-    are promoted to RatFunc when needed.  Raises ValueError unless phi
-    has t.n entries.
+    realized as the LaurentPoly monomial X1^(2n(phi_j - phi_k)) with
+    n = t.n (_x1_scaled): a RatFunc entry stays a RatFunc and a LaurentPoly
+    one a LaurentPoly.  Raises ValueError unless phi has t.n entries.
     """
     phi = [Fraction(x) for x in phi]
     if len(phi) != t.n:

@@ -529,7 +529,10 @@ def _s_system_rows(t):
 
 
 def s_in_solution_space(t, s):
-    """Membership test for the affine solution space of the s-system."""
+    """Membership test for the affine solution space of the s-system;
+    ValueError("size mismatch") for an s of another size than t."""
+    if s.n != t.n:
+        raise ValueError("size mismatch")
     unknowns, rows, rhs = _s_system_rows(t)
     vec = [s.get(i, j) for (i, j) in unknowns]
     return all(sum(c * vec[k] for k, c in row.items()) == b for row, b in zip(rows, rhs))

@@ -29,6 +29,7 @@ from yangbaxter.triples import (
     enumerate_triples,
     phi_coboundary,
     s0_from_structure,
+    s_in_solution_space,
     solve_s_system,
 )
 from yangbaxter import verify
@@ -193,6 +194,39 @@ def test_ggs_assoc_rejects_inadmissible_s():
             build_R_ggs_assoc(st, SWedge(m))
 
 
+@pytest.mark.parametrize("m", [2, 4])
+def test_r_ts_and_general_ggs_reject_an_s_of_another_size(m):
+    """An s of size n - 1 or n + 1 raises, and is never cut short: SWedge(4)
+    with a fourth row once built the n = 3 matrix of SWedge(3)."""
+    t = BDTriple.make(3, {})
+    wrong = SWedge(m, {(1, m): 1})
+    for check in (build_r_ts, build_R_ggs_general, s_in_solution_space):
+        with pytest.raises(ValueError, match="size mismatch"):
+            check(t, wrong)
+
+
+def test_quantum_builders_give_laurentpoly_entries():
+    """R(q) has no denominator: every entry of the three quantum builders is
+    a LaurentPoly, also where the q^s conjugation scales it.  A gauge
+    conjugation keeps a RatFunc entry a RatFunc."""
+    for n in (2, 3, 4):
+        assert {type(v) for v in build_R_st(n).coeffs.values()} == {LaurentPoly}
+        for t in enumerate_triples(n):
+            for st in compatible_permutations(t):
+                s0 = s0_from_structure(st)
+                for R in (build_R_ggs_general(t, s0), build_R_ggs_assoc(st, s0)):
+                    assert {type(v) for v in R.coeffs.values()} == {LaurentPoly}
+    st = cg_structure(3)
+    phi = (Fraction(1), Fraction(0), Fraction(-1))
+    gauged = build_R_ggs_assoc(st, s0_from_structure(st) + phi_coboundary(phi, 3))
+    assert {type(v) for v in gauged.coeffs.values()} == {LaurentPoly}
+    y = build_y(st)
+    assert {type(v) for v in y.coeffs.values()} == {RatFunc}
+    conjugated = gauge_conjugate(y, phi)
+    assert conjugated != y
+    assert {type(v) for v in conjugated.coeffs.values()} == {RatFunc}
+
+
 def test_ggs_with_gauge_equals_conjugated():
     """q^(s-s0) conjugation reproduces the s != s0 matrix from the s0 one."""
     st = cg_structure(3)
@@ -286,10 +320,13 @@ def test_r_uv_routes_agree():
 
 
 def _scalar_types(t):
+    """The types of every coefficient: of each polynomial of a RatFunc or
+    LaurentPoly entry, and of every other entry itself."""
     types = set()
     for v in t.coeffs.values():
-        if isinstance(v, RatFunc):
-            types |= {type(c) for p in (v.num, v.den) for c in p.terms.values()}
+        if isinstance(v, (RatFunc, LaurentPoly)):
+            polys = (v.num, v.den) if isinstance(v, RatFunc) else (v,)
+            types |= {type(c) for p in polys for c in p.terms.values()}
         else:
             types.add(type(v))
     return types
@@ -302,6 +339,7 @@ def test_no_float_coefficient_in_any_n3_matrix():
             for m in (
                 build_r_ts(t, s0),
                 build_R_ggs_assoc(st, s0),
+                build_R_ggs_general(t, s0),
                 build_r_uv(st, s0, formula="quantum"),
                 build_r_uv(st, s0, formula="kernel"),
             ):

@@ -41,6 +41,10 @@ GOLDEN = {
     "build --n 3 --cg 1 --target ruv --pretty": (
         0, "99480632f0e792421aa445717042cf9282bb424944e81a380f6d960833c3a6b6"
     ),
+    # fractional q-powers, printed from LaurentPoly entries
+    "build --n 5 --cg 2 --target ggs --pretty": (
+        0, "57e109c1453bd5b6fc6b8ee6ce0d22aadfdf91f3401b1e720da1a449fc3637d1"
+    ),
     "build --n 5 --cg 2 --target ruv --pretty": (
         0, "2ab4b8c9139d9cbb3d89899eb5c88d95ae85baae5a6a3dd1e2c24c00dad0d4ef"
     ),
@@ -74,6 +78,10 @@ GOLDEN = {
     ),
     "verify --n 4 --suite qybe,hecke,obstruction,exponent": (
         0, "9323d4063962e9d4a8a4dce2dd184abfceb6c5605fffa343d6514f2140a67f76"
+    ),
+    # the benchmark's constant workload, QYBE and Hecke over LaurentPoly entries
+    "verify --n 5 --suite qybe,hecke,obstruction,exponent": (
+        0, "40a7ed1a26ff24661c794d57935e91c85e05791c1a291e7fb15e94c9711a34f9"
     ),
     "verify --n 5 --suite obstruction --include-nonassociative --bound 5": (
         1, "f7e34ed2fefd2c796106abc9423d097345863cc0bd1a5e4c2f418e3a4317d326"

@@ -1015,6 +1015,35 @@ def _perturbed(t):
     return _plus_one_at(t, min(t.coeffs))
 
 
+def test_laurentpoly_quantum_matrices_keep_the_ratfunc_verdicts_and_witnesses():
+    """QYBE, Hecke and the cross-formula difference give the same verdict,
+    witness index and printed value on the LaurentPoly quantum matrices as
+    on the same matrices over RatFunc, for every structure with n <= 4, as
+    built and with its least coefficient + 1 (which fails all three)."""
+    from yangbaxter.builders import build_R_ggs_assoc
+
+    checks = {
+        "qybe": lambda R, general: verify.qybe_residual(R),
+        "hecke": lambda R, general: verify.hecke_residual(R),
+        "cross-formula-ggs": lambda R, general: general - R,
+    }
+    results = Counter()
+    for n in (2, 3, 4):
+        for t in enumerate_triples(n):
+            for st in compatible_permutations(t):
+                s0 = s0_from_structure(st)
+                general = build_R_ggs_general(t, s0)
+                built = build_R_ggs_assoc(st, s0)
+                for R in (built, _perturbed(built)):
+                    for name, check in checks.items():
+                        got = verify.report_from_residual(name, check(R, general))
+                        want = verify.report_from_residual(
+                            name, check(R.map_scalars(rf), general.map_scalars(rf)))
+                        assert got == want, (name, st)
+                        results[got.result] += 1
+    assert results == {"pass": 57, "fail": 57}
+
+
 def test_numeric_formulas_match_symbolic():
     """Every numeric identity, on a perturbed input, equals its symbolic
     residual evaluated at the same point and applied to the same vector,
@@ -1192,9 +1221,8 @@ def test_numeric_residual_whose_rows_sum_to_zero_still_fails(seed):
 
 def _reference_evaluate(value, logs):
     """Reference loop: one entry's value, converting every coefficient
-    and exponent to float on the spot and exponentiating every term."""
-    if not hasattr(value, "num"):
-        return complex(value)
+    and exponent to float on the spot and exponentiating every term.  A
+    LaurentPoly is its polynomial's value, with no denominator."""
 
     def poly(p):
         total = 0j
@@ -1206,6 +1234,10 @@ def _reference_evaluate(value, logs):
             total += float(c) * cmath.exp(z)
         return total
 
+    if isinstance(value, LaurentPoly):
+        return poly(value)
+    if not hasattr(value, "num"):
+        return complex(value)
     return poly(value.num) / poly(value.den)
 
 
@@ -1239,8 +1271,9 @@ def test_float_form_evaluates_to_the_same_bits_on_cg8_inputs():
 
 def test_float_form_evaluates_each_distinct_scalar_once_on_cg8_inputs(monkeypatch):
     """One evaluation of a float form at a point evaluates each scalar
-    once per distinct ordered terms (numerator's and denominator's), not
-    once per entry."""
+    once per distinct ordered terms (a RatFunc's numerator's and
+    denominator's, a LaurentPoly's own), not once per entry.  A RatFunc
+    counts once: its inner LaurentPoly evaluations are not counted."""
     from yangbaxter.scalars import RatFunc, log_point
 
     inputs = []
@@ -1249,24 +1282,39 @@ def test_float_form_evaluates_each_distinct_scalar_once_on_cg8_inputs(monkeypatc
             m = cli._Matrices(t, s0_from_structure(st), st)
             inputs += [m.r_kernel, m.R_assoc, hat_r(m.r_ts)]
     assert len(inputs) == 15
-    calls = []
-    evaluate = RatFunc.evaluate
+    calls, inside = [], []
+    evaluate_rf, evaluate_poly = RatFunc.evaluate, LaurentPoly.evaluate
 
-    def counted(self, logs, powers=None):
+    def counted_rf(self, logs, powers=None):
         calls.append(self)
-        return evaluate(self, logs, powers)
+        inside.append(self)
+        try:
+            return evaluate_rf(self, logs, powers)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(RatFunc, "evaluate", counted)
+    def counted_poly(self, logs, powers=None):
+        if not inside:
+            calls.append(self)
+        return evaluate_poly(self, logs, powers)
+
+    monkeypatch.setattr(RatFunc, "evaluate", counted_rf)
+    monkeypatch.setattr(LaurentPoly, "evaluate", counted_poly)
     logs = log_point(0.3 + 0.2j, -0.4 + 0.1j, 0.5 - 0.6j, 0.2 + 0.7j, 8)
+    kinds = Counter()
     for tensor in inputs:
         distinct = {
             (tuple(v.num.terms.items()), tuple(v.den.terms.items()))
+            if isinstance(v, RatFunc) else (tuple(v.terms.items()),)
             for v in tensor.coeffs.values()
         }
+        kinds.update(type(v).__name__ for v in tensor.coeffs.values())
         floats = tensor.float_form()
         calls.clear()
         floats.at(logs)
         assert len(calls) == len(distinct) == len(floats.scalars) < len(tensor.coeffs)
+    # both kinds of scalar are met: R's entries are LaurentPolys, r(u,v)'s RatFuncs
+    assert kinds["LaurentPoly"] and kinds["RatFunc"]
 
 
 def _cg4_numeric_inputs():
