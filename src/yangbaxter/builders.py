@@ -36,29 +36,44 @@ def f_v():
     return RatFunc(y1, LaurentPoly.const(1) - y1)
 
 
+def _q_minus_qinv(n):
+    """q - q^-1 with q = X1^n: the LaurentPoly every quantum builder uses."""
+    return q_power(n, 1) - q_power(n, -1)
+
+
 def q_minus_qinv(n):
-    """q - q^-1 with q = X1^n, as a RatFunc (the quantum builders form it
-    as a LaurentPoly)."""
-    return monomial_rf(x1=n) - monomial_rf(x1=-n)
+    """q - q^-1 as a RatFunc, for the spectral matrices and Hecke's N."""
+    return rf(_q_minus_qinv(n))
+
+
+def _bd_matrix(n, diagonal, root, ordering=()):
+    """The shape of every matrix built from a Belavin-Drinfeld triple:
+    diagonal(i, j) on e_ii (x) e_jj, root on e_ji (x) e_ij for i < j, and for
+    each (alpha, beta, low, high) of ordering, low at e_{-alpha} (x) e_beta and
+    -high at e_beta (x) e_{-alpha}.  An entry met twice is summed in the
+    order met; Tensor2 drops the zeros."""
+    out = {(i, i, j, j): diagonal(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+    for i, j in positive_roots(n):
+        out[(j, i, i, j)] = root
+    for (i, j), (k, l), low, high in ordering:
+        for key, val in (((j, i, k, l), low), ((k, l, j, i), -high)):
+            out[key] = out[key] + val if key in out else val
+    return Tensor2(n, out)
 
 
 def s_as_tensor(s):
     """The wedge datum as a diagonal Tensor2 over Fraction."""
-    out = {}
-    for i in range(1, s.n + 1):
-        for j in range(1, s.n + 1):
-            v = s.get(i, j)
-            if v:
-                out[(i, i, j, j)] = v
-    return Tensor2(s.n, out)
+    return _bd_matrix(s.n, s.get, 0)
 
 
 def build_rst(n):
     """Standard constant solution: P^0/2 plus all e_{-alpha} (x) e_alpha."""
-    out = {(i, i, i, i): HALF for i in range(1, n + 1)}
-    for i, j in positive_roots(n):
-        out[(j, i, i, j)] = Fraction(1)
-    return Tensor2(n, out)
+    return _bd_matrix(n, lambda i, j: HALF if i == j else 0, Fraction(1))
+
+
+def _sign(alpha, c):
+    """(-1)^(C(|alpha|-1)), the sign of an ordering term."""
+    return Fraction(-1 if (c * (alpha.length - 1)) % 2 else 1)
 
 
 def build_a(t):
@@ -67,13 +82,8 @@ def build_a(t):
     Sum over alpha < beta of (-1)^(C(|alpha|-1)) (e_{-alpha} (x) e_beta -
     e_beta (x) e_{-alpha}); empty for the trivial triple.
     """
-    out = {}
-    for alpha, beta, _, c, _ in prec_pairs(t):
-        sign = Fraction(-1 if (c * (alpha.length - 1)) % 2 else 1)
-        (i, j), (k, l) = alpha, beta
-        for key, val in (((j, i, k, l), sign), ((k, l, j, i), -sign)):
-            out[key] = out.get(key, Fraction(0)) + val
-    return Tensor2(t.n, out)
+    signs = [(alpha, beta, _sign(alpha, c)) for alpha, beta, _, c, *_ in prec_pairs(t)]
+    return _bd_matrix(t.n, lambda i, j: 0, 0, [(a, b, x, x) for a, b, x in signs])
 
 
 def build_r_ts(t, s):
@@ -119,14 +129,7 @@ def _q_conjugate(tensor, s):
 def build_R_st(n):
     """Standard quantum matrix in q = X1^n, with LaurentPoly entries."""
     q = q_power(n, 1)
-    qm = q - q_power(n, -1)
-    out = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            out[(i, i, j, j)] = q if i == j else LaurentPoly.const(1)
-    for i, j in positive_roots(n):
-        out[(j, i, i, j)] = qm
-    return Tensor2(n, out)
+    return _bd_matrix(n, lambda i, j: q if i == j else LaurentPoly.const(1), _q_minus_qinv(n))
 
 
 def build_R_ggs_general(t, s):
@@ -134,23 +137,23 @@ def build_R_ggs_general(t, s):
 
     Valid for any triple and any rational s of its size (ValueError
     otherwise); the q^s conjugation is realized as monomial scaling on
-    diagonal-unit pairs.  Entries are LaurentPolys.
+    diagonal-unit pairs.  Entries are LaurentPolys.  A term's q-exponent is
+    its prec_pairs exponent less its drop (rule X), without which QYBE and
+    Hecke fail on 4 orientation-reversing triples at n = 6.  Rule X is
+    empirical, checked only by those identities up to n = 9, not against
+    Schedler's published GGS formula.
     """
     n = t.n
     if s.n != n:
         raise ValueError("size mismatch")
-    qm = q_power(n, 1) - q_power(n, -1)
-    core = build_R_st(n)
-    extra = {}
-    for alpha, beta, _, c, exponent in prec_pairs(t):
-        cexp = c * (alpha.length - 1)
-        sign = Fraction(-1 if cexp % 2 else 1)
-        (i, j), (k, l) = alpha, beta
-        low = qm * (sign * q_power(n, -cexp - exponent))
-        high = qm * (sign * q_power(n, cexp + exponent))
-        for key, val in (((j, i, k, l), low), ((k, l, j, i), -high)):
-            extra[key] = extra.get(key, LaurentPoly.zero()) + val
-    return _q_conjugate(core + Tensor2(n, extra), s)
+    qm = _q_minus_qinv(n)
+    ordering = []
+    for alpha, beta, _, c, exponent, drop in prec_pairs(t):
+        cexp, sign = c * (alpha.length - 1), _sign(alpha, c)
+        low = qm * (sign * q_power(n, -cexp - exponent + drop))
+        high = qm * (sign * q_power(n, cexp + exponent - drop))
+        ordering.append((alpha, beta, low, high))
+    return _q_conjugate(build_R_st(n) + _bd_matrix(n, lambda i, j: 0, 0, ordering), s)
 
 
 def build_R_ggs_assoc(a, s=None):
@@ -164,20 +167,11 @@ def build_R_ggs_assoc(a, s=None):
     """
     n = a.n
     diff = SWedge(n) if s is None else phi_coboundary(phi_from_s(a, s), n)
-    qm = q_power(n, 1) - q_power(n, -1)
-    out = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            out[(i, i, j, j)] = q_power(n, 1 - Fraction(2 * a.orbit_distance(i, j), n))
-    for i, j in positive_roots(n):
-        out[(j, i, i, j)] = qm
-    for alpha, beta, k, _, _ in prec_pairs(a.triple):
-        (i, j), (kk, ll) = alpha, beta
-        low = qm * q_power(n, Fraction(-2 * k, n))
-        high = qm * q_power(n, Fraction(2 * k, n))
-        for key, val in (((j, i, kk, ll), low), ((kk, ll, j, i), -high)):
-            out[key] = out.get(key, LaurentPoly.zero()) + val
-    return _q_conjugate(Tensor2(n, out), diff)
+    qm = _q_minus_qinv(n)
+    return _q_conjugate(_bd_matrix(
+        n, lambda i, j: q_power(n, 1 - Fraction(2 * a.orbit_distance(i, j), n)), qm,
+        [(alpha, beta, qm * q_power(n, Fraction(-2 * k, n)), qm * q_power(n, Fraction(2 * k, n)))
+         for alpha, beta, k, *_ in prec_pairs(a.triple)]), diff)
 
 
 def baxterize(R):
@@ -194,19 +188,10 @@ def build_y(a):
     """
     n = a.n
     den = LaurentPoly.const(1) - LaurentPoly.monomial((-2 * n, 0, 0, 0))
-    out = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            num = LaurentPoly.monomial((-2 * a.orbit_distance(i, j), 0, 0, 0))
-            out[(i, i, j, j)] = RatFunc(num, den)
-    for i, j in positive_roots(n):
-        out[(j, i, i, j)] = rf(1)
-    for alpha, beta, k, _, _ in prec_pairs(a.triple):
-        (i, j), (kk, ll) = alpha, beta
-        for key, val in (((j, i, kk, ll), monomial_rf(x1=-2 * k)),
-                         ((kk, ll, j, i), -monomial_rf(x1=2 * k))):
-            out[key] = out.get(key, RatFunc.zero()) + val
-    return Tensor2(n, out)
+    return _bd_matrix(
+        n, lambda i, j: RatFunc(LaurentPoly.monomial((-2 * a.orbit_distance(i, j), 0, 0, 0)), den),
+        rf(1), [(alpha, beta, monomial_rf(x1=-2 * k), monomial_rf(x1=2 * k))
+                for alpha, beta, k, *_ in prec_pairs(a.triple)])
 
 
 def build_r_uv(a, s=None, formula="both"):
@@ -245,12 +230,8 @@ def build_r_uv(a, s=None, formula="both"):
 
 def scalar_to_json(value):
     v = rf(value)
-
-    def poly_terms(p):
-        keys = sorted(p.terms)
-        return [[[str(e) for e in exps], str(p.terms[exps])] for exps in keys]
-
-    return {"num": poly_terms(v.num), "den": poly_terms(v.den)}
+    return {part: [[[str(e) for e in exps], str(p.terms[exps])] for exps in sorted(p.terms)]
+            for part, p in (("num", v.num), ("den", v.den))}
 
 
 def tensor2_to_json(t, provenance=None):

@@ -279,7 +279,7 @@ def _s_family(t, base_prov, memo):
 def _exponent_report(m, prov):
     """The adjacency exponent of every alpha < beta against 1 - (alpha (x) beta) s."""
     s, witness = m.s, None
-    for alpha, beta, _, _, lhs in triples.prec_pairs(m.triple):
+    for alpha, beta, _, _, lhs, _ in triples.prec_pairs(m.triple):
         (a, b), (c, d) = alpha, beta
         rhs = 1 - (s.get(a, c) - s.get(a, d) - s.get(b, c) + s.get(b, d))
         if lhs != rhs:

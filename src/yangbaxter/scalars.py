@@ -150,16 +150,20 @@ class LaurentPoly:
         if len(a) > len(b):
             a, b = b, a
         out = {}
-        for ea, ca in a.items():
+        # only a fractional exponent in a lets a key sum to an int held as Fraction,
+        # which __init__ then stores as int
+        whole = True
+        for (a0, a1, a2, a3), ca in a.items():
+            whole = whole and type(a0 + a1 + a2 + a3) is int
             for eb, cb in b.items():
-                key = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3])
+                key = (a0 + eb[0], a1 + eb[1], a2 + eb[2], a3 + eb[3])
                 cur = out.get(key)
                 cur = ca * cb if cur is None else cur + ca * cb
                 if cur:
                     out[key] = cur
                 elif key in out:
                     del out[key]
-        return LaurentPoly._make(out)
+        return LaurentPoly._make(out) if whole else LaurentPoly(out)
 
     __rmul__ = __mul__
 

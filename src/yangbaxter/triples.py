@@ -252,27 +252,33 @@ def _adjacent(a, b):
 
 
 def prec_pairs(t):
-    """All (alpha, beta, k, C, exponent) with T^k alpha = beta, k >= 1.
+    """All (alpha, beta, k, C, exponent, drop) with T^k alpha = beta, k >= 1.
 
     exponent is the combinatorial exponent of the quantum formula,
     1/2([a<.b] + [b<.a]) + [exists gamma strictly between with a<.gamma]
     + [exists gamma with gamma<.a], where <. is left-adjacency of
     segments and gamma runs over T^m alpha, 0 < m < k; it always equals
-    1 - (alpha (x) beta) s.  Each root's T-orbit is walked once: two flags
-    record whether an earlier image lay right- or left-adjacent to alpha.
+    1 - (alpha (x) beta) s.  drop is what rule X takes off it in
+    the GGS matrix: [a<.gamma, and no gamma'<.b] + [gamma<.a, and no
+    b<.gamma'], gamma' over the same images.  Each root's T-orbit is
+    walked once, recording whether an earlier image lay right- or
+    left-adjacent to alpha and where each earlier image starts and ends.
     """
     out = []
     for alpha in positive_roots(t.n):
-        right = left = 0
+        right, left, starts, ends = 0, 0, set(), set()
         for k, beta, c in t_orbit(t, alpha):
             ab, ba = int(_adjacent(alpha, beta)), int(_adjacent(beta, alpha))
-            out.append((alpha, beta, k, c, Fraction(ab + ba, 2) + right + left))
+            drop = int(right and beta.i not in ends) + int(left and beta.j not in starts)
+            out.append((alpha, beta, k, c, Fraction(ab + ba, 2) + right + left, drop))
             right, left = right | ab, left | ba
+            starts.add(beta.i)
+            ends.add(beta.j)
     return out
 
 
 def is_orientation_preserving(t):
-    return all(c == 0 for (_, _, _, c, _) in prec_pairs(t))
+    return all(c == 0 for (_, _, _, c, _, _) in prec_pairs(t))
 
 
 class AssocStructure(NamedTuple):
@@ -417,9 +423,8 @@ class SWedge:
         return self.rows[i - 1][j - 1]
 
     def upper_items(self):
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                yield (i, j), self.get(i, j)
+        for i, j in positive_roots(self.n):
+            yield (i, j), self.get(i, j)
 
     def __eq__(self, other):
         return isinstance(other, SWedge) and self.rows == other.rows
@@ -452,11 +457,8 @@ class SWedge:
 def s0_from_structure(a):
     """The closed-form datum s0: entries 1/2 - O(i,j)/n off the diagonal."""
     n = a.n
-    upper = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            upper[(i, j)] = Fraction(1, 2) - Fraction(a.orbit_distance(i, j), n)
-    return SWedge(n, upper)
+    return SWedge(n, {(i, j): Fraction(1, 2) - Fraction(a.orbit_distance(i, j), n)
+                      for i, j in positive_roots(n)})
 
 
 def _minus(row, f, other):
@@ -558,14 +560,7 @@ def solve_s_system(t):
 def phi_coboundary(phi, n):
     """The wedge Phi (x) 1 - 1 (x) Phi, entries phi_i - phi_j."""
     phi = [Fraction(x) for x in phi]
-    return SWedge(
-        n,
-        {
-            (i, j): phi[i - 1] - phi[j - 1]
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-        },
-    )
+    return SWedge(n, {(i, j): phi[i - 1] - phi[j - 1] for i, j in positive_roots(n)})
 
 
 def phi_from_s(a, s):
@@ -579,10 +574,9 @@ def phi_from_s(a, s):
         raise ValueError("size mismatch")
     s0 = s0_from_structure(a)
     phi = [Fraction(0)] + [s.get(j, 1) - s0.get(j, 1) for j in range(2, n + 1)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and s.get(i, j) - s0.get(i, j) != phi[i - 1] - phi[j - 1]:
-                raise ValueError("s - s0 is not of the form Phi^1 - Phi^2")
+    for i, j in positive_roots(n):  # s, s0 and Phi^1 - Phi^2 are antisymmetric
+        if s.get(i, j) - s0.get(i, j) != phi[i - 1] - phi[j - 1]:
+            raise ValueError("s - s0 is not of the form Phi^1 - Phi^2")
     for a_, b_ in a.triple.pairs:
         if phi[a_ - 1] - phi[a_] != phi[b_ - 1] - phi[b_]:
             raise ValueError("Phi violates (alpha, Phi) = (T alpha, Phi)")

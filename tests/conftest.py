@@ -21,6 +21,7 @@ from yangbaxter.triples import (
     enumerate_cg_triples,
     simple_root,
     solve_linear,
+    solve_s_system,
 )
 from yangbaxter.tensors import Tensor2, Tensor3
 
@@ -47,6 +48,12 @@ def cg_structure(n, m=1):
 
 def trivial_structures(n):
     return compatible_permutations(BDTriple.make(n, {}))
+
+
+def s_family(t):
+    """The s-points of a triple: its particular s, and that plus each basis vector."""
+    particular, basis = solve_s_system(t)
+    return [particular] + [particular + b for b in basis]
 
 
 def random_sparse_tensor2(n, rng, nnz=4):

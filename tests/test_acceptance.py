@@ -132,7 +132,7 @@ def test_criterion_06_ps_lemma():
                     continue
                 for s in s_choices(t):
                     st = s_as_tensor(s)
-                    for alpha, beta, _, _, lhs in pairs:
+                    for alpha, beta, _, _, lhs, _ in pairs:
                         rhs = 1 - weight_contract(
                             st, alpha.weights(n), beta.weights(n)
                         )

@@ -15,7 +15,10 @@ import json
 
 import pytest
 
-from yangbaxter import cli
+from yangbaxter import builders, cli, triples
+from yangbaxter.tensors import _terms_key
+
+from conftest import s_family
 
 TRIPLE_FILE = "reversing5.json"
 
@@ -38,18 +41,20 @@ GOLDEN = {
     "build --n 3 --cg 1 --target baxterized --pretty": (
         0, "098ff281e88225aff5db8b4be9944d21592c66c66f29bac981428890f1646f4d"
     ),
+    # an exponent that fractional gauge exponents sum to an integer prints
+    # as one (X1^2, not X1^(2)), here and in the two n = 5 ruv commands
     "build --n 3 --cg 1 --target ruv --pretty": (
-        0, "99480632f0e792421aa445717042cf9282bb424944e81a380f6d960833c3a6b6"
+        0, "aa0705369a82751d4565ffdbb993105335114121ecefa83ef4ef7eed44183334"
     ),
     # fractional q-powers, printed from LaurentPoly entries
     "build --n 5 --cg 2 --target ggs --pretty": (
         0, "57e109c1453bd5b6fc6b8ee6ce0d22aadfdf91f3401b1e720da1a449fc3637d1"
     ),
     "build --n 5 --cg 2 --target ruv --pretty": (
-        0, "2ab4b8c9139d9cbb3d89899eb5c88d95ae85baae5a6a3dd1e2c24c00dad0d4ef"
+        0, "d3a8b1e9adca5c92a841e8ecf628e534c89a9eaa55b8c30b008ece49b0f4cb0c"
     ),
     "build --n 5 --cg 2 --target ruv --formula quantum --pretty": (
-        0, "6ee2638555ce56ce1340c9dd40c23a9bf722d88cf4a771efa0436a50f757f6e5"
+        0, "642a3f17e6d42dc338a1c6f1eb500c45d9c7c0507ba4a609779c733f99280d13"
     ),
     "build --n 2 --trivial --perm 2,1 --target ruv --pretty": (
         0, "f6489fa44c1bededbf99ff93eab404115091c86385ef8fb0d90582f4bb71daf1"
@@ -135,6 +140,9 @@ GOLDEN = {
     ),
 }
 
+# every builder's entries and terms in order (test_builders_keep_their_entry_and_term_order)
+BUILDER_ORDER_DIGEST = "81c84a4ec110c2bc0bd388ceb27f42a6819bdc1f9701e3f054d1117a084f68a9"
+
 
 def command_digest(command, tmp_path, capsys):
     """Exit code and sha256 of stdout for one command line."""
@@ -152,3 +160,47 @@ def command_digest(command, tmp_path, capsys):
 @pytest.mark.parametrize("command", list(GOLDEN))
 def test_stdout_matches_golden_digest(command, tmp_path, capsys):
     assert command_digest(command, tmp_path, capsys) == GOLDEN[command]
+
+
+def _builder_calls():
+    """(label, tensor) for every Belavin-Drinfeld builder at n <= 4: each
+    triple, each point of its s-family, each compatible structure at no s,
+    at s0 and at every family point that is an admissible gauge of s0."""
+    for n in range(2, 5):
+        yield f"build_rst({n})", builders.build_rst(n)
+        yield f"build_R_st({n})", builders.build_R_st(n)
+        for t in triples.enumerate_triples(n):
+            yield f"build_a({t})", builders.build_a(t)
+            family = s_family(t)
+            for s in family:
+                yield f"s_as_tensor({s})", builders.s_as_tensor(s)
+                yield f"build_R_ggs_general({t}, {s})", builders.build_R_ggs_general(t, s)
+            for a in triples.compatible_permutations(t):
+                yield f"build_y({a})", builders.build_y(a)
+                yield f"build_R_ggs_assoc({a})", builders.build_R_ggs_assoc(a)
+                for s in [triples.s0_from_structure(a)] + family:
+                    try:
+                        tensor = builders.build_R_ggs_assoc(a, s)
+                    except ValueError:
+                        continue
+                    yield f"build_R_ggs_assoc({a}, {s})", tensor
+
+
+def _scalar_text(v):
+    """A scalar's ordered terms (tensors._terms_key), numbers as text, so an
+    exponent reads the same whether it is held as int or as Fraction."""
+    terms = _terms_key(v)
+    if terms is None:
+        return str(v)
+    return repr([[(tuple(map(str, e)), str(c)) for e, c in part] for part in terms])
+
+
+def test_builders_keep_their_entry_and_term_order():
+    """Entry order and term order decide float sums and the text of
+    witnesses, so every builder must keep both, not only its values."""
+    digest = hashlib.sha256()
+    for label, tensor in _builder_calls():
+        digest.update(f"{label}\n".encode())
+        for key, v in tensor.coeffs.items():
+            digest.update(f"{key} {_scalar_text(v)}\n".encode())
+    assert digest.hexdigest() == BUILDER_ORDER_DIGEST

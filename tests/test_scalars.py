@@ -15,6 +15,7 @@ from yangbaxter.scalars import (
     Y2,
     log_point,
     monomial_rf,
+    q_power,
     rf,
 )
 
@@ -223,6 +224,16 @@ def test_shift_by_a_fraction_keeps_integral_exponents_int():
     p = LaurentPoly({(1, 0, 0, 0): 1}).shift(half).shift(half)
     assert str(p) == "X1^2"
     assert list(p.terms) == [(2, 0, 0, 0)] and type(next(iter(p.terms))[0]) is int
+
+
+def test_a_product_keeps_integral_exponents_int():
+    """Fractional exponents that sum to an integer are stored as int, in a
+    power, in a product of mixed polynomials, and with an int-only factor."""
+    assert str(q_power(1, Fraction(1, 2)) ** 4) == str(q_power(1, 2))
+    root = LaurentPoly({(Fraction(1, 2), 0, 0, 0): 1, (0, 0, 0, 0): 1})
+    p = root * root * LaurentPoly({(0, 0, 3, 0): 2})
+    assert p == LaurentPoly({(1, 0, 3, 0): 2, (Fraction(1, 2), 0, 3, 0): 4, (0, 0, 3, 0): 2})
+    assert {type(e) for exps in p.terms for e in exps if e.denominator == 1} == {int}
 
 
 def _coeff_types(*polys):

@@ -20,7 +20,7 @@ def test_package_modules_found():
 
 
 # ROADMAP item 6's ceiling: the package may not grow past this
-MAX_NONBLANK_LINES = 2718
+MAX_NONBLANK_LINES = 2693
 
 
 def test_package_fits_its_line_ceiling():

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -161,7 +162,7 @@ def test_cg3_explicit():
 
 
 def _pair(t, alpha, beta):
-    """The (k, C, exponent) that prec_pairs carries for alpha < beta, or None."""
+    """The (k, C, exponent, drop) that prec_pairs carries for alpha < beta, or None."""
     found = [rest for a, b, *rest in prec_pairs(t) if (a, b) == (alpha, beta)]
     assert len(found) <= 1
     return tuple(found[0]) if found else None
@@ -207,11 +208,15 @@ def test_ps_examples(reversing5):
 
 
 def _chain_exponent(t, alpha, beta):
-    """The adjacency exponent from its definition on the chain alpha < ... < beta.
+    """The adjacency exponent and rule X's drop from their definitions on
+    the chain alpha < ... < beta.
 
-    1/2([a<.b] + [b<.a]) + [exists gamma strictly between with a<.gamma]
-    + [exists gamma with gamma<.a], where <. is left-adjacency of segments,
-    over a fresh walk of alpha's T-orbit for this one pair.
+    The exponent is 1/2([a<.b] + [b<.a]) + [exists gamma strictly between
+    with a<.gamma] + [exists gamma with gamma<.a], where <. is
+    left-adjacency of segments; the drop is [exists gamma with a<.gamma,
+    and no gamma' with gamma'<.b] + [exists gamma with gamma<.a, and no
+    gamma' with b<.gamma'].  Both over a fresh walk of alpha's T-orbit
+    for this one pair.
     """
     def adjacent(a, b):
         return a.j == b.i
@@ -221,23 +226,35 @@ def _chain_exponent(t, alpha, beta):
         chain[k] = img
     k = next(k for k, img in chain.items() if img == beta)
     between = [chain[a] for a in range(1, k)]
+    right = any(adjacent(alpha, g) for g in between)
+    left = any(adjacent(g, alpha) for g in between)
     exponent = Fraction(int(adjacent(alpha, beta)) + int(adjacent(beta, alpha)), 2)
-    exponent += int(any(adjacent(alpha, g) for g in between))
-    exponent += int(any(adjacent(g, alpha) for g in between))
-    return exponent
+    exponent += int(right) + int(left)
+    drop = int(right and not any(adjacent(g, beta) for g in between))
+    drop += int(left and not any(adjacent(beta, g) for g in between))
+    return exponent, drop
 
 
 def test_prec_pairs_exponent_matches_the_chain_definition():
-    """The exponent carried by prec_pairs' one walk per root equals, in value
-    and in type, the chain definition on every pair of every triple at n <= 7."""
-    pairs = 0
+    """The exponent and drop carried by prec_pairs' one walk per root equal,
+    in value and in type, the chain definitions on every pair of every
+    triple at n <= 7.  A drop is 0 or 1, and is nonzero on 4 pairs of 4
+    triples at n = 6 and on 24 pairs of 20 triples at n = 7."""
+    pairs, dropped_terms, dropped_triples = 0, Counter(), {}
     for n in range(2, 8):
         for t in enumerate_triples(n, bound=7):
-            for alpha, beta, k, c, exponent in prec_pairs(t):
-                want = _chain_exponent(t, alpha, beta)
+            for alpha, beta, k, c, exponent, drop in prec_pairs(t):
+                want, want_drop = _chain_exponent(t, alpha, beta)
                 assert (exponent, type(exponent)) == (want, type(want)), (t, alpha, beta)
+                assert (drop, type(drop)) == (want_drop, int), (t, alpha, beta)
+                assert drop in (0, 1)
+                if drop:
+                    dropped_terms[n] += 1
+                    dropped_triples.setdefault(n, set()).add(t.pairs)
                 pairs += 1
     assert pairs == 2736
+    assert dropped_terms == {6: 4, 7: 24}
+    assert {n: len(ts) for n, ts in dropped_triples.items()} == {6: 4, 7: 20}
 
 
 def test_ggs_general_walks_each_orbit_once(monkeypatch):
@@ -264,7 +281,7 @@ def test_ps_lemma_against_s_contraction():
             particular, basis = solve_s_system(t)
             for s in [particular] + [particular + b for b in basis]:
                 st = s_as_tensor(s)
-                for alpha, beta, _, _, exponent in prec_pairs(t):
+                for alpha, beta, _, _, exponent, _ in prec_pairs(t):
                     contraction = weight_contract(
                         st, alpha.weights(n), beta.weights(n)
                     )
@@ -333,7 +350,7 @@ def test_translation_property_of_assoc_pairs():
     for n in (3, 4):
         for t in enumerate_triples(n):
             for structure in compatible_permutations(t):
-                for alpha, beta, k, c, _ in prec_pairs(t):
+                for alpha, beta, k, c, _, _ in prec_pairs(t):
                     assert c == 0
                     assert structure.orbit_distance(alpha.i, beta.i) == k
                     assert structure.orbit_distance(alpha.j, beta.j) == k

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from yangbaxter import cli, tensors, verify
+from yangbaxter import builders, cli, tensors, verify
 from yangbaxter.builders import (
     baxterize,
     build_R_ggs_general,
@@ -35,8 +35,8 @@ from yangbaxter.triples import (
 )
 
 from conftest import (
-    cg_structure, compiled_entries, embed, per_entry_apply, perm_diag, trivial_structures,
-    weight_zero_ok,
+    cg_structure, compiled_entries, embed, per_entry_apply, perm_diag, s_family,
+    trivial_structures, weight_zero_ok,
 )
 
 
@@ -267,18 +267,12 @@ def _ratfunc_cybe_spectral(r):
     return _ratfunc_residual("cybe_spectral", r)
 
 
-def _s_points(t):
-    """The particular s of t and particular + each basis vector."""
-    particular, basis = solve_s_system(t)
-    return [particular] + [particular + b for b in basis]
-
-
 def _constant_family(nmax, reversing5):
     """r_{T,s} at every s-point of every triple with n <= nmax and of the
     orientation-reversing n = 5 triple."""
     triples = [t for n in range(2, nmax + 1) for t in enumerate_triples(n)] + [reversing5]
     for t in triples:
-        for s in _s_points(t):
+        for s in s_family(t):
             yield build_r_ts(t, s)
 
 
@@ -351,7 +345,7 @@ def test_one_catalogues_dict_across_the_exact_checks_keeps_verdicts(reversing5):
 
     triples = [t for n in (2, 3, 4) for t in enumerate_triples(n)] + [reversing5]
     for t in triples:
-        family = [build_r_ts(t, s) for s in _s_points(t)]
+        family = [build_r_ts(t, s) for s in s_family(t)]
         for r in family:
             check("cybe", r)
             check("cybe_spectral", hat_r(r))
@@ -440,19 +434,46 @@ def test_hecke_degenerate_failure():
     assert res.lex_witness() is not None
 
 
-# ROADMAP item 2: the general GGS matrix at the particular s fails QYBE and
-# Hecke on exactly these four non-associative triples at n = 6.  A fix of
-# the builder makes these pass, and must then remove the mark.
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2: the general GGS builder fails at order u^3")
-@pytest.mark.parametrize("t_map", [
-    {1: 5, 2: 4, 4: 1}, {1: 5, 2: 4, 5: 2}, {1: 4, 4: 2, 5: 1}, {2: 5, 4: 2, 5: 1},
-])
+# the orientation-reversing n = 6 triples on which the bare prec_pairs
+# exponent fails QYBE and Hecke; rule X's drop changes a term of exactly these
+REVERSING_N6 = [{1: 5, 2: 4, 4: 1}, {1: 5, 2: 4, 5: 2}, {1: 4, 4: 2, 5: 1}, {2: 5, 4: 2, 5: 1}]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_general_ggs_solves_qybe_and_hecke_at_every_s_point(n):
+    for t in enumerate_triples(n):
+        for s in s_family(t):
+            R = build_R_ggs_general(t, s)
+            assert verify.hecke_residual(R).is_zero(), (t, s)
+            assert verify.qybe_residual(R).is_zero(), (t, s)
+
+
+@pytest.mark.parametrize("t_map", REVERSING_N6)
 def test_general_ggs_solves_qybe_and_hecke_on_reversing_n6_triples(t_map):
     t = BDTriple.make(6, t_map)
-    R = build_R_ggs_general(t, solve_s_system(t)[0])
-    assert verify.hecke_residual(R).is_zero()
-    assert verify.qybe_residual(R).is_zero()
+    for s in s_family(t):
+        R = build_R_ggs_general(t, s)
+        assert verify.hecke_residual(R).is_zero(), s
+        assert verify.qybe_residual(R).is_zero(), s
+
+
+def test_general_ggs_with_the_bare_exponent_fails_on_exactly_the_reversing_n6_triples(
+    monkeypatch,
+):
+    """Negative control for rule X: without the drop, Hecke fails at the
+    particular s of exactly the four REVERSING_N6 triples of the 115 at
+    n = 6, and QYBE fails at every s-point of each of them."""
+    pairs = builders.prec_pairs
+    monkeypatch.setattr(builders, "prec_pairs", lambda t: [p[:5] + (0,) for p in pairs(t)])
+    failing = {
+        t.pairs for t in enumerate_triples(6)
+        if not verify.hecke_residual(build_R_ggs_general(t, solve_s_system(t)[0])).is_zero()
+    }
+    assert failing == {BDTriple.make(6, t_map).pairs for t_map in REVERSING_N6}
+    for t_map in REVERSING_N6:
+        t = BDTriple.make(6, t_map)
+        for s in s_family(t):
+            assert not verify.qybe_residual(build_R_ggs_general(t, s)).is_zero(), (t, s)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
