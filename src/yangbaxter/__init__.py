@@ -8,12 +8,7 @@ functions) or numerically (seeded complex sampling).
 
 __version__ = "0.1.0"
 
-from .scalars import (
-    LaurentPoly,
-    PoleOrderError,
-    RatFunc,
-    rf,
-)
+from .scalars import LaurentPoly, PoleOrderError, RatFunc, rf
 from .series import expand_in_u
 from .tensors import Tensor2, Tensor3, gauge_conjugate
 from .triples import (

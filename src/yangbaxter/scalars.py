@@ -131,11 +131,9 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
+        if type(other) is LaurentPoly or isinstance(other, (int, Fraction, LaurentPoly)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
@@ -513,11 +511,9 @@ class RatFunc:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RatFunc(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self + (-other)
+        if type(other) is RatFunc or isinstance(other, (int, Fraction, LaurentPoly, RatFunc)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other

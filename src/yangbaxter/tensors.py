@@ -8,8 +8,7 @@ Coefficients are stored in dicts keyed by 1-based matrix-unit indices:
 which is printed as t_{i,k}^{j,l} (lower indices rows, upper columns).
 Scalars are pluggable: Fraction for constant matrices, RatFunc for the
 symbolic spectral matrices, complex for numeric sampling.  Any type with
-+, -, *, / by int and truthiness for exact zero works; zero coefficients
-are never stored.
++, -, *, / by int and truthiness for exact zero works, and no zero is stored.
 
 Tensor2 and Tensor3 are one class body at two and three legs.  Every
 product, including X_ab Y_cd and T Y_cd for factors placed on legs of the
@@ -17,8 +16,9 @@ product, including X_ab Y_cd and T Y_cd for factors placed on legs of the
 materialising the n-fold embeddings, summing every coefficient in the
 same order as the embedded product, so results agree to the bit.
 
-Tensors are immutable after construction; all operations are pure, so
-instances can be shared freely between parallel workers.
+Tensors are immutable after construction.  Numeric sampling compiles a
+Tensor2 (CompiledTensor2) and applies it to flat vectors lane by lane,
+through one straight-line kernel generated from its rows.
 """
 
 from __future__ import annotations
@@ -53,15 +53,6 @@ def _added(a, b):
     for k, v in b.items():
         cur = get(k)
         out[k] = v if cur is None else cur + v
-    return out
-
-
-def _subtracted(a, b):
-    out = dict(a)
-    get = out.get
-    for k, v in b.items():
-        cur = get(k)
-        out[k] = -v if cur is None else cur - v
     return out
 
 
@@ -188,7 +179,7 @@ def _sparse_tensor(nlegs):
         def __sub__(self, other):
             if not isinstance(other, Tensor) or self.n != other.n:
                 return NotImplemented
-            return _adopt(Tensor, self.n, _subtracted(self.coeffs, other.coeffs))
+            return _adopt(Tensor, self.n, _added(self.coeffs, (-other).coeffs))
 
         def scale(self, c):
             if not c:
@@ -239,18 +230,16 @@ def _sparse_tensor(nlegs):
                 in float form (LaurentPoly.float_form), a number as complex.
                 Entries whose scalars have the same terms in the same order
                 share one; equal scalars with their terms in another order
-                are kept apart, since they may round differently.  Rows are
-                split as CompiledTensor2 keeps them."""
-                n, shared, forms, firsts, rest = self.n, {}, [], {}, []
+                are kept apart, since they may round differently.  The rows
+                are CompiledTensor2's, one per entry in dict order."""
+                n, shared, forms, rows = self.n, {}, [], []
                 for (i, j, k, l), v in self.coeffs.items():
                     s = shared.setdefault(_terms_key(v) or (i, j, k, l), len(forms))
                     if s == len(forms):
                         exact = isinstance(v, (LaurentPoly, RatFunc))
                         forms.append(v.float_form() if exact else complex(v))
-                    row = (i - 1) * n + k - 1, (j - 1) * n + l - 1, s
-                    if firsts.setdefault(row[0], row) is not row:
-                        rest.append(row)
-                return CompiledTensor2(n, list(firsts.values()), rest, forms)
+                    rows.append(((i - 1) * n + k - 1, (j - 1) * n + l - 1, s))
+                return CompiledTensor2(n, rows, forms)
 
         def project_traceless(self, legs):
             """Apply M -> M - (tr M / n) 1 on each selected leg (1, 2, ...).
@@ -395,53 +384,75 @@ def _lane_plan(n, legs):
     return len(order), gathers, None if order == sorted(order) else itemgetter(*inverse)
 
 
+# _kernel continues a row past this many products in another statement:
+# CPython's compiler recurses per + of a chain and fails in the thousands
+_CHAIN = 500
+
+
+def _kernel(m, rows, nvalues):
+    """CompiledTensor2.apply's kernel: a function of the scalar values and
+    one lane that returns its m output entries as a list display, entry r
+    v_s * x_c + ... over r's rows in their order (y_r = y_r + ... past
+    _CHAIN products), or int 0.  The source holds only fixed names and ints."""
+    terms, body = {}, []
+    for r, c, s in rows:
+        terms.setdefault(r, []).append(f"v{s} * x{c}")
+    for r, chain in terms.items():
+        if len(chain) > _CHAIN:
+            body += [f"y{r} = " + " + ".join([f"y{r}"] * bool(k) + chain[k:k + _CHAIN])
+                     for k in range(0, len(chain), _CHAIN)]
+            terms[r] = [f"y{r}"]
+    source = "\n    ".join([
+        "def kernel(values, lane):", "[" + "".join(f"v{s}, " for s in range(nvalues)) + "] = values",
+        "[" + "".join(f"x{c}, " for c in range(m)) + "] = lane", *body,
+        "return [" + ", ".join(" + ".join(terms.get(r, ["0"])) for r in range(m)) + "]"])
+    namespace = {"__builtins__": {}}
+    exec(compile(source, "<CompiledTensor2 kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 class CompiledTensor2:
-    """A Tensor2 compiled for application to many vectors: one row (r, c, s)
-    per entry e_ij (x) e_kl, with the lane-local row r = (i-1)n + (k-1) and
-    column c = (j-1)n + (l-1), the same on every legs, and s the index of
-    its scalar in scalars; firsts holds each r's first entry, rest the
-    others, both in dict order.  lanes holds apply's plans, made on first
-    use; the copies at() makes share it and the rows."""
+    """A Tensor2 compiled for application to many vectors: rows holds one
+    (r, c, s) per entry e_ij (x) e_kl in dict order, with the lane-local
+    row r = (i-1)n + (k-1) and column c = (j-1)n + (l-1), the same on
+    every legs, and s the index of its scalar in scalars.  lanes holds
+    apply's plans and the list kernel its one kernel (_kernel), both made
+    on first use; the copies at() makes share them and the rows."""
 
-    __slots__ = ("n", "firsts", "rest", "scalars", "lanes")
+    __slots__ = ("n", "rows", "scalars", "lanes", "kernel")
 
-    def __init__(self, n, firsts, rest, scalars, lanes=None):
-        self.n, self.firsts, self.rest, self.scalars = n, firsts, rest, scalars
-        self.lanes = {} if lanes is None else lanes
+    def __init__(self, n, rows, scalars, lanes=None, kernel=None):
+        self.n, self.rows, self.scalars = n, rows, scalars
+        self.lanes, self.kernel = ({}, []) if lanes is None else (lanes, kernel)
 
     def at(self, logs):
         """A copy of a float form with each scalar evaluated at logs, all
         sharing one table of monomial values (LaurentPoly.evaluate)."""
         powers = {}
         values = [v if type(v) is complex else v.evaluate(logs, powers) for v in self.scalars]
-        return CompiledTensor2(self.n, self.firsts, self.rest, values, self.lanes)
+        return CompiledTensor2(self.n, self.rows, values, self.lanes, self.kernel)
 
     def apply(self, x, legs=None):
         """self x as a new list, for x a flat list in row-major index order
         in V (x) V, or with legs = 12, 13 or 23 in V (x) V (x) V, where self
         acts on the named legs: embed(self, legs) x (the oracle in
         tests/conftest.py), with no embedding built; legs 21 swaps self's
-        legs.  Lane by lane: a lane is x at one index of the free leg (x
-        itself on V (x) V); each output row is its first product, then each
-        other row adds its product in, so every entry sums the same products
-        in the same order as entry by entry from int 0, and can differ only
-        in the sign of an exact zero.  An output row with no entry is int 0."""
+        legs.  Lane by lane, a lane being x at one index of the free leg (x
+        itself on V (x) V), the kernel (_kernel) sums each output row's
+        products in the order of the entry-by-entry sum from int 0, so the
+        two differ at most in the sign of an exact zero; a row with no
+        entry is int 0."""
         plan = self.lanes.get(legs)
         if plan is None:
             plan = self.lanes[legs] = _lane_plan(self.n, legs)
         size, gathers, scatter = plan
         if len(x) != size:
             raise ValueError(f"vector of length {len(x)}, expected {size}")
-        firsts, rest, values, m = self.firsts, self.rest, self.scalars, self.n * self.n
-        y = []
+        if not self.kernel:
+            self.kernel.append(_kernel(self.n * self.n, self.rows, len(self.scalars)))
+        kernel, values, y = self.kernel[0], self.scalars, []
         for gather in gathers:
-            xf = gather(x)
-            yf = [0] * m
-            for r, c, s in firsts:
-                yf[r] = values[s] * xf[c]
-            for r, c, s in rest:
-                yf[r] += values[s] * xf[c]
-            y += yf
+            y += kernel(values, gather(x))
         return y if scatter is None else list(scatter(y))
 
 

@@ -384,7 +384,7 @@ def compiled_entries(t, compiled):
     """The entries of a Tensor2's compiled form (Tensor2.float_form), before
     or after CompiledTensor2.at, as {index: scalar} in t's dict order: the
     form has one row (r, c, s) per entry of t, its index read off r and c."""
-    n, rows = t.n, compiled.firsts + compiled.rest
+    n, rows = t.n, compiled.rows
     assert len(rows) == len(t.coeffs)
     scalars = {
         (r // n + 1, c // n + 1, r % n + 1, c % n + 1): compiled.scalars[s] for r, c, s in rows

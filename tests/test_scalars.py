@@ -492,3 +492,31 @@ def test_in_normal_form_keeps_num_and_den():
     f = RatFunc.in_normal_form(num, den)
     assert f.num is num and f.den is den
     assert f == RatFunc(num, den)
+
+
+def _ordered_terms(x):
+    """The terms of a LaurentPoly, or of a RatFunc's numerator and denominator, in order."""
+    if isinstance(x, RatFunc):
+        return type(x), list(x.num.terms.items()), list(x.den.terms.items())
+    return type(x), list(x.terms.items())
+
+
+def test_sub_has_the_terms_of_adding_the_negation():
+    """a - b has the terms of a + (-b), in the same order, for a LaurentPoly
+    or RatFunc a minus an int, a Fraction, a LaurentPoly or a RatFunc."""
+    p = LaurentPoly({(1, 0, 0, 0): 2, (0, 0, 1, 0): Fraction(1, 3), (0, 0, 0, 0): 5})
+    q = LaurentPoly({(0, 0, 1, 0): Fraction(1, 3), (2, 0, 0, 0): -1, (0, 0, 0, 0): 1})
+    den = rf(1) - rf(Y1)
+    for a in (p, rf(p) / den):
+        for b in (3, Fraction(-2, 7), 5, q, p, rf(q) / den, rf(p) / (rf(1) + rf(X1))):
+            got, want = a - b, a + (-b)
+            assert _ordered_terms(got) == _ordered_terms(want), (a, b)
+            assert got == want
+
+
+def test_sub_of_an_unsupported_operand_raises_type_error():
+    for a in (LaurentPoly({(1, 0, 0, 0): 2}), rf(Y1) / (rf(1) - rf(Y1))):
+        with pytest.raises(TypeError):
+            a - "x"
+        with pytest.raises(TypeError):
+            "x" - a

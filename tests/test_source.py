@@ -256,3 +256,39 @@ def test_every_name_the_benchmark_reads_exists():
     spec.loader.exec_module(tracer)
     names = _benchmark_names(tracer.GROUPS, (PERFBENCH / "worker.py").read_text(encoding="utf-8"))
     assert set(_missing_names(names)) == BENCHMARK_NAMES_MISSING_ALLOWED
+
+
+# The one function allowed to turn source text into code: the kernel
+# builder, whose source holds only fixed names and ints.
+CODE_BUILDERS_ALLOWED = {("tensors", "_kernel")}
+
+
+def _code_builders(module, tree):
+    """(module, function) of each call of exec, eval or compile by name,
+    the function being the innermost def around it, or None at module level."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in ("exec", "eval", "compile")):
+                found.append((module, function))
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_code_builders_rule_flags_exec_eval_and_compile():
+    tree = ast.parse("exec('x')\ndef f():\n    def g():\n        return eval('1')\n"
+                     "    return compile('', '', 'exec'), re.compile('x'), g\n")
+    assert _code_builders("m", tree) == [("m", None), ("m", "g"), ("m", "f")]
+
+
+def test_only_the_kernel_builder_turns_text_into_code():
+    found = [pair for path in MODULES
+             for pair in _code_builders(path.stem, ast.parse(path.read_text(encoding="utf-8")))]
+    assert set(found) == CODE_BUILDERS_ALLOWED

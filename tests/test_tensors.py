@@ -1,5 +1,6 @@
 """Tensor engine: spec examples, dense-oracle cross-checks, algebra laws."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -260,6 +261,78 @@ def test_lane_kernel_differs_from_the_per_entry_loop_only_in_zero_signs(legs):
     # the case this test exists for: a -0.0 kept by the kernel only
     signs = [(z.imag.hex(), w.imag.hex()) for z, w in zip(got, want) if type(z) is complex]
     assert ("-0x0.0p+0", "0x0.0p+0") in signs
+
+
+def _zero_signs_dropped(values):
+    """_bits with each zero part read as "0": the kernel may differ from
+    the per-entry loop in the sign of an exact zero only."""
+    return [(type(z).__name__, *(float(p).hex() if p else "0" for p in (z.real, z.imag)))
+            for z in values]
+
+
+def test_kernel_continues_a_long_row_in_further_statements(rng):
+    """One output row of 5041 products, every column of row (1, 1) at
+    n = 71, compiles and sums as the per-entry loop does."""
+    n = 71
+    t = Tensor2(n, {(1, j, 1, l): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                    for j in range(1, n + 1) for l in range(1, n + 1)})
+    x = unit_vector(rng, n * n)
+    got = t.float_form().apply(x)
+    assert _bits(got) == _bits(per_entry_apply(t, x))
+    assert type(got[0]) is complex and got[1:] == [0] * (n * n - 1)
+
+
+@pytest.mark.parametrize("legs", [None, 12, 13, 23, 21])
+def test_kernel_keeps_the_bits_of_the_per_entry_loop_on_special_floats(rng, legs):
+    """NaN, inf, -0.0 and 1e308 in the scalars, and so inf - inf and
+    overflow in the sums, give the per-entry loop's bits but for the sign
+    of a zero."""
+    n = 3
+    special = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308, 0.5)
+    size = n ** (2 if legs in (None, 21) else 3)
+    for _ in range(10):
+        t = Tensor2(n, {
+            tuple(rng.randint(1, n) for _ in range(4)):
+            complex(rng.choice(special), rng.choice(special)) for _ in range(2 * n * n)
+        })
+        x = unit_vector(rng, size)
+        assert _zero_signs_dropped(t.float_form().apply(x, legs)) == _zero_signs_dropped(
+            per_entry_apply(t, x, legs))
+
+
+@pytest.mark.parametrize("legs", [None, 12, 13, 23, 21])
+def test_kernel_of_an_empty_tensor_and_at_n_1(rng, legs):
+    """An empty tensor gives int 0 on every row; at n = 1 a lane has one
+    entry.  Both as the per-entry loop."""
+    for n, coeffs in ((3, {}), (1, {}), (1, {(1, 1, 1, 1): complex(0.25, -2.0)})):
+        t = Tensor2(n, coeffs)
+        x = unit_vector(rng, n ** (2 if legs in (None, 21) else 3))
+        got = t.float_form().apply(x, legs)
+        assert _bits(got) == _bits(per_entry_apply(t, x, legs))
+        assert (type(got[0]) is int) == (not coeffs)
+
+
+def test_at_copies_share_one_kernel(rng, monkeypatch):
+    """Two at() copies of one float form, applied on three legs, build one kernel."""
+    from yangbaxter import tensors
+
+    built = []
+    kernel = tensors._kernel
+
+    def counted(*args):
+        built.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(tensors, "_kernel", counted)
+    n = 3
+    x = unit_vector(rng, n ** 3)
+    t = Tensor2(n, {(1, 2, 2, 1): X1 + 1, (2, 2, 3, 3): Y1 * 2, (3, 1, 3, 1): Fraction(1, 2)})
+    form = t.float_form()
+    first, second = form.at((0.1j, 0.2, 0.3, 0.4j)), form.at((0.5, 0.6j, 0.7, 0.8))
+    for copy, legs in ((first, 12), (second, 13), (first, 23), (second, 12)):
+        want = per_entry_apply(Tensor2(n, compiled_entries(t, copy)), x, legs)
+        assert copy.apply(x, legs) == want
+    assert len(built) == 1 and first.kernel is second.kernel is form.kernel
 
 
 def test_column_and_apply_examples():
@@ -691,3 +764,37 @@ def test_catalogue_sums_back_to_the_tensor():
         (), ((LaurentPoly.const(Fraction(1, 2)), Tensor2.perm(2).map_scalars(int)),)
     )
     assert Tensor2(2).catalogue() == ((), ())
+
+
+# sha256 of the kernel's output bits on the cg8 inputs below, recorded
+# before the per-entry loop gave way to the generated kernel
+CG8_APPLY_BITS_DIGEST = "9444017964f8dd59ef20c1154f1dc71651564663000c51fb7a6d74cbf9424265"
+
+
+def test_apply_keeps_its_bits_on_cg8_inputs():
+    """The first Cremmer-Gervais structure at n = 8: R_assoc, Hecke's M and
+    N (verify._slot_inputs), r_kernel and hat_r(r_ts), each evaluated at
+    one seeded sample point and applied on every legs value to one seeded
+    unit vector, give output entries of the recorded types and bits."""
+    import hashlib
+    import random
+
+    from yangbaxter import cli, verify
+    from yangbaxter.builders import hat_r
+    from yangbaxter.scalars import log_point
+    from yangbaxter.triples import compatible_permutations, enumerate_cg_triples, s0_from_structure
+
+    _, triple = next(iter(enumerate_cg_triples(8)))
+    st = compatible_permutations(triple)[0]
+    m = cli._Matrices(triple, s0_from_structure(st), st)
+    inputs = [m.R_assoc, *verify._slot_inputs("hecke", m.R_assoc), m.r_kernel, hat_r(m.r_ts)]
+    rng = random.Random(33)
+    point, _ = verify._clear_point(rng)
+    x = unit_vector(rng, 8 ** 3)
+    digest = hashlib.sha256()
+    for t in inputs:
+        compiled = t.float_form().at(log_point(*point, 8))
+        for legs in (None, 21, 12, 13, 23):
+            y = compiled.apply(x if legs in (12, 13, 23) else x[:64], legs)
+            digest.update(repr(_bits(y)).encode())
+    assert digest.hexdigest() == CG8_APPLY_BITS_DIGEST
