@@ -13,6 +13,7 @@ factor); the verifiers assert the routes agree exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .scalars import LaurentPoly, RatFunc, monomial_rf, q_power, rf
 from .tensors import Tensor2, _x1_scaled, gauge_conjugate
@@ -111,14 +112,14 @@ def hat_r(r):
     one, y1 = (0, 0, 0, 0), (0, 0, 1, 0)
     den = LaurentPoly({one: -1, y1: 1})
     flip = r.flip21()
-    out = {}
-    for key in set(r.coeffs) | set(flip.coeffs):
-        num = LaurentPoly({one: -r.coeffs.get(key, 0), y1: -flip.coeffs.get(key, 0)})
-        if num.terms == den.terms:
-            out[key] = RatFunc(1)
-        elif num.terms:
-            out[key] = RatFunc.in_normal_form(num, den)
-    return Tensor2(r.n, out)
+
+    @cache
+    def entry(a, b):  # the entry of the coefficients a of r and b of r^21
+        num = LaurentPoly({one: -a, y1: -b})
+        return RatFunc(1) if num.terms == den.terms else RatFunc.in_normal_form(num, den)
+
+    return Tensor2(r.n, {key: entry(r.coeffs.get(key, 0), flip.coeffs.get(key, 0))
+                         for key in set(r.coeffs) | set(flip.coeffs)})
 
 
 def _q_conjugate(tensor, s):
@@ -167,16 +168,16 @@ def build_R_ggs_assoc(a, s=None):
     """
     n = a.n
     diff = SWedge(n) if s is None else phi_coboundary(phi_from_s(a, s), n)
-    qm = _q_minus_qinv(n)
+    qm, diagonal = _q_minus_qinv(n), cache(lambda d: q_power(n, 1 - Fraction(2 * d, n)))
     return _q_conjugate(_bd_matrix(
-        n, lambda i, j: q_power(n, 1 - Fraction(2 * a.orbit_distance(i, j), n)), qm,
+        n, lambda i, j: diagonal(a.orbit_distance(i, j)), qm,
         [(alpha, beta, qm * q_power(n, Fraction(-2 * k, n)), qm * q_power(n, Fraction(2 * k, n)))
          for alpha, beta, k, *_ in prec_pairs(a.triple)]), diff)
 
 
 def baxterize(R):
     """Add the spectral term (e^v / (1 - e^v)) (q - q^-1) P to R(q)."""
-    p_term = Tensor2.perm(R.n).scale(f_v() * q_minus_qinv(R.n))
+    p_term = Tensor2.perm(R.n, f_v() * q_minus_qinv(R.n))
     return R.map_scalars(rf) + p_term
 
 
@@ -188,8 +189,9 @@ def build_y(a):
     """
     n = a.n
     den = LaurentPoly.const(1) - LaurentPoly.monomial((-2 * n, 0, 0, 0))
+    diagonal = cache(lambda d: RatFunc(LaurentPoly.monomial((-2 * d, 0, 0, 0)), den))
     return _bd_matrix(
-        n, lambda i, j: RatFunc(LaurentPoly.monomial((-2 * a.orbit_distance(i, j), 0, 0, 0)), den),
+        n, lambda i, j: diagonal(a.orbit_distance(i, j)),
         rf(1), [(alpha, beta, monomial_rf(x1=-2 * k), monomial_rf(x1=2 * k))
                 for alpha, beta, k, *_ in prec_pairs(a.triple)])
 
@@ -207,7 +209,7 @@ def build_r_uv(a, s=None, formula="both"):
     if s is None:
         s = s0_from_structure(a)
     phi = phi_from_s(a, s)
-    p_term = Tensor2.perm(n).scale(f_v())
+    p_term = Tensor2.perm(n, f_v())
 
     def via_quantum():
         R = build_R_ggs_general(a.triple, s)

@@ -10,21 +10,14 @@ with exact rational exponents and exact rational coefficients:
     LaurentPoly = sparse map {exponent 4-tuple: int | Fraction}
     RatFunc     = quotient of two LaurentPolys, denominator nonzero
 
-RatFunc only where a denominator exists: a quantum matrix R(q) is built
-over LaurentPoly, so its products multiply polynomials with no second
-product of denominators; a sum or product with a RatFunc is a RatFunc.
-
-Rational-function equality and zero tests are decided by cross
-multiplication of expanded numerators, never by floating point and never
-by gcd canonicalization.  A coefficient is stored as int when it enters
+RatFunc only where a denominator exists (a quantum matrix R(q) is over
+LaurentPoly); a sum or product with a RatFunc is a RatFunc.  Equality and
+zero tests cross-multiply expanded numerators, never by floating point
+or gcd canonicalization.  A coefficient is stored as int when it enters
 the ring integral, and as Fraction otherwise; every division is exact.
-Exponents may be arbitrary exact rationals (stored as int whenever
-integral), which is a superset of every finite lattice (1/(2nL))*Z the
-matrix builders draw from, so substitutions and gauge factors never
-require re-registering a lattice.
-
-Values are immutable after construction and safe to share between
-workers; every operation returns a fresh value.
+Exponents are arbitrary exact rationals (int whenever integral), a
+superset of every lattice (1/(2nL))*Z the builders draw from.  Values
+are immutable and safe to share; every operation returns a fresh value.
 """
 
 from __future__ import annotations
@@ -222,16 +215,21 @@ class LaurentPoly:
         if powers is None:
             powers = {}
         total = 0j
-        for exps, c in self.terms.items():
+        for exps, c, steps in self._plan():
             w = powers.get(exps)
             if w is None:
                 z = 0j
-                for e, lg in zip(exps, logs):
-                    if e:
-                        z += float(e) * lg
+                for e, i in steps:
+                    z += e * logs[i]
                 w = powers[exps] = cmath.exp(z)
-            total += float(c) * w
+            total += c * w
         return total
+
+    def _plan(self):
+        """evaluate's terms: (exponents, coefficient as float, the (exponent
+        as float, index) of each nonzero exponent)."""
+        return [(exps, float(c), [(float(e), i) for i, e in enumerate(exps) if e])
+                for exps, c in self.terms.items()]
 
     def float_form(self):
         """The same polynomial with float coefficients and exponents.
@@ -240,9 +238,9 @@ class LaurentPoly:
         convert, so a polynomial evaluated at many points is converted
         once.  It is for evaluate only (see _FloatPoly).
         """
-        return _FloatPoly._make(
-            {tuple(map(float, exps)): float(c) for exps, c in self.terms.items()}
-        )
+        out = _FloatPoly._make({tuple(map(float, e)): float(c) for e, c in self.terms.items()})
+        out.plan = LaurentPoly._plan(out)
+        return out
 
     def associate(self):
         """(c, e, p) with self = c X^e p, for a nonzero self.
@@ -395,10 +393,14 @@ class _FloatPoly(LaurentPoly):
 
     Its values are not exact, so the operations that promise exact
     rational coefficients (arithmetic, comparison, printing) raise
-    TypeError, also through a RatFunc holding it; evaluate works.
+    TypeError, also through a RatFunc holding it; evaluate works, from
+    the plan made once with it.
     """
 
-    __slots__ = ()
+    __slots__ = ("plan",)
+
+    def _plan(self):
+        return self.plan
 
     def _inexact(self, *args):
         raise TypeError("a float form is for evaluate only")

@@ -5,20 +5,15 @@ Coefficients are stored in dicts keyed by 1-based matrix-unit indices:
     Tensor2.coeffs[(i, j, k, l)]        coefficient of e_ij (x) e_kl
     Tensor3.coeffs[(i, j, k, l, m, p)]  coefficient of e_ij (x) e_kl (x) e_mp
 
-which is printed as t_{i,k}^{j,l} (lower indices rows, upper columns).
-Scalars are pluggable: Fraction for constant matrices, RatFunc for the
-symbolic spectral matrices, complex for numeric sampling.  Any type with
-+, -, *, / by int and truthiness for exact zero works, and no zero is stored.
-
+printed as t_{i,k}^{j,l} (lower indices rows, upper columns).  Scalars
+are any type with +, -, *, / by int and truthiness for exact zero; no
+zero is stored, and costly entrywise maps run once per distinct scalar.
 Tensor2 and Tensor3 are one class body at two and three legs.  Every
-product, including X_ab Y_cd and T Y_cd for factors placed on legs of the
-3-fold product, is read from one table and contracted directly, without
-materialising the n-fold embeddings, summing every coefficient in the
-same order as the embedded product, so results agree to the bit.
-
-Tensors are immutable after construction.  Numeric sampling compiles a
-Tensor2 (CompiledTensor2) and applies it to flat vectors lane by lane,
-through one straight-line kernel generated from its rows.
+product, also of factors placed on legs of the 3-fold product, is read
+from one table and contracted without building embeddings, in the
+embedded product's order, so results agree to the bit.  Tensors are
+immutable.  Numeric sampling applies a Tensor2's compiled form
+(CompiledTensor2) to flat vectors through one generated kernel.
 """
 
 from __future__ import annotations
@@ -26,13 +21,42 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import product
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, mul, sub
 
 from .scalars import VAR_NAMES, LaurentPoly, RatFunc, rf
 
 
 _ONE_TERMS = {(0, 0, 0, 0): 1}
+
+
+def _terms_key(v):
+    """The ordered terms of a polynomial or quotient, or None for a number;
+    scalars with equal keys have equal float forms, bit for bit."""
+    if isinstance(v, RatFunc):
+        return tuple(v.num.terms.items()), tuple(v.den.terms.items())
+    if isinstance(v, LaurentPoly):
+        return (tuple(v.terms.items()),)
+    return None
+
+
+def _memo(fn):
+    """fn of scalars, run once per distinct arguments keyed by their ordered
+    terms (_terms_key), which share the immutable result: the terms, in
+    order, a call per entry gives.  A number among the arguments bypasses it."""
+    seen = {}
+
+    def once(*args):
+        key = tuple(map(_terms_key, args))
+        if None in key:
+            return fn(*args)
+        out = seen.get(key)
+        if out is None:
+            out = seen[key] = fn(*args)
+        return out
+
+    return once
 
 
 def _prune(d):
@@ -48,25 +72,23 @@ def _adopt(cls, n, coeffs):
 
 
 def _added(a, b):
-    out = dict(a)
+    """a + b entrywise: a sum with a RatFunc once per distinct pair (_memo),
+    as a sum of LaurentPolys or numbers costs less than the memo's key."""
+    out, plus = dict(a), _memo(add)
     get = out.get
     for k, v in b.items():
         cur = get(k)
-        out[k] = v if cur is None else cur + v
+        out[k] = v if cur is None else plus(cur, v) if RatFunc in (type(cur), type(v)) else cur + v
     return out
 
 
 def _contract(left, right, left_cols, right_rows, pick, sort_by=None, out=None):
     """Sum of the products ca * cb over the entry pairs that meet, added
-    into the dict out when it is given.
-
-    Entry (lk, ca) of left meets entry (rk, cb) of right when
-    left_cols(lk) == right_rows(rk); the product lands at pick(lk + rk).
-    Every coefficient is summed in a fixed order: left's entries in dict
-    order, and for each of them the matching right entries in right's
-    dict order, first sorted stably by sort_by(rk) when it is given.
-    Float sums and the non-canonical form of RatFunc depend on this order.
-    """
+    into the dict out when it is given.  Entry (lk, ca) of left meets
+    (rk, cb) of right when left_cols(lk) == right_rows(rk), the product
+    landing at pick(lk + rk).  Sums run over left's entries in dict order,
+    each over the right entries met in dict order, sorted stably by
+    sort_by(rk) if given: float sums and RatFunc's form depend on it."""
     items = right.items()
     if sort_by is not None:
         items = sorted(items, key=lambda item: sort_by(item[0]))
@@ -130,7 +152,7 @@ def _sparse_tensor(nlegs):
     column_keys = {}
 
     class Tensor:
-        __slots__ = ("n", "coeffs")
+        __slots__ = ("n", "coeffs", "_form")
 
         def __init__(self, n, coeffs=None):
             self.n = n
@@ -184,7 +206,7 @@ def _sparse_tensor(nlegs):
         def scale(self, c):
             if not c:
                 return Tensor(self.n)
-            return _adopt(Tensor, self.n, {k: c * v for k, v in self.coeffs.items()})
+            return self.map_scalars(lambda v: c * v)
 
         def mul(self, other, legs=None):
             """Componentwise matrix product, e_ij e_kl = delta_jk e_il per leg.
@@ -215,10 +237,10 @@ def _sparse_tensor(nlegs):
         if nlegs == 2:
 
             @classmethod
-            def perm(cls, n):
-                """P = sum e_ij (x) e_ji, the permutation (Casimir) tensor."""
+            def perm(cls, n, c=Fraction(1)):
+                """c P, P = sum e_ij (x) e_ji the permutation (Casimir) tensor."""
                 pairs = product(range(1, n + 1), repeat=2)
-                return cls(n, {(i, j, j, i): Fraction(1) for i, j in pairs})
+                return cls(n, {(i, j, j, i): c for i, j in pairs})
 
             def flip21(self):
                 """Swap the two legs: coefficient of e_ij (x) e_kl moves to e_kl (x) e_ij."""
@@ -226,20 +248,22 @@ def _sparse_tensor(nlegs):
                 return _adopt(Tensor, self.n, flipped)
 
             def float_form(self):
-                """self compiled for sampling (CompiledTensor2.at): each scalar
-                in float form (LaurentPoly.float_form), a number as complex.
-                Entries whose scalars have the same terms in the same order
-                share one; equal scalars with their terms in another order
-                are kept apart, since they may round differently.  The rows
-                are CompiledTensor2's, one per entry in dict order."""
-                n, shared, forms, rows = self.n, {}, [], []
-                for (i, j, k, l), v in self.coeffs.items():
-                    s = shared.setdefault(_terms_key(v) or (i, j, k, l), len(forms))
-                    if s == len(forms):
-                        exact = isinstance(v, (LaurentPoly, RatFunc))
-                        forms.append(v.float_form() if exact else complex(v))
-                    rows.append(((i - 1) * n + k - 1, (j - 1) * n + l - 1, s))
-                return CompiledTensor2(n, rows, forms)
+                """self compiled for sampling (CompiledTensor2), made once and kept
+                with self: each scalar in float form (LaurentPoly.float_form), a
+                number as complex.  Scalars, numerators and denominators with the
+                same terms in the same order share one; in another order they
+                may round differently, so they are kept apart."""
+                if not hasattr(self, "_form"):
+                    n, shared, forms, rows, poly = self.n, {}, [], [], _memo(LaurentPoly.float_form)
+                    for (i, j, k, l), v in self.coeffs.items():
+                        s = shared.setdefault(_terms_key(v) or (i, j, k, l), len(forms))
+                        if s == len(forms):
+                            forms.append(RatFunc.in_normal_form(poly(v.num), poly(v.den))
+                                         if isinstance(v, RatFunc) else poly(v)
+                                         if isinstance(v, LaurentPoly) else complex(v))
+                        rows.append(((i - 1) * n + k - 1, (j - 1) * n + l - 1, s))
+                    self._form = CompiledTensor2(n, rows, forms)
+                return self._form
 
         def project_traceless(self, legs):
             """Apply M -> M - (tr M / n) 1 on each selected leg (1, 2, ...).
@@ -279,6 +303,9 @@ def _sparse_tensor(nlegs):
             return tuple(_adopt(Tensor, self.n, part) for part in parts)
 
         def map_scalars(self, fn):
+            """fn of each entry, run once per distinct scalar (_memo), so fn
+            must depend on a scalar's ordered terms only."""
+            fn = _memo(fn)
             return _adopt(Tensor, self.n, {k: fn(v) for k, v in self.coeffs.items()})
 
         def substitute(self, slot):
@@ -308,19 +335,24 @@ def _sparse_tensor(nlegs):
                 den = tuple(v.den.terms.items())
                 if den not in dens:
                     dens[den] = v.den.factors()
-                entries.append((k, v.num, den))
+                entries.append((k, v))
             factors, cofactors = LaurentPoly.common_denominator(list(dens.values()))
             cofactors = dict(zip(dens, cofactors))
-            groups = {}
-            for k, num, den in entries:
-                cof = cofactors[den]
-                p = num if cof.terms == _ONE_TERMS else num * cof
+
+            @_memo
+            def normalised(v):
+                """(f's sorted terms, lead) with v's numerator over the lcm lead f."""
+                cof = cofactors[tuple(v.den.terms.items())]
+                p = v.num if cof.terms == _ONE_TERMS else v.num * cof
                 top = max(p.terms)
                 lead = p.terms[top]
                 if len(p.terms) == 1:  # lead times its monomial
-                    key = ((top, 1),)
-                else:
-                    key = tuple(sorted((e, Fraction(c, lead)) for e, c in p.terms.items()))
+                    return ((top, 1),), lead
+                return tuple(sorted((e, Fraction(c, lead)) for e, c in p.terms.items())), lead
+
+            groups = {}
+            for k, v in entries:
+                key, lead = normalised(v)
                 groups.setdefault(key, {})[k] = lead
             functions = []
             for key, multiples in sorted(groups.items()):
@@ -390,10 +422,11 @@ _CHAIN = 500
 
 
 def _kernel(m, rows, nvalues):
-    """CompiledTensor2.apply's kernel: a function of the scalar values and
-    one lane that returns its m output entries as a list display, entry r
-    v_s * x_c + ... over r's rows in their order (y_r = y_r + ... past
-    _CHAIN products), or int 0.  The source holds only fixed names and ints."""
+    """CompiledTensor2.apply's kernel: a function of the scalar values, the
+    vector and its lane getters that returns the m output entries of each
+    lane in turn, as one list: entry r is v_s * x_c + ... over r's rows in
+    their order (y_r = y_r + ... past _CHAIN products), or int 0.  The
+    source holds only fixed names and ints."""
     terms, body = {}, []
     for r, c, s in rows:
         terms.setdefault(r, []).append(f"v{s} * x{c}")
@@ -402,10 +435,12 @@ def _kernel(m, rows, nvalues):
             body += [f"y{r} = " + " + ".join([f"y{r}"] * bool(k) + chain[k:k + _CHAIN])
                      for k in range(0, len(chain), _CHAIN)]
             terms[r] = [f"y{r}"]
+    lane = ["[" + "".join(f"x{c}, " for c in range(m)) + "] = gather(x)", *body,
+            "y += [" + ", ".join(" + ".join(terms.get(r, ["0"])) for r in range(m)) + "]"]
     source = "\n    ".join([
-        "def kernel(values, lane):", "[" + "".join(f"v{s}, " for s in range(nvalues)) + "] = values",
-        "[" + "".join(f"x{c}, " for c in range(m)) + "] = lane", *body,
-        "return [" + ", ".join(" + ".join(terms.get(r, ["0"])) for r in range(m)) + "]"])
+        "def kernel(values, x, gathers):",
+        "[" + "".join(f"v{s}, " for s in range(nvalues)) + "] = values", "y = []",
+        "for gather in gathers:", *("    " + line for line in lane), "return y"])
     namespace = {"__builtins__": {}}
     exec(compile(source, "<CompiledTensor2 kernel>", "exec"), namespace)
     return namespace["kernel"]
@@ -413,11 +448,10 @@ def _kernel(m, rows, nvalues):
 
 class CompiledTensor2:
     """A Tensor2 compiled for application to many vectors: rows holds one
-    (r, c, s) per entry e_ij (x) e_kl in dict order, with the lane-local
-    row r = (i-1)n + (k-1) and column c = (j-1)n + (l-1), the same on
-    every legs, and s the index of its scalar in scalars.  lanes holds
-    apply's plans and the list kernel its one kernel (_kernel), both made
-    on first use; the copies at() makes share them and the rows."""
+    (r, c, s) per entry e_ij (x) e_kl in dict order, with lane-local row
+    r = (i-1)n + (k-1), column c = (j-1)n + (l-1) and s its scalar's index.
+    lanes holds apply's plans and the list kernel its one kernel (_kernel),
+    both made on first use and shared, with the rows, by at()'s copies."""
 
     __slots__ = ("n", "rows", "scalars", "lanes", "kernel")
 
@@ -434,14 +468,12 @@ class CompiledTensor2:
 
     def apply(self, x, legs=None):
         """self x as a new list, for x a flat list in row-major index order
-        in V (x) V, or with legs = 12, 13 or 23 in V (x) V (x) V, where self
-        acts on the named legs: embed(self, legs) x (the oracle in
-        tests/conftest.py), with no embedding built; legs 21 swaps self's
-        legs.  Lane by lane, a lane being x at one index of the free leg (x
-        itself on V (x) V), the kernel (_kernel) sums each output row's
-        products in the order of the entry-by-entry sum from int 0, so the
-        two differ at most in the sign of an exact zero; a row with no
-        entry is int 0."""
+        in V (x) V, or with legs = 12, 13 or 23 in V (x) V (x) V: embed(self,
+        legs) x (tests/conftest.py), with no embedding built; legs 21 swaps
+        self's legs.  One kernel call (_kernel) sums, lane by lane (x at one
+        index of the free leg), each row's products in the order of the
+        entry-by-entry sum from int 0, so the two differ at most in the sign
+        of an exact zero; a row with no entry is int 0."""
         plan = self.lanes.get(legs)
         if plan is None:
             plan = self.lanes[legs] = _lane_plan(self.n, legs)
@@ -450,34 +482,16 @@ class CompiledTensor2:
             raise ValueError(f"vector of length {len(x)}, expected {size}")
         if not self.kernel:
             self.kernel.append(_kernel(self.n * self.n, self.rows, len(self.scalars)))
-        kernel, values, y = self.kernel[0], self.scalars, []
-        for gather in gathers:
-            y += kernel(values, gather(x))
+        y = self.kernel[0](self.scalars, x, gathers)
         return y if scatter is None else list(scatter(y))
 
 
-def _terms_key(v):
-    """The ordered terms of a polynomial or quotient, or None for a number.
-
-    Scalars with equal keys have equal float forms, bit for bit.
-    """
-    if isinstance(v, RatFunc):
-        return tuple(v.num.terms.items()), tuple(v.den.terms.items())
-    if isinstance(v, LaurentPoly):
-        return (tuple(v.terms.items()),)
-    return None
-
-
 def product_sum(terms):
-    """The sum of c x.mul(y, legs=legs) over the terms (c, x, y, legs).
-
-    There must be at least one term, and all products of one class and
-    size.  The terms that share one y and legs are contracted once, on
-    the sum of their c x, and each product is added into one dict as it
-    is contracted, so no product or partial sum is kept on its own.
-    Coefficients are summed in another order than term by term, with no
-    sort_by (_contract), so this is for exact scalars.
-    """
+    """The sum of c x.mul(y, legs=legs) over at least one term (c, x, y,
+    legs), all products of one class and size.  Terms sharing y and legs
+    are contracted once, on the sum of their c x, into one dict.  Sums run
+    in another order than term by term (no sort_by), so it is for exact
+    scalars."""
     groups = {}
     for c, x, y, legs in terms:
         key = (id(y), legs)
@@ -497,18 +511,13 @@ def product_sum(terms):
 
 
 def apply_product(x, factors, applied=None):
-    """The product of factors, each (tensor, legs), applied to the vector x.
-
-    x is a flat list, each tensor a CompiledTensor2 and its legs as for
-    its apply; legs None acts on its own legs.  The factors are applied
-    right first, so no product of two is formed, and the result is a
-    flat list, which Tensor.column turns into a column.
+    """The product of factors, each (CompiledTensor2, legs as for its
+    apply), applied right first to the flat list x, as a flat list.
 
     applied, if given, is a dict the caller keeps for this one x: it holds
     each right-hand suffix of factors applied to x so far, so products
-    that end in the same factors apply them once.  The result is the same
-    to the bit with or without it, and may be the list held there, so it
-    must not be changed.
+    ending in the same factors apply them once, to the same bits.  The
+    result may be the list held there, so it must not be changed.
     """
     if applied is None:
         applied = {}
@@ -524,16 +533,11 @@ def apply_product(x, factors, applied=None):
 
 
 def signed_sum(signs, vectors):
-    """The sum of the flat lists vectors, each with its sign, entrywise.
-
-    They are summed in consecutive pairs, (v0 +- v1) + (v2 +- v3) + ...,
-    each pair's first vector taken with sign +, as verify._formula sums
-    tensors.  So every entry gets the float additions of the sum of the
-    columns (Tensor.column) in the same order, and can differ from it only
-    where a column has no entry and the list adds an exact zero, which
-    sets at most the sign of a zero.  Returns a new list, or vectors[0]
-    itself when it is the only one.
-    """
+    """The entrywise sum of the flat lists vectors, each with its sign, in
+    consecutive pairs (v0 +- v1) + (v2 +- v3) + ..., as verify._formula sums
+    tensors: the float additions of the columns' sum (Tensor.column) in
+    its order, but for the sign of a zero where a column has no entry.
+    Returns a new list, or vectors[0] itself when it is the only one."""
     pairs = [
         vectors[k] if k + 1 == len(vectors)
         else list(map(add if signs[k + 1] > 0 else sub, vectors[k], vectors[k + 1]))
@@ -560,10 +564,10 @@ def _x1_scaled(t, power):
     """The Tensor2 t with the coefficient at (i, j, k, l) multiplied by the
     LaurentPoly X1^power(i, j, k, l): a RatFunc stays a RatFunc, and any
     other entry becomes a LaurentPoly where that power is not 0."""
-    out = {}
+    out, times, monomial = {}, _memo(mul), cache(lambda e: LaurentPoly.monomial((e, 0, 0, 0)))
     for key, v in t.coeffs.items():
         e = power(*key)
-        out[key] = LaurentPoly.monomial((e, 0, 0, 0)) * v if e else v
+        out[key] = times(monomial(e), v) if e else v
     return _adopt(Tensor2, t.n, out)
 
 

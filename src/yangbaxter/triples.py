@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 SCHEMA_VERSION = 1
@@ -454,8 +455,11 @@ class SWedge:
         return {f"{i},{j}": str(v) for (i, j), v in self.upper_items() if v}
 
 
+@lru_cache(maxsize=1)
 def s0_from_structure(a):
-    """The closed-form datum s0: entries 1/2 - O(i,j)/n off the diagonal."""
+    """The closed-form datum s0: entries 1/2 - O(i,j)/n off the diagonal.
+    The last structure's is kept, as the CLI, phi_from_s and the builders
+    ask for one structure's s0 in turn."""
     n = a.n
     return SWedge(n, {(i, j): Fraction(1, 2) - Fraction(a.orbit_distance(i, j), n)
                       for i, j in positive_roots(n)})

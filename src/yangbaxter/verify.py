@@ -6,15 +6,11 @@ Hecke a tensor built from it (_slot_inputs).  Symbolic mode certifies
 exact zero: rows of two-factor products (CYBE, AYBE, the lift
 obstruction) are decided on int tensors (_catalogue_zero), and a
 residual over exact rational functions (_formula) is built only when
-that fails, or for another row.  Numeric mode compiles each slot's
-tensor once per check and applies the residual at seeded random complex
-sample points to a seeded random vector with entries of modulus 1
-(Freivalds' check): each product is applied to the vector as a flat
-list (tensors.apply_product), and only the lists' sum becomes a column,
-whose largest entry is reported; the sample's scale, the products' largest
-entry, is computed only when the residual's is not below the tolerance.
-Verifiers never mutate their inputs; failure reports carry the
-lexicographically least nonzero coefficient as a witness.
+that fails, or for another row.  Numeric mode applies the residual of
+each slot's compiled tensor at seeded complex sample points to a seeded
+vector of modulus-1 entries (Freivalds' check), product by product as
+flat lists (tensors.apply_product).  Verifiers never mutate their inputs;
+failure reports carry the lexicographically least nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -222,21 +218,18 @@ def _catalogue_zero(r, labels, terms, project=(), memo=None):
     C = (A_f)_ab (A_g)_cd on the term's legs and the polynomial
     h = (L / Di Dj) sign f(slot i) g(slot j).  Monomials are linearly
     independent, so the residual is zero exactly when, at every monomial,
-    the sum of the C weighted by the h's coefficients is.  Each h is
-    packed into one int (kronecker_ints), so one int sum, made by
-    tensors.product_sum, decides every monomial.  The projection is
-    linear, so it is applied to that sum, with each h scaled by n per
-    projected leg to keep its division by n in int.  In a commutator, a
-    term x y whose negated swap y x is also a term, the entries of A_f
-    and A_g diagonal on both legs commute and cancel, so each such term
-    forms only (A_f)_diag (A_g)_rest + (A_f)_rest A_g
-    (Tensor.split_diagonal).
+    the sum of the C weighted by the h's coefficients is: one int sum
+    (tensors.product_sum) of the h packed into ints (kronecker_ints)
+    decides them all.  The projection is applied to that sum, each h
+    scaled by n per projected leg to keep it in int.  In a commutator
+    (a term x y whose negated swap y x is also a term) the entries of A_f
+    and A_g diagonal on both legs cancel, so each such term forms only
+    (A_f)_diag (A_g)_rest + (A_f)_rest A_g (Tensor.split_diagonal).
 
-    The h depend only on D and the catalogue's functions, which matrices
-    of one n share.  memo, if given, is the dict the caller keeps for one
-    run of checks: it holds the h per catalogue with their ints and the
-    largest bound their digit width supports, so a catalogue seen before
-    costs only the products, and is repacked only past that bound.
+    memo, if given, is the dict the caller keeps for one run: it holds
+    the h per catalogue (shared by the matrices of one n) with their ints
+    and the largest bound their width supports, so a catalogue seen
+    before costs only the products, repacked only past that bound.
     """
     factors, functions = r.catalogue()
     key = (labels, terms, tuple((tuple(f.terms.items()), m) for f, m in factors),
@@ -499,24 +492,20 @@ def numeric_residual(identity, tensors, n, samples, tolerance, seed, provenance=
     entries exp(2 pi i theta), from one random.Random(seed), and applies
     the residual at that point to x.  A sample passes iff
     max |residual x| < tolerance * max(1, scale), the scale from
-    _numeric_tensors computed only for a residual not below tolerance, as
-    one below passes at any scale; the check passes iff every sample
-    does, and reports the largest entry over all samples, NaN if one is
-    (a NaN fails its sample).  Sample points whose spectral denominators
-    come within GUARD_DISTANCE of a zero are rejected and counted.  Each
-    distinct slot tensor (_slot_inputs) is compiled once
-    (Tensor2.float_form).  memo, if given, is the dict the caller keeps for
-    one run of checks: it holds the draws per (seed, samples, vector size),
-    shared, not copied.  Raises ValueError unless samples >= 1 and
-    tolerance is finite and above 0.
+    _numeric_tensors computed only for a residual not below tolerance;
+    the check passes iff every sample does, and reports the largest entry
+    over all samples, NaN if one is (a NaN fails).  Points within
+    GUARD_DISTANCE of a spectral pole are rejected and counted.  Each slot
+    tensor is compiled once, kept with it (Tensor2.float_form).  memo, if
+    given, is the dict the caller keeps for one run of checks: it holds
+    the draws per (seed, samples, vector size), shared, not copied.
+    Raises ValueError unless samples >= 1 and 0 < tolerance < inf.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
     if not 0 < tolerance < cmath.inf:
         raise ValueError(f"tolerance must be a finite number above 0, got {tolerance!r}")
-    inputs = _slot_inputs(identity, tensors[_input_key(identity)])
-    forms = {id(t): t.float_form() for t in inputs}
-    compiled = [forms[id(t)] for t in inputs]
+    compiled = [t.float_form() for t in _slot_inputs(identity, tensors[_input_key(identity)])]
     memo = {} if memo is None else memo
     size = n ** _sample_legs(identity)
     key = ("numeric draws", seed, samples, size)

@@ -565,3 +565,19 @@ def test_cli_calls_traced_names_through_their_module(capsys, monkeypatch):
     assert run_cli(capsys, "verify", "--n", "2", "--suite", "all")[0] == 0
     assert run_cli(capsys, "verify", "--n", "2", "--mode", "numeric", "--samples", "1")[0] == 0
     assert sorted(calls) == sorted(name for names in TRACED.values() for name in names)
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --n 4 --mode numeric --suite aybe,unitarity,qybe,hecke,cybe --samples 1",
+    "verify --n 4 --suite all",
+])
+def test_verify_computes_each_structures_s0_once(capsys, argv):
+    """The CLI, phi_from_s and the builders each ask for a structure's s0,
+    which is computed once per structure of the listing."""
+    triples.s0_from_structure.cache_clear()
+    code, doc = run_cli(capsys, *argv.split())
+    assert code == 0 and doc["summary"]["passed"] == doc["summary"]["total"]
+    structures = sum(len(found) for _, found in cli._listing(4, 6))
+    assert structures == 14
+    info = triples.s0_from_structure.cache_info()
+    assert info.misses == structures and info.hits >= 2 * structures

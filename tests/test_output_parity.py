@@ -113,6 +113,11 @@ GOLDEN = {
     "verify --n 4 --suite all": (
         0, "ab8ba6fb61e6a936f1f05ff050462e7ff24ea5ca9a8629fc66201bc9f01c0434"
     ),
+    # the entrywise RatFunc rows (r + r^21, R_general - R_assoc, r_quantum -
+    # r_kernel, the central identity) on every n = 5 structure
+    "verify --n 5 --suite unitarity,central,cross-formula": (
+        0, "de00e6f691129f7e504ad5bf89000b49c25c8a1a029ba88918cb375123035758"
+    ),
     # the Laurent data of r(u,v) on every n = 5 structure
     "verify --n 5 --suite lift": (
         0, "d2b9b5ec60ed8c606d41fe63ba9b7fc1dc82181b8f9d015b2623b3607a9f32ac"

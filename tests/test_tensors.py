@@ -798,3 +798,120 @@ def test_apply_keeps_its_bits_on_cg8_inputs():
             y = compiled.apply(x if legs in (12, 13, 23) else x[:64], legs)
             digest.update(repr(_bits(y)).encode())
     assert digest.hexdigest() == CG8_APPLY_BITS_DIGEST
+
+
+def test_apply_calls_its_kernel_once_looping_over_the_lanes(rng):
+    """One apply is one kernel call whatever the legs: the kernel loops
+    over the n lanes of a 3-leg vector itself."""
+    n = 3
+    t = _dyadic_tensor(n, rng, 3 * n)
+    form = t.float_form()
+    x = [_dyadic(rng) for _ in range(n ** 3)]
+    form.apply(x, 12)
+    calls, kernel = [], form.kernel[0]
+    form.kernel[0] = lambda *args: calls.append(args) or kernel(*args)
+    for legs in (12, 13, 23):
+        assert form.apply(x, legs) == per_entry_apply(t, x, legs)
+    assert form.apply(x[: n * n]) == per_entry_apply(t, x[: n * n])
+    assert len(calls) == 4 and [len(gathers) for _, _, gathers in calls] == [n, n, n, 1]
+
+
+def _matrices(n):
+    """(label, tensor) for the matrices the suites build at n: r_{T,s},
+    hat_r(r_{T,s}) and the general R at each point of each triple's
+    s-family, and R_assoc, its baxterization, the kernel Y and both routes
+    of r(u,v) for each compatible structure at s0."""
+    from yangbaxter import builders
+    from yangbaxter.triples import compatible_permutations, enumerate_triples, s0_from_structure
+
+    from conftest import s_family
+
+    for t in enumerate_triples(n):
+        for s in s_family(t):
+            r = builders.build_r_ts(t, s)
+            yield f"r_ts {t} {s}", r
+            yield f"hat_r {t} {s}", builders.hat_r(r)
+            yield f"R_general {t} {s}", builders.build_R_ggs_general(t, s)
+        for a in compatible_permutations(t):
+            s0 = s0_from_structure(a)
+            R = builders.build_R_ggs_assoc(a, s0)
+            yield f"R_assoc {a}", R
+            yield f"baxterized {a}", builders.baxterize(R)
+            yield f"y {a}", builders.build_y(a)
+            for formula in ("quantum", "kernel"):
+                yield f"r_uv {formula} {a}", builders.build_r_uv(a, s0, formula=formula)
+
+
+def _text(v):
+    """A scalar's type and its ordered terms (tensors._terms_key), every
+    number by repr, so an int and an equal Fraction differ."""
+    from yangbaxter.tensors import _terms_key
+
+    return type(v).__name__, repr(_terms_key(v) or v)
+
+
+def _maps(t):
+    """(label, entries in dict order, each as _text) of every entrywise
+    map the tensors memoise, and of the catalogue's functions, on t."""
+    from yangbaxter.builders import q_minus_qinv
+
+    def entries(u):
+        return [(k, _text(v)) for k, v in u.coeffs.items()]
+
+    flip = t.flip21()
+    yield "neg", entries(-t)
+    yield "add", entries(t + flip)
+    yield "sub", entries(t - flip)
+    for c in (q_minus_qinv(t.n), X1 + 2, Fraction(3, 2)):
+        yield f"scale {c}", entries(t.scale(c))
+    yield "rf", entries(t.map_scalars(rf))
+    for label in ("u,-v", "-u,-v", "u,v+v'"):
+        yield f"substitute {label}", entries(t.substitute(SLOTS[label]))
+    factors, functions = t.catalogue()
+    yield "catalogue", [(repr(sorted(f.terms.items())), m) for f, m in factors] + [
+        (repr(list(f.terms.items())), sorted(a.coeffs.items())) for f, a in functions]
+
+
+def test_memoised_maps_equal_the_per_entry_maps_on_every_matrix_up_to_n4(monkeypatch):
+    """With each distinct scalar's work done once (tensors._memo and the
+    builders' caches), every matrix with n <= 4 and every entrywise map
+    of it and of it with its least coefficient + 1 has the entries, their
+    order, their types and their ordered terms that the same code gives
+    when every entry is computed on its own."""
+    from yangbaxter import builders, tensors
+
+    def plus_one(t):
+        coeffs = dict(t.coeffs)
+        key = min(coeffs)
+        coeffs[key] = coeffs[key] + 1
+        return Tensor2(t.n, coeffs)
+
+    def run():
+        out = []
+        for n in (2, 3, 4):
+            for label, t in _matrices(n):
+                out.append((label, [(k, _text(v)) for k, v in t.coeffs.items()]))
+                out += [(label, *m) for u in (t, plus_one(t)) for m in _maps(u)]
+        return out
+
+    memoised = run()
+    monkeypatch.setattr(tensors, "_memo", lambda fn: fn)
+    monkeypatch.setattr(builders, "cache", lambda fn: fn)
+    assert run() == memoised
+    assert len(memoised) > 3000
+
+
+def test_a_laurentpoly_and_a_ratfunc_with_equal_terms_keep_their_own_results():
+    """The memo keys a LaurentPoly apart from a RatFunc with the same
+    numerator and denominator 1, so each keeps the type of its own result,
+    in every memoised map and in the float form."""
+    p = X1.num * 2 + 1
+    t = Tensor2(2, {(1, 1, 1, 1): p, (1, 1, 2, 2): rf(p), (2, 2, 1, 1): p, (2, 2, 2, 2): rf(p)})
+    lp, ratf = ["LaurentPoly", "RatFunc"] * 2, ["RatFunc"] * 4
+    for u, types in ((-t, lp), (t.scale(3), lp), (t.map_scalars(lambda v: v * p), lp),
+                     (t + t, lp), (t - t, []), (t.map_scalars(rf), ratf)):
+        assert [type(v).__name__ for v in u.coeffs.values()] == types
+    floats = compiled_entries(t, t.float_form())
+    assert type(floats[(1, 1, 1, 1)]).__name__ == "_FloatPoly"
+    assert type(floats[(1, 1, 2, 2)]) is RatFunc
+    assert floats[(1, 1, 1, 1)] is floats[(2, 2, 1, 1)] is floats[(1, 1, 2, 2)].num

@@ -1294,7 +1294,10 @@ def test_float_form_evaluates_each_distinct_scalar_once_on_cg8_inputs(monkeypatc
     """One evaluation of a float form at a point evaluates each scalar
     once per distinct ordered terms (a RatFunc's numerator's and
     denominator's, a LaurentPoly's own), not once per entry.  A RatFunc
-    counts once: its inner LaurentPoly evaluations are not counted."""
+    counts once: its inner LaurentPoly evaluations are not counted.  The
+    float form holds one float polynomial per distinct numerator,
+    denominator and polynomial, each with the plan it evaluates from, made
+    with the form: no plan is made at a point."""
     from yangbaxter.scalars import RatFunc, log_point
 
     inputs = []
@@ -1319,8 +1322,14 @@ def test_float_form_evaluates_each_distinct_scalar_once_on_cg8_inputs(monkeypatc
             calls.append(self)
         return evaluate_poly(self, logs, powers)
 
+    def polys(scalars):
+        return [p for v in scalars for p in ((v.num, v.den) if isinstance(v, RatFunc) else (v,))]
+
+    plans = []
+    plan = LaurentPoly._plan
     monkeypatch.setattr(RatFunc, "evaluate", counted_rf)
     monkeypatch.setattr(LaurentPoly, "evaluate", counted_poly)
+    monkeypatch.setattr(LaurentPoly, "_plan", lambda self: plans.append(self) or plan(self))
     logs = log_point(0.3 + 0.2j, -0.4 + 0.1j, 0.5 - 0.6j, 0.2 + 0.7j, 8)
     kinds = Counter()
     for tensor in inputs:
@@ -1332,10 +1341,17 @@ def test_float_form_evaluates_each_distinct_scalar_once_on_cg8_inputs(monkeypatc
         kinds.update(type(v).__name__ for v in tensor.coeffs.values())
         floats = tensor.float_form()
         calls.clear()
+        plans.clear()
         floats.at(logs)
         assert len(calls) == len(distinct) == len(floats.scalars) < len(tensor.coeffs)
-    # both kinds of scalar are met: R's entries are LaurentPolys, r(u,v)'s RatFuncs
-    assert kinds["LaurentPoly"] and kinds["RatFunc"]
+        assert not plans
+        held = polys(floats.scalars)
+        assert len({id(p) for p in held}) == len(
+            {tuple(p.terms.items()) for p in polys(tensor.coeffs.values())})
+        kinds["shared"] += len(held) - len({id(p) for p in held})
+    # both kinds of scalar are met: R's entries are LaurentPolys, r(u,v)'s RatFuncs,
+    # which share numerators and denominators
+    assert kinds["LaurentPoly"] and kinds["RatFunc"] and kinds["shared"]
 
 
 def _cg4_numeric_inputs():
@@ -1539,7 +1555,9 @@ def test_numeric_memo_shared_by_a_run_gives_the_reports_of_fresh_draws():
     ]
     memo = {}
     shared = [verify.numeric_residual(i, t, 4, 3, 1e-9, 6, memo=memo) for i, t in checks]
-    fresh = [verify.numeric_residual(i, t, 4, 3, 1e-9, 6) for i, t in checks]
+    # copies of the inputs, so the fresh checks also compile their own float forms
+    fresh = [verify.numeric_residual(i, {k: Tensor2(t.n, t.coeffs) for k, t in ts.items()},
+                                     4, 3, 1e-9, 6) for i, ts in checks]
     assert shared == fresh and len(shared) > 10
     assert sorted(memo) == [("numeric draws", 6, 3, 16), ("numeric draws", 6, 3, 64)]
     for key, draws in memo.items():
@@ -1549,6 +1567,30 @@ def test_numeric_memo_shared_by_a_run_gives_the_reports_of_fresh_draws():
         (redrawn,) = again.values()
         assert [(p, k, [(z.real.hex(), z.imag.hex()) for z in x]) for p, k, x in draws] == [
             (p, k, [(z.real.hex(), z.imag.hex()) for z in x]) for p, k, x in redrawn]
+
+
+def test_numeric_residual_compiles_each_distinct_input_once(monkeypatch):
+    """numeric_residual compiles one float form per distinct slot tensor,
+    kept with the tensor: one for an AYBE check, whose six slots take r,
+    one for AYBE and unitarity on one r in one run, and one each for
+    Hecke's two slot tensors, M and N."""
+    built = []
+    init = tensors.CompiledTensor2.__init__
+
+    def counted(self, n, rows, scalars, lanes=None, kernel=None):
+        built.append(lanes is None)  # at()'s copies share the form's lanes
+        init(self, n, rows, scalars, lanes, kernel)
+
+    monkeypatch.setattr(tensors.CompiledTensor2, "__init__", counted)
+    st = cg_structure(4)
+    r, R = (build_r_uv(st, formula="kernel"), builders.build_R_ggs_assoc(st))
+    memo = {}
+    for identity, t, compiled in (("aybe", r, 1), ("unitarity_assoc", r, 0), ("hecke", R, 2)):
+        built.clear()
+        key = verify.NUMERIC_IDENTITIES[identity]
+        assert verify.numeric_residual(identity, {key: t}, 4, 2, 1e-9, 3, memo=memo).passed
+        assert sum(built) == compiled
+    assert sorted(memo) == [("numeric draws", 3, 2, 16), ("numeric draws", 3, 2, 64)]
 
 
 def test_float_form_refuses_exact_operations():
