@@ -19,8 +19,6 @@ from .scalars import LaurentPoly, RatFunc, monomial_rf, q_power, rf
 from .tensors import Tensor2, _x1_scaled, gauge_conjugate
 from .triples import (
     SCHEMA_VERSION,
-    SWedge,
-    phi_coboundary,
     phi_from_s,
     prec_pairs,
     s_in_solution_space,
@@ -162,17 +160,19 @@ def build_R_ggs_assoc(a, s=None):
 
     Diagonal pairs carry q^(1 - 2 O(i,j)/n); the ordering terms carry
     q^(-+ 2 O(alpha,beta)/n); the leftover s - s0 acts by the outer
-    q^(s - s0) conjugation, s - s0 = Phi^1 - Phi^2 (phi_from_s).  Entries
-    are LaurentPolys: R(q) has no denominator.  Raises ValueError when
-    s - s0 is not an admissible gauge coboundary.
+    q^(s - s0) conjugation, s - s0 = Phi^1 - Phi^2 (phi_from_s).  Every
+    entry has weight zero, so for an admissible Phi that conjugation is
+    the gauge conjugation by Phi (gauge_conjugate).  Entries are
+    LaurentPolys: R(q) has no denominator.  Raises ValueError when s - s0
+    is not an admissible gauge coboundary.
     """
     n = a.n
-    diff = SWedge(n) if s is None else phi_coboundary(phi_from_s(a, s), n)
     qm, diagonal = _q_minus_qinv(n), cache(lambda d: q_power(n, 1 - Fraction(2 * d, n)))
-    return _q_conjugate(_bd_matrix(
+    core = _bd_matrix(
         n, lambda i, j: diagonal(a.orbit_distance(i, j)), qm,
         [(alpha, beta, qm * q_power(n, Fraction(-2 * k, n)), qm * q_power(n, Fraction(2 * k, n)))
-         for alpha, beta, k, *_ in prec_pairs(a.triple)]), diff)
+         for alpha, beta, k, *_ in prec_pairs(a.triple)])
+    return core if s is None else gauge_conjugate(core, phi_from_s(a, s))
 
 
 def baxterize(R):

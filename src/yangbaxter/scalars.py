@@ -204,31 +204,20 @@ class LaurentPoly:
                 del out[key]
         return LaurentPoly._make(out)
 
-    def evaluate(self, logs, powers=None):
-        """Numeric value with variable i set to exp(logs[i]).
-
-        powers, if given, is a dict the caller keeps for this one logs: it
-        holds the value of each monomial met so far, keyed by its exponent
-        tuple, so calls at one point exponentiate a shared monomial once.
-        The value is the same to the bit with or without it.
-        """
-        if powers is None:
-            powers = {}
+    def evaluate(self, logs):
+        """Numeric value with variable i set to exp(logs[i])."""
         total = 0j
-        for exps, c, steps in self._plan():
-            w = powers.get(exps)
-            if w is None:
-                z = 0j
-                for e, i in steps:
-                    z += e * logs[i]
-                w = powers[exps] = cmath.exp(z)
-            total += c * w
+        for c, steps in self._plan():
+            z = 0j
+            for e, i in steps:
+                z += e * logs[i]
+            total += c * cmath.exp(z)
         return total
 
     def _plan(self):
-        """evaluate's terms: (exponents, coefficient as float, the (exponent
-        as float, index) of each nonzero exponent)."""
-        return [(exps, float(c), [(float(e), i) for i, e in enumerate(exps) if e])
+        """evaluate's terms: (coefficient as float, the (exponent as float,
+        index) of each nonzero exponent)."""
+        return [(float(c), [(float(e), i) for i, e in enumerate(exps) if e])
                 for exps, c in self.terms.items()]
 
     def float_form(self):
@@ -564,10 +553,9 @@ class RatFunc:
         a denominator that vanishes there raises ZeroDivisionError."""
         return RatFunc(self.num.substitute(slot), self.den.substitute(slot))
 
-    def evaluate(self, logs, powers=None):
-        """Numeric value with variable i set to exp(logs[i]); powers as
-        for LaurentPoly.evaluate."""
-        return self.num.evaluate(logs, powers) / self.den.evaluate(logs, powers)
+    def evaluate(self, logs):
+        """Numeric value with variable i set to exp(logs[i])."""
+        return self.num.evaluate(logs) / self.den.evaluate(logs)
 
     def float_form(self):
         """Numerator and denominator in float form (LaurentPoly.float_form)."""

@@ -21,9 +21,8 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import cache
 from itertools import product
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, sub
 
 from .scalars import VAR_NAMES, LaurentPoly, RatFunc, rf
 
@@ -72,13 +71,12 @@ def _adopt(cls, n, coeffs):
 
 
 def _added(a, b):
-    """a + b entrywise: a sum with a RatFunc once per distinct pair (_memo),
-    as a sum of LaurentPolys or numbers costs less than the memo's key."""
-    out, plus = dict(a), _memo(add)
+    """a + b entrywise."""
+    out = dict(a)
     get = out.get
     for k, v in b.items():
         cur = get(k)
-        out[k] = v if cur is None else plus(cur, v) if RatFunc in (type(cur), type(v)) else cur + v
+        out[k] = v if cur is None else cur + v
     return out
 
 
@@ -149,8 +147,6 @@ def _sparse_tensor(nlegs):
     Tensor3 are separate classes, each with its own methods.
     """
 
-    column_keys = {}
-
     class Tensor:
         __slots__ = ("n", "coeffs", "_form")
 
@@ -171,11 +167,8 @@ def _sparse_tensor(nlegs):
             values is flat in row-major index order; entry (i, k, ...)
             becomes the coefficient of e_i1 (x) e_k1 (x) ....  So for T of
             numbers, T.mul(column(n, x)) equals column(n, T.float_form().apply(x)).
-            The index keys are made once per n.  Raises ValueError unless
-            values has n^nlegs entries."""
-            if n not in column_keys:
-                column_keys[n] = tuple(product(*((range(1, n + 1), (1,)) * nlegs)))
-            keys = column_keys[n]
+            Raises ValueError unless values has n^nlegs entries."""
+            keys = tuple(product(*((range(1, n + 1), (1,)) * nlegs)))
             if len(values) != len(keys):
                 raise ValueError(f"vector of length {len(values)}, expected {len(keys)}")
             return _adopt(cls, n, dict(zip(keys, values)))
@@ -250,17 +243,16 @@ def _sparse_tensor(nlegs):
             def float_form(self):
                 """self compiled for sampling (CompiledTensor2), made once and kept
                 with self: each scalar in float form (LaurentPoly.float_form), a
-                number as complex.  Scalars, numerators and denominators with the
-                same terms in the same order share one; in another order they
-                may round differently, so they are kept apart."""
+                number as complex.  Scalars with the same terms in the same
+                order share one; in another order they may round differently,
+                so they are kept apart."""
                 if not hasattr(self, "_form"):
-                    n, shared, forms, rows, poly = self.n, {}, [], [], _memo(LaurentPoly.float_form)
+                    n, shared, forms, rows = self.n, {}, [], []
                     for (i, j, k, l), v in self.coeffs.items():
                         s = shared.setdefault(_terms_key(v) or (i, j, k, l), len(forms))
                         if s == len(forms):
-                            forms.append(RatFunc.in_normal_form(poly(v.num), poly(v.den))
-                                         if isinstance(v, RatFunc) else poly(v)
-                                         if isinstance(v, LaurentPoly) else complex(v))
+                            forms.append(v.float_form() if isinstance(v, (LaurentPoly, RatFunc))
+                                         else complex(v))
                         rows.append(((i - 1) * n + k - 1, (j - 1) * n + l - 1, s))
                     self._form = CompiledTensor2(n, rows, forms)
                 return self._form
@@ -293,14 +285,6 @@ def _sparse_tensor(nlegs):
                         acc[nk] = -frac if cur is None else cur - frac
                 out = _adopt(Tensor, n, acc)
             return out
-
-        def split_diagonal(self):
-            """(diagonal, rest): the entries e_ii (x) e_kk ... diagonal on
-            every leg, and the others."""
-            parts = ({}, {})
-            for k, v in self.coeffs.items():
-                parts[k[0::2] != k[1::2]][k] = v
-            return tuple(_adopt(Tensor, self.n, part) for part in parts)
 
         def map_scalars(self, fn):
             """fn of each entry, run once per distinct scalar (_memo), so fn
@@ -402,8 +386,9 @@ _TENSORS = {2: Tensor2, 3: Tensor3}
 
 def _lane_plan(n, legs):
     """CompiledTensor2.apply's plan for legs: the vector's size, a getter
-    per lane (a slice where the lane is evenly spaced), and a getter that
-    puts the lanes' concatenation in the vector's order, or None if it is."""
+    per lane (a slice where the lane is evenly spaced, so always at n = 1,
+    where itemgetter(i) returns no sequence), and a getter that puts the
+    lanes' concatenation in the vector's order, or None if it is."""
     if legs not in _PLACEMENTS:
         raise ValueError(f"CompiledTensor2.apply cannot place the tensor on legs {legs!r}")
     a, b, *free = (n ** e for e in _PLACEMENTS[legs])
@@ -460,10 +445,9 @@ class CompiledTensor2:
         self.lanes, self.kernel = ({}, []) if lanes is None else (lanes, kernel)
 
     def at(self, logs):
-        """A copy of a float form with each scalar evaluated at logs, all
-        sharing one table of monomial values (LaurentPoly.evaluate)."""
-        powers = {}
-        values = [v if type(v) is complex else v.evaluate(logs, powers) for v in self.scalars]
+        """A copy of a float form with each scalar evaluated at logs
+        (LaurentPoly.evaluate), each distinct scalar once."""
+        values = [v if type(v) is complex else v.evaluate(logs) for v in self.scalars]
         return CompiledTensor2(self.n, self.rows, values, self.lanes, self.kernel)
 
     def apply(self, x, legs=None):
@@ -564,10 +548,10 @@ def _x1_scaled(t, power):
     """The Tensor2 t with the coefficient at (i, j, k, l) multiplied by the
     LaurentPoly X1^power(i, j, k, l): a RatFunc stays a RatFunc, and any
     other entry becomes a LaurentPoly where that power is not 0."""
-    out, times, monomial = {}, _memo(mul), cache(lambda e: LaurentPoly.monomial((e, 0, 0, 0)))
+    out = {}
     for key, v in t.coeffs.items():
         e = power(*key)
-        out[key] = times(monomial(e), v) if e else v
+        out[key] = LaurentPoly.monomial((e, 0, 0, 0)) * v if e else v
     return _adopt(Tensor2, t.n, out)
 
 
@@ -577,11 +561,14 @@ def gauge_conjugate(t, phi):
     The coefficient at e_ij (x) e_kl picks up exp((phi_j - phi_k) u),
     realized as the LaurentPoly monomial X1^(2n(phi_j - phi_k)) with
     n = t.n (_x1_scaled): a RatFunc entry stays a RatFunc and a LaurentPoly
-    one a LaurentPoly.  Raises ValueError unless phi has t.n entries.
+    one a LaurentPoly.  Returns t itself when Phi is 0.  Raises ValueError
+    unless phi has t.n entries.
     """
     phi = [Fraction(x) for x in phi]
     if len(phi) != t.n:
         raise ValueError("Phi must have one diagonal entry per row")
+    if not any(phi):
+        return t
     return _x1_scaled(t, lambda i, j, k, l: 2 * t.n * (phi[j - 1] - phi[k - 1]))
 
 

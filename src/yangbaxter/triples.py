@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import NamedTuple
 
 SCHEMA_VERSION = 1
@@ -252,8 +252,10 @@ def _adjacent(a, b):
     return a.j == b.i
 
 
+@cache
 def prec_pairs(t):
-    """All (alpha, beta, k, C, exponent, drop) with T^k alpha = beta, k >= 1.
+    """All (alpha, beta, k, C, exponent, drop) with T^k alpha = beta, k >= 1,
+    as a tuple made once per triple and shared by every caller.
 
     exponent is the combinatorial exponent of the quantum formula,
     1/2([a<.b] + [b<.a]) + [exists gamma strictly between with a<.gamma]
@@ -275,7 +277,7 @@ def prec_pairs(t):
             right, left = right | ab, left | ba
             starts.add(beta.i)
             ends.add(beta.j)
-    return out
+    return tuple(out)
 
 
 def is_orientation_preserving(t):
@@ -455,11 +457,10 @@ class SWedge:
         return {f"{i},{j}": str(v) for (i, j), v in self.upper_items() if v}
 
 
-@lru_cache(maxsize=1)
+@cache
 def s0_from_structure(a):
-    """The closed-form datum s0: entries 1/2 - O(i,j)/n off the diagonal.
-    The last structure's is kept, as the CLI, phi_from_s and the builders
-    ask for one structure's s0 in turn."""
+    """The closed-form datum s0: entries 1/2 - O(i,j)/n off the diagonal,
+    made once per structure."""
     n = a.n
     return SWedge(n, {(i, j): Fraction(1, 2) - Fraction(a.orbit_distance(i, j), n)
                       for i, j in positive_roots(n)})

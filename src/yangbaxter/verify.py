@@ -221,10 +221,9 @@ def _catalogue_zero(r, labels, terms, project=(), memo=None):
     the sum of the C weighted by the h's coefficients is: one int sum
     (tensors.product_sum) of the h packed into ints (kronecker_ints)
     decides them all.  The projection is applied to that sum, each h
-    scaled by n per projected leg to keep it in int.  In a commutator
-    (a term x y whose negated swap y x is also a term) the entries of A_f
-    and A_g diagonal on both legs cancel, so each such term forms only
-    (A_f)_diag (A_g)_rest + (A_f)_rest A_g (Tensor.split_diagonal).
+    scaled by n per projected leg to keep it in int.  Every term forms
+    C for every pair (f, g); in a commutator the pairs diagonal on both
+    legs cancel in that sum.
 
     memo, if given, is the dict the caller keeps for one run: it holds
     the h per catalogue (shared by the matrices of one n) with their ints
@@ -247,16 +246,14 @@ def _catalogue_zero(r, labels, terms, project=(), memo=None):
         ints, cmax = kronecker_ints(hs, need)
         memo[key] = (hs, cmax, ints)
     scale = n ** len(project)
-    tensors = [(a, *a.split_diagonal()) for _, a in functions]
     flat = iter(ints)
     products = []
-    for sign, (i, ab), (j, cd) in terms:
-        commutator = (-sign, (j, cd), (i, ab)) in terms
-        for a, a_diag, a_rest in tensors:
-            for b, _, b_rest in tensors:
+    for _, (_, ab), (_, cd) in terms:
+        for _, a in functions:
+            for _, b in functions:
                 c = next(flat) * scale
-                pairs = ((a_diag, b_rest), (a_rest, b)) if commutator else ((a, b),)
-                products += [(c, x, y, (ab, cd)) for x, y in pairs if c and x.coeffs and y.coeffs]
+                if c:
+                    products.append((c, a, b, (ab, cd)))
     return not products or product_sum(products).project_traceless(project).is_zero()
 
 

@@ -34,7 +34,9 @@ from yangbaxter.triples import (
 )
 from yangbaxter import verify
 
-from conftest import cg_structure, tensor2_from_json, trivial_structures, weight_zero_ok
+from conftest import (
+    cg_structure, s_family, tensor2_from_json, trivial_structures, weight_zero_ok,
+)
 
 HALF = Fraction(1, 2)
 
@@ -239,6 +241,48 @@ def test_ggs_with_gauge_equals_conjugated():
     # with rate phi/2 per leg... realized through gauge_conjugate on X1
     conjugated = gauge_conjugate(base, phi)
     assert direct == conjugated
+
+
+def test_ggs_assoc_is_the_q_power_conjugation_by_s_minus_s0():
+    """build_R_ggs_assoc(a, s) equals its matrix at no s with entry
+    (a, b, c, d) times q^(d_ac + d_bd), d = s - s0 and q = X1^n: the same
+    keys, terms and term order, for every structure with n <= 5 at every
+    point of its s-family where s - s0 is an admissible coboundary, and at
+    rational Phi.  An s whose Phi is not admissible raises ValueError."""
+    checked = rejected = 0
+    for n in range(2, 6):
+        for t in enumerate_triples(n):
+            phis = [[Fraction(2 * i, 3) for i in range(n)],
+                    [Fraction(i * i, 5) for i in range(n)],
+                    *([Fraction(int(i == j)) for i in range(n)] for j in range(n))]
+            for st in compatible_permutations(t):
+                s0 = s0_from_structure(st)
+                points = [(s, None) for s in s_family(t)]
+                points += [(s0 + phi_coboundary(phi, n), all(
+                    phi[a - 1] - phi[a] == phi[b - 1] - phi[b] for a, b in t.pairs))
+                    for phi in phis]
+                base = build_R_ggs_assoc(st)
+                for s, admissible in points:
+                    d = {(i, j): s.get(i, j) - s0.get(i, j)
+                         for i in range(1, n + 1) for j in range(1, n + 1)}
+                    coboundary = all(d[i, j] == d[i, 1] - d[j, 1] for i, j in d)
+                    if admissible is None:
+                        admissible = coboundary and all(
+                            d[a, a + 1] == d[b, b + 1] for a, b in t.pairs)
+                    if not admissible:
+                        with pytest.raises(ValueError):
+                            build_R_ggs_assoc(st, s)
+                        rejected += 1
+                        continue
+                    want = {(a, b, c, e): LaurentPoly.monomial(
+                                (n * (d[a, c] + d[b, e]), 0, 0, 0)) * v
+                            for (a, b, c, e), v in base.coeffs.items()}
+                    got = build_R_ggs_assoc(st, s).coeffs
+                    assert list(got) == list(want)
+                    assert [tuple(v.terms.items()) for v in got.values()] == [
+                        tuple(v.terms.items()) for v in want.values()]
+                    checked += 1
+    assert checked > 100 and rejected
 
 
 def _at_y1_zero(f):

@@ -19,8 +19,11 @@ def test_package_modules_found():
     assert "verify.py" in {path.name for path in MODULES}
 
 
-# ROADMAP item 6's ceiling: the package may not grow past this
-MAX_NONBLANK_LINES = 2693
+# ROADMAP item 6's ceiling: the package may not grow past this.  Set to
+# the package's size by the change that removed the speed devices with no
+# measured gain (the per-point monomial table, the commutator split and
+# four memos and caches); each later removal lowers it again.
+MAX_NONBLANK_LINES = 2669
 
 
 def test_package_fits_its_line_ceiling():

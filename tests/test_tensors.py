@@ -690,15 +690,6 @@ def test_project_traceless_rejects_missing_legs():
             t.project_traceless((leg,))
 
 
-def test_split_diagonal_parts_sum_to_the_tensor(rng):
-    for n in (2, 3):
-        t = random_sparse_tensor2(n, rng, nnz=8) + Tensor2.identity(n)
-        diag, rest = t.split_diagonal()
-        assert diag + rest == t
-        assert all(i == j and k == l for i, j, k, l in diag.coeffs)
-        assert not any(i == j and k == l for i, j, k, l in rest.coeffs)
-
-
 def _r_quantum(n):
     from yangbaxter.builders import build_r_uv
 
@@ -816,6 +807,15 @@ def test_apply_calls_its_kernel_once_looping_over_the_lanes(rng):
     assert len(calls) == 4 and [len(gathers) for _, _, gathers in calls] == [n, n, n, 1]
 
 
+def test_apply_at_n1_reads_each_one_entry_lane_as_a_sequence():
+    """At n = 1 every lane holds one entry, which a slice getter still
+    returns as a sequence for the kernel to unpack, on every placement."""
+    form = Tensor2(1, {(1, 1, 1, 1): Fraction(2)}).float_form()
+    assert form.apply([3.0]) == form.apply([3.0], 21) == [6.0]
+    for legs in (12, 13, 23):
+        assert form.apply([3.0], legs) == [6.0]
+
+
 def _matrices(n):
     """(label, tensor) for the matrices the suites build at n: r_{T,s},
     hat_r(r_{T,s}) and the general R at each point of each triple's
@@ -914,4 +914,5 @@ def test_a_laurentpoly_and_a_ratfunc_with_equal_terms_keep_their_own_results():
     floats = compiled_entries(t, t.float_form())
     assert type(floats[(1, 1, 1, 1)]).__name__ == "_FloatPoly"
     assert type(floats[(1, 1, 2, 2)]) is RatFunc
-    assert floats[(1, 1, 1, 1)] is floats[(2, 2, 1, 1)] is floats[(1, 1, 2, 2)].num
+    assert floats[(1, 1, 1, 1)] is floats[(2, 2, 1, 1)]
+    assert floats[(1, 1, 2, 2)] is floats[(2, 2, 2, 2)]

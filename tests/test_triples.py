@@ -34,7 +34,9 @@ from yangbaxter.triples import (
     validate_triple,
 )
 from yangbaxter import triples
-from yangbaxter.builders import build_R_ggs_general, build_r_ts, s_as_tensor
+from yangbaxter.builders import (
+    build_R_ggs_assoc, build_R_ggs_general, build_r_ts, build_y, s_as_tensor,
+)
 
 from conftest import (
     cg_structure,
@@ -172,7 +174,7 @@ def test_prec_order_examples(reversing5):
     cg3 = BDTriple.make(3, {1: 2})
     assert _pair(cg3, simple_root(1), simple_root(2))[0] == 1
     trivial = BDTriple.make(4, {})
-    assert prec_pairs(trivial) == []
+    assert prec_pairs(trivial) == ()
     cg4 = BDTriple.make(4, {1: 2, 2: 3})
     assert _pair(cg4, simple_root(1), simple_root(3))[0] == 2
     assert _pair(cg4, simple_root(3), simple_root(1)) is None
@@ -258,8 +260,10 @@ def test_prec_pairs_exponent_matches_the_chain_definition():
 
 
 def test_ggs_general_walks_each_orbit_once(monkeypatch):
-    """build_R_ggs_general on CG n = 8 walks each positive root's T-orbit
-    once: 28 walks, not one more per pair."""
+    """The four builders that read the ordering of CG n = 8 (build_a through
+    build_r_ts, build_R_ggs_general, build_R_ggs_assoc and build_y) walk
+    each positive root's T-orbit once between them: 28 walks, not one more
+    per pair or per builder."""
     st = cg_structure(8)
     s0 = s0_from_structure(st)
     walks = []
@@ -270,7 +274,11 @@ def test_ggs_general_walks_each_orbit_once(monkeypatch):
         return walk(t, alpha)
 
     monkeypatch.setattr(triples, "t_orbit", counted)
+    prec_pairs.cache_clear()
+    build_r_ts(st.triple, s0)
     build_R_ggs_general(st.triple, s0)
+    build_R_ggs_assoc(st, s0)
+    build_y(st)
     assert sorted(walks) == positive_roots(8)
 
 
